@@ -39,7 +39,7 @@ class JobConfig:
     m: int = 720
     tol: float = 1e-9
     out: Optional[str] = None
-    fmt: str = "text"
+    fmt: Optional[str] = None
 
     def validate(self):
         modes = sum(1 for v in (self.b, self.A, self.A0) if v is not None)
@@ -108,6 +108,9 @@ def _config_from_args(args) -> JobConfig:
     tol = pick("tol", "tol", float)
     out = pick("out", "out", str)
     fmt = pick("format", "format", str)
+    if fmt is not None and fmt not in args.formats:
+        raise ValueError(f"format {fmt!r} not available for {args.command}; "
+                         f"choose from {', '.join(args.formats)}")
     cfg.b = b
     cfg.A = [float(a) for a in A] if A is not None else None
     cfg.A0 = A0
@@ -117,8 +120,7 @@ def _config_from_args(args) -> JobConfig:
     if tol is not None:
         cfg.tol = tol
     cfg.out = out
-    if fmt is not None:
-        cfg.fmt = fmt
+    cfg.fmt = fmt
     cfg.validate()
     return cfg
 
@@ -240,13 +242,18 @@ def cmd_curve(cfg: JobConfig, with_fits: bool = False) -> int:
             except crv.DegenerateBranch:
                 continue
     stem = cfg.out or "curve"
+    written = []
     try:
-        _write_csv(stem + ".csv", samples)
-        _write_svg(stem + ".svg", samples, M.n, fits)
+        if cfg.fmt in (None, "csv"):
+            _write_csv(stem + ".csv", samples)
+            written.append(f"{stem}.csv ({len(samples)} rows)")
+        if cfg.fmt in (None, "svg"):
+            _write_svg(stem + ".svg", samples, M.n, fits)
+            written.append(f"{stem}.svg")
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 3
-    print(f"wrote {stem}.csv ({len(samples)} rows) and {stem}.svg")
+    print("wrote " + " and ".join(written))
     for k, fit in enumerate(fits, start=1):
         print(f"  branch {k} fit: semi-axes {fit.semi_u:.6f}/{fit.semi_v:.6f} "
               f"max radial deviation {fit.max_radial_deviation:.3e}")
@@ -464,7 +471,7 @@ def build_parser():
                                  description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_input_flags(sp):
+    def add_input_flags(sp, formats):
         sp.add_argument("--b", help="superdiagonal entries, comma separated")
         sp.add_argument("--A", help="A_j parameters, comma separated")
         sp.add_argument("--A0", type=float, help="all-equal parameter value")
@@ -472,15 +479,16 @@ def build_parser():
         sp.add_argument("--m", type=int, help="theta grid size (default 720)")
         sp.add_argument("--tol", type=float, help="classification tolerance")
         sp.add_argument("--out", help="output path stem")
-        sp.add_argument("--format", choices=("text", "json", "csv", "svg"),
-                        help="report format")
+        sp.add_argument("--format", choices=formats, help="report format")
         sp.add_argument("--config", help="structured-text config file; flags win")
+        sp.set_defaults(formats=formats)
 
     sp = sub.add_parser("classify", help="ellipticity classification report")
-    add_input_flags(sp)
+    add_input_flags(sp, ("text", "json"))
 
-    sp = sub.add_parser("curve", help="sample the curve; write CSV and SVG")
-    add_input_flags(sp)
+    sp = sub.add_parser("curve", help="sample the curve; write CSV and SVG "
+                                      "(or only the one --format names)")
+    add_input_flags(sp, ("csv", "svg"))
     sp.add_argument("--fit", action="store_true", help="overlay best-fit ellipses")
 
     sp = sub.add_parser("solve", help="three-ellipse / single-ellipse solvers")
@@ -493,7 +501,7 @@ def build_parser():
     sp.add_argument("--format", choices=("text", "json"), default="text")
 
     sp = sub.add_parser("poly", help="print the generating polynomial")
-    add_input_flags(sp)
+    add_input_flags(sp, ("text", "json"))
 
     sp = sub.add_parser("verify", help="run the oracle cross-checks")
     sp.add_argument("--check", nargs="*",

@@ -14,8 +14,9 @@ returns a one-dimensional locus rather than isolated points.
 from __future__ import annotations
 
 import logging
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -29,6 +30,10 @@ log = logging.getLogger(__name__)
 
 PARAM_NAMES = ("A1", "A2", "A3", "A4", "A5")
 
+# solve_m6 runs its independent sweep starts in blocks of at most this many
+# rows, which bounds the temporaries of one batched Newton step
+_BLOCK_ROWS = 256
+
 
 class NoBracket(RuntimeError):
     """The cubic condition never changes sign along the sweep."""
@@ -39,12 +44,29 @@ class NotRealizable(ValueError):
 
 
 @dataclass(frozen=True)
+class SolverStats:
+    """What the Newton runs of one solve did.
+
+    starts counts every Newton run (sweep starts, bisection steps and the
+    final polish for solve_m6; grid starts for solve_uv); converged and
+    diverged split them, diverged including singular Jacobians and runs out
+    of iterations; max_iterations is the most Newton steps any run took.
+    """
+
+    starts: int
+    converged: int
+    diverged: int
+    max_iterations: int
+
+
+@dataclass(frozen=True)
 class M6Solution:
     """A point of the three-ellipse variety with its residuals."""
 
     A: tuple
     residuals: tuple  # quad_a, quad_b, cubic, quad_diff
     branch: str = ""
+    stats: Optional[SolverStats] = field(default=None, compare=False)
 
     @property
     def realizable(self) -> bool:
@@ -70,46 +92,110 @@ def residuals_m6(A, exact: bool = False):
     return tuple(float(v) for v in vals)
 
 
-def _ell3_pair_and_grads(A):
-    qa = float(rtables.eval_table(rtables.ELL3_QUAD_A, A))
-    qb = float(rtables.eval_table(rtables.ELL3_QUAD_B, A))
-    ga = rtables.grad_table(rtables.ELL3_QUAD_A, A)
-    gb = rtables.grad_table(rtables.ELL3_QUAD_B, A)
-    return (qa, qb), (ga, gb)
+class _Tally:
+    """Accumulates the ok-flags and iteration counts of Newton runs."""
+
+    def __init__(self):
+        self.starts = self.converged = self.max_iterations = 0
+
+    def add(self, ok, iters):
+        self.starts += len(ok)
+        self.converged += int(np.count_nonzero(ok))
+        self.max_iterations = max(self.max_iterations, int(iters.max(initial=0)))
+
+    def stats(self) -> SolverStats:
+        return SolverStats(self.starts, self.converged,
+                           self.starts - self.converged, self.max_iterations)
 
 
-def _solve_quad_pair(fixed_idx, fixed_vals, free_idx, a3, start, scale, max_iter=60):
-    """Newton on the two quadratic conditions in the two free parameters."""
-    A = [0.0] * 5
-    for i, v in zip(fixed_idx, fixed_vals):
-        A[i] = v
-    A[2] = a3
-    x = np.array(start, dtype=float)
-    for _ in range(max_iter):
-        A[free_idx[0]], A[free_idx[1]] = x
-        (qa, qb), (ga, gb) = _ell3_pair_and_grads(A)
-        F = np.array([qa, qb])
-        if np.max(np.abs(F)) <= 1e-13 * scale ** 2:
-            return tuple(x)
-        J = np.array([[ga[free_idx[0]], ga[free_idx[1]]],
-                      [gb[free_idx[0]], gb[free_idx[1]]]])
+def _solve_rows(J, F):
+    """Newton steps J^-1 F row by row, and which rows had a solvable J."""
+    try:
+        return np.linalg.solve(J, F[..., None])[..., 0], np.ones(len(F), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    steps = np.zeros_like(F)
+    solvable = np.ones(len(F), dtype=bool)
+    for r in range(len(F)):
         try:
-            step = np.linalg.solve(J, F)
+            steps[r] = np.linalg.solve(J[r], F[r])
         except np.linalg.LinAlgError:
-            return None
-        x = x - step
-        if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > 1e8 * scale:
-            return None
-    return None
+            solvable[r] = False
+    return steps, solvable
 
 
-def _cubic_at(fixed_idx, fixed_vals, free_idx, a3, free_vals):
-    A = [0.0] * 5
-    for i, v in zip(fixed_idx, fixed_vals):
-        A[i] = v
-    A[2] = a3
-    A[free_idx[0]], A[free_idx[1]] = free_vals
-    return float(rtables.eval_table(rtables.ELL3_CUBIC, A)), tuple(A)
+def _newton(system, x0, converged, max_iter, bound=np.inf):
+    """Newton's method on a batch of starts, every row on its own.
+
+    system(rows, x) returns the residuals F (B, k) and Jacobians J (B, k, k)
+    at the points x (B, k) of the given batch rows; converged(x, F) flags the
+    rows that are done.  Each row checks convergence before each of its at
+    most max_iter steps, and retires as failed when its Jacobian is singular
+    or a step leaves the finite box |x_i| <= bound.  Returns the last
+    iterates, the ok-flags and the number of steps each row took.
+    """
+    x = np.array(x0, dtype=float)
+    ok = np.zeros(len(x), dtype=bool)
+    iters = np.zeros(len(x), dtype=int)
+    live = np.arange(len(x))
+    for _ in range(max_iter):
+        if not live.size:
+            break
+        xa = x[live]
+        F, J = system(live, xa)
+        done = converged(xa, F)
+        ok[live[done]] = True
+        going = ~done
+        step, solvable = _solve_rows(J[going], F[going])
+        live, xa = live[going][solvable], xa[going][solvable] - step[solvable]
+        x[live] = xa
+        iters[live] += 1
+        live = live[np.all(np.isfinite(xa), axis=1) & (np.max(np.abs(xa), axis=1) <= bound)]
+    return x, ok, iters
+
+
+def _ell3_values(A):
+    """Values and gradients of quad_a, quad_b and the cubic, shape (..., 3, 6)."""
+    return rtables.eval_compiled(rtables.ELL3_COMPILED, A)
+
+
+def _ell3_system(base, cols, n_eq):
+    """The first n_eq three-ellipse conditions as a Newton system in the
+    parameters cols, the others held at their values in the rows of base."""
+    grad_cols = [c + 1 for c in cols]
+
+    def system(rows, x):
+        A = base[rows].copy()
+        A[:, cols] = x
+        vals = _ell3_values(A)[:, :n_eq]
+        return vals[:, :, 0], vals[:, :, grad_cols]
+
+    return system
+
+
+def _solve_quad_pair(base, free_idx, starts, scale, tally, max_iter=60):
+    """Newton on the two quadratic conditions in the two free parameters.
+
+    base holds one full parameter row per start (fixed values and A_3 in
+    place); returns the limits and their ok-flags.
+    """
+    tol = 1e-13 * scale ** 2
+    x, ok, iters = _newton(_ell3_system(base, free_idx, 2), starts,
+                           lambda x, F: np.max(np.abs(F), axis=1) <= tol,
+                           max_iter, 1e8 * scale)
+    tally.add(ok, iters)
+    return x, ok
+
+
+def _place(row, free_idx, free_vals):
+    """A copy of the parameter row with the free pair set to free_vals."""
+    A = np.array(row, dtype=float)
+    A[free_idx] = free_vals
+    return A
+
+
+def _cubic_at(A):
+    return float(_ell3_values(A)[2, 0])
 
 
 def solve_m6(fixed: dict, a3_bracket=None, grid: int = 200):
@@ -123,43 +209,67 @@ def solve_m6(fixed: dict, a3_bracket=None, grid: int = 200):
     names = sorted(fixed)
     if len(names) != 2 or any(nm not in ("A1", "A2", "A4", "A5") for nm in names):
         raise ValueError("fix exactly two of A1, A2, A4, A5")
+    fixed_vals = [float(fixed[nm]) for nm in names]
+    if not all(math.isfinite(v) for v in fixed_vals):
+        raise ValueError(f"fixed values must be finite, got {fixed}")
     if set(names) in ({"A1", "A5"}, {"A2", "A4"}) and \
-            abs(fixed[names[0]] - fixed[names[1]]) <= 1e-12:
+            abs(fixed_vals[0] - fixed_vals[1]) <= 1e-12:
         warnings.warn("fixed pair imposes a symmetry hyperplane; only the "
                       "all-equal ray lies on the three-ellipse variety there",
                       stacklevel=2)
     fixed_idx = [PARAM_NAMES.index(nm) for nm in names]
-    fixed_vals = [float(fixed[nm]) for nm in names]
     free_idx = [i for i in (0, 1, 3, 4) if i not in fixed_idx]
     scale = max(fixed_vals)
     if a3_bracket is None:
         a3_bracket = (scale / 10.0, 10.0 * scale)
     a3_grid = np.linspace(a3_bracket[0], a3_bracket[1], grid)
+    base = np.zeros((grid, 5))  # one parameter row per grid point
+    base[:, fixed_idx] = fixed_vals
+    base[:, 2] = a3_grid
+    tally = _Tally()
 
+    # the diagonal start and the fresh starts do not depend on the previous
+    # grid point, so they run first, all grid points together, in blocks
     fresh_starts = [(scale, scale), (scale / 2, 2 * scale), (2 * scale, scale / 2),
                     (scale / 4, scale / 4), (3 * scale, 3 * scale)]
-    diverged = 0
+    per_point = 1 + len(fresh_starts)
+    starts = np.empty((grid, per_point, 2))
+    starts[:, 0] = a3_grid[:, None]
+    starts[:, 1:] = fresh_starts
+    starts = starts.reshape(-1, 2)
+    rows = np.repeat(base, per_point, axis=0)
+    cold, cold_ok = np.empty_like(starts), np.empty(len(starts), dtype=bool)
+    for lo in range(0, len(starts), _BLOCK_ROWS):
+        block = slice(lo, lo + _BLOCK_ROWS)
+        cold[block], cold_ok[block] = _solve_quad_pair(
+            rows[block], free_idx, starts[block], scale, tally)
+    cold = cold.reshape(grid, per_point, 2)
+    cold_ok = cold_ok.reshape(grid, per_point)
+
+    diverged = int(np.count_nonzero(~cold_ok))
     track = []  # per grid point: list of free-pair solutions
     prev = []
-    for a3 in a3_grid:
-        starts = list(prev) + [(a3, a3)] + fresh_starts
+    for g in range(grid):
+        limits, oks = cold[g], cold_ok[g]
+        if prev:
+            warm, warm_ok = _solve_quad_pair(
+                base[[g] * len(prev)], free_idx, np.array(prev), scale, tally)
+            diverged += int(np.count_nonzero(~warm_ok))
+            limits, oks = np.vstack([warm, limits]), np.concatenate([warm_ok, oks])
         found = []
-        for st in starts:
-            sol = _solve_quad_pair(fixed_idx, fixed_vals, free_idx, a3, st, scale)
-            if sol is None:
-                diverged += 1
-                continue
+        for sol in map(tuple, limits[oks]):
             if all(max(abs(sol[0] - f[0]), abs(sol[1] - f[1])) > 1e-6 * scale
                    for f in found):
                 found.append(sol)
-        track.append((a3, found))
+        track.append(found)
         prev = found
     if diverged:
         log.debug("solve_m6: %d Newton starts diverged", diverged)
 
     solutions = []
     seen = []
-    for (a3_lo, sols_lo), (a3_hi, sols_hi) in zip(track, track[1:]):
+    for g_lo, (sols_lo, sols_hi) in enumerate(zip(track, track[1:])):
+        g_hi = g_lo + 1
         for f_lo in sols_lo:
             # continue the same branch to the next grid point
             cands = [f for f in sols_hi
@@ -167,46 +277,51 @@ def solve_m6(fixed: dict, a3_bracket=None, grid: int = 200):
             if not cands:
                 continue
             f_hi = min(cands, key=lambda f: max(abs(f[0] - f_lo[0]), abs(f[1] - f_lo[1])))
-            g_lo, _ = _cubic_at(fixed_idx, fixed_vals, free_idx, a3_lo, f_lo)
-            g_hi, _ = _cubic_at(fixed_idx, fixed_vals, free_idx, a3_hi, f_hi)
-            if g_lo == 0.0:
-                root = (a3_lo, f_lo)
-            elif g_lo * g_hi < 0:
-                root = _bisect_cubic(fixed_idx, fixed_vals, free_idx,
-                                     (a3_lo, f_lo, g_lo), (a3_hi, f_hi, g_hi), scale)
+            c_lo = _cubic_at(_place(base[g_lo], free_idx, f_lo))
+            c_hi = _cubic_at(_place(base[g_hi], free_idx, f_hi))
+            if c_lo == 0.0:
+                root = (a3_grid[g_lo], f_lo)
+            elif c_lo * c_hi < 0:
+                root = _bisect_cubic(base[g_lo], free_idx,
+                                     (a3_grid[g_lo], f_lo, c_lo),
+                                     (a3_grid[g_hi], f_hi, c_hi), scale, tally)
             else:
                 continue
             if root is None:
                 continue
             a3r, fr = root
-            _, A = _cubic_at(fixed_idx, fixed_vals, free_idx, a3r, fr)
-            A = _polish_full(fixed_idx, fixed_vals, free_idx, A, scale)
+            A = _place(base[g_lo], free_idx, fr)
+            A[2] = a3r
+            A = _polish_full(free_idx, A, scale, tally)
             if A is None:
                 continue
             if any(max(abs(a - b) for a, b in zip(A, s)) <= 1e-8 * max(1.0, scale)
                    for s in seen):
                 continue
             seen.append(A)
-            res = residuals_m6(A)
             solutions.append(M6Solution(
-                A=A, residuals=res,
+                A=A, residuals=residuals_m6(A),
                 branch=f"free={PARAM_NAMES[free_idx[0]]},{PARAM_NAMES[free_idx[1]]}"
                        f"; A3 near {a3r:.6g}"))
     if not solutions:
         raise NoBracket("cubic condition has no sign change on the sweep")
-    return sorted(solutions, key=lambda s: s.A)
+    stats = tally.stats()
+    return sorted((replace(s, stats=stats) for s in solutions), key=lambda s: s.A)
 
 
-def _bisect_cubic(fixed_idx, fixed_vals, free_idx, lo, hi, scale):
+def _bisect_cubic(base_row, free_idx, lo, hi, scale, tally):
     a3_lo, f_lo, g_lo = lo
     a3_hi, f_hi, g_hi = hi
+    base = np.array([base_row], dtype=float)
     for _ in range(80):
         a3_mid = 0.5 * (a3_lo + a3_hi)
+        base[0, 2] = a3_mid
         start = (0.5 * (f_lo[0] + f_hi[0]), 0.5 * (f_lo[1] + f_hi[1]))
-        f_mid = _solve_quad_pair(fixed_idx, fixed_vals, free_idx, a3_mid, start, scale)
-        if f_mid is None:
+        x, ok = _solve_quad_pair(base, free_idx, [start], scale, tally)
+        if not ok[0]:
             return None
-        g_mid, _ = _cubic_at(fixed_idx, fixed_vals, free_idx, a3_mid, f_mid)
+        f_mid = tuple(x[0])
+        g_mid = _cubic_at(_place(base[0], free_idx, f_mid))
         if g_mid == 0.0 or (a3_hi - a3_lo) <= 1e-14 * max(1.0, abs(a3_mid)):
             return a3_mid, f_mid
         if g_lo * g_mid < 0:
@@ -216,32 +331,18 @@ def _bisect_cubic(fixed_idx, fixed_vals, free_idx, lo, hi, scale):
     return a3_mid, f_mid
 
 
-def _polish_full(fixed_idx, fixed_vals, free_idx, A, scale):
+def _polish_full(free_idx, A, scale, tally):
     """Final Newton on all three conditions in (free1, free2, A3)."""
-    idx = [free_idx[0], free_idx[1], 2]
-    A = list(A)
-    for _ in range(50):
-        qa = float(rtables.eval_table(rtables.ELL3_QUAD_A, A))
-        qb = float(rtables.eval_table(rtables.ELL3_QUAD_B, A))
-        cu = float(rtables.eval_table(rtables.ELL3_CUBIC, A))
-        F = np.array([qa, qb, cu])
-        if abs(qa) <= 1e-12 * scale**2 and abs(qb) <= 1e-12 * scale**2 \
-                and abs(cu) <= 1e-12 * scale**3:
-            return tuple(A)
-        ga = rtables.grad_table(rtables.ELL3_QUAD_A, A)
-        gb = rtables.grad_table(rtables.ELL3_QUAD_B, A)
-        gc = rtables.grad_table(rtables.ELL3_CUBIC, A)
-        J = np.array([[ga[i] for i in idx], [gb[i] for i in idx], [gc[i] for i in idx]],
-                     dtype=float)
-        try:
-            step = np.linalg.solve(J, F)
-        except np.linalg.LinAlgError:
-            return None
-        for k, i in enumerate(idx):
-            A[i] -= step[k]
-        if not all(np.isfinite(A)):
-            return None
-    return None
+    cols = [free_idx[0], free_idx[1], 2]
+    base = np.array([A], dtype=float)
+    tol = np.array([1e-12 * scale ** 2, 1e-12 * scale ** 2, 1e-12 * scale ** 3])
+    x, ok, iters = _newton(_ell3_system(base, cols, 3), base[:, cols],
+                           lambda x, F: np.all(np.abs(F) <= tol, axis=1), 50)
+    tally.add(ok, iters)
+    if not ok[0]:
+        return None
+    base[0, cols] = x[0]
+    return tuple(float(a) for a in base[0])
 
 
 @dataclass(frozen=True)
@@ -256,6 +357,7 @@ class UVSolveResult:
     pairs: tuple
     line: Optional[tuple] = None
     all_equal_point: Optional[tuple] = None
+    stats: Optional[SolverStats] = field(default=None, compare=False)
 
     def residuals(self, u, v):
         A = (u, v, 1.0, v, u)
@@ -283,22 +385,27 @@ class UVSolveResult:
         return u > 0 and v > 0
 
 
-def _uv_system(x_t, u, v):
-    """Residuals and Jacobian of both resultants at x_t on the symmetric slice."""
-    A = (u, v, 1.0, v, u)
-    r1, r2 = rtables.eval_resultants_at(A, x_t)
-    # chain rule through A = (u, v, 1, v, u)
-    vals = []
-    for tables in (rtables.R1_TABLES, rtables.R2_TABLES):
-        du = dv = 0.0
-        for t, power in zip(tables, (2, 1, 0)):
-            g = rtables.grad_table(t, A)
-            w = x_t ** power
-            du += (g[0] + g[4]) * w
-            dv += (g[1] + g[3]) * w
-        vals.append((du, dv))
-    J = np.array([[vals[0][0], vals[0][1]], [vals[1][0], vals[1][1]]], dtype=float)
-    return np.array([float(r1), float(r2)]), J
+def _uv_system(x_t):
+    """Residuals and Jacobians of both resultants at x_t on the symmetric
+    slice A = (u, v, 1, v, u), for a batch of (u, v) rows."""
+    weights = np.array([x_t * x_t, x_t, 1.0])
+
+    def system(rows, x):
+        u, v = x[:, 0], x[:, 1]
+        A = np.stack([u, v, np.ones_like(u), v, u], axis=1)
+        vals = rtables.eval_compiled(rtables.RESULTANTS_COMPILED, A)
+        # (B, resultant, power, value + gradient), weighted by x_t^power
+        vals = np.einsum("brpc,p->brc", vals.reshape(len(x), 2, 3, 6), weights)
+        # chain rule through A = (u, v, 1, v, u)
+        J = np.stack([vals[:, :, 1] + vals[:, :, 5], vals[:, :, 2] + vals[:, :, 4]], axis=2)
+        return vals[:, :, 0], J
+
+    return system
+
+
+def _uv_converged(x, F):
+    s = np.abs(x[:, 0]) + np.abs(x[:, 1]) + 1.0
+    return (np.abs(F[:, 0]) <= 1e-13 * s ** 2) & (np.abs(F[:, 1]) <= 1e-13 * s ** 3)
 
 
 def solve_uv(x_target: float, box=(-5.0, 12.0), grid: int = 12):
@@ -314,29 +421,16 @@ def solve_uv(x_target: float, box=(-5.0, 12.0), grid: int = 12):
     if abs(x_t - x_target) > 1e-6:
         raise ValueError(f"x_target must be a root of the slope cubic, got {x_target}")
     lo, hi = box
+    ticks = [lo + (hi - lo) * i / grid for i in range(grid + 1)]
+    starts = np.array([(u, v) for u in ticks for v in ticks])
+    x, ok, iters = _newton(_uv_system(x_t), starts, _uv_converged, 80, 1e6)
+    tally = _Tally()
+    tally.add(ok, iters)
     sols = []
-    for iu in range(grid + 1):
-        for iv in range(grid + 1):
-            u = lo + (hi - lo) * iu / grid
-            v = lo + (hi - lo) * iv / grid
-            x = np.array([u, v])
-            ok = False
-            for _ in range(80):
-                F, J = _uv_system(x_t, x[0], x[1])
-                s = abs(x[0]) + abs(x[1]) + 1.0
-                if abs(F[0]) <= 1e-13 * s ** 2 and abs(F[1]) <= 1e-13 * s ** 3:
-                    ok = True
-                    break
-                try:
-                    step = np.linalg.solve(J, F)
-                except np.linalg.LinAlgError:
-                    break
-                x = x - step
-                if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > 1e6:
-                    break
-            if ok and lo - 1 <= x[0] <= hi + 1 and lo - 1 <= x[1] <= hi + 1:
-                if all(max(abs(x[0] - p[0]), abs(x[1] - p[1])) > 1e-8 for p in sols):
-                    sols.append((float(x[0]), float(x[1])))
+    for p in x[ok]:
+        if lo - 1 <= p[0] <= hi + 1 and lo - 1 <= p[1] <= hi + 1:
+            if all(max(abs(p[0] - q[0]), abs(p[1] - q[1])) > 1e-8 for q in sols):
+                sols.append((float(p[0]), float(p[1])))
     sols.sort()
     line = _detect_line(sols, x_t)
     all_equal = None
@@ -353,7 +447,7 @@ def solve_uv(x_target: float, box=(-5.0, 12.0), grid: int = 12):
     elif any(max(abs(p[0] - 1), abs(p[1] - 1)) <= 1e-9 for p in sols):
         all_equal = (1.0, 1.0)
     return UVSolveResult(root=x_t, pairs=tuple(sols), line=line,
-                         all_equal_point=all_equal)
+                         all_equal_point=all_equal, stats=tally.stats())
 
 
 def _detect_line(sols, x_t=None):

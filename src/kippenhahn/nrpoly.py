@@ -60,10 +60,6 @@ class UniPoly:
     def const(cls, var, value):
         return cls(var, [value])
 
-    @classmethod
-    def ident(cls, var, ring_zero=0, ring_one=1):
-        return cls(var, [ring_zero, ring_one])
-
     @property
     def is_zero(self):
         return not self.coeffs

@@ -20,11 +20,19 @@ The ``ELL3_*`` tables are the three-ellipse conditions (two quadratics and
 one cubic in the A_j, plus their difference); a reciprocal 6-by-6 matrix has
 a three-ellipse Kippenhahn curve iff all three vanish and the parameters are
 not all 1.
+
+The dict tables are the source of truth.  For float work in bulk they are
+also compiled, at import, into coefficient matrices over the 56 monomials of
+degree <= 3 (see ``compile_tables``); one product then gives the values and
+gradients of several tables at a whole batch of points.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
+
+import numpy as np
 
 R1_X2 = {
     (2, 0, 0, 0, 0): -8,
@@ -510,3 +518,54 @@ def ell3_residuals(A):
     """The three three-ellipse conditions plus their difference, in input arithmetic."""
     return (eval_table(ELL3_QUAD_A, A), eval_table(ELL3_QUAD_B, A),
             eval_table(ELL3_CUBIC, A), eval_table(ELL3_QUAD_DIFF, A))
+
+
+# ------------------------------------------------------- compiled float tables
+#
+# A monomial of degree <= 3 in A_1..A_5 is a product X_i X_j X_k over
+# X = (1, A_1, ..., A_5) with i <= j <= k: 56 index triples, one per monomial.
+_TRIPLES = np.array(list(combinations_with_replacement(range(6), 3))).T
+MONOMIALS = tuple(tuple(int((t == v).sum()) for v in range(1, 6)) for t in _TRIPLES.T)
+_MONOMIAL_POS = {expo: m for m, expo in enumerate(MONOMIALS)}
+
+
+def monomials(A):
+    """Every monomial of degree <= 3 at each row of A, shape (..., 56)."""
+    A = np.asarray(A, dtype=float)
+    X = np.concatenate([np.ones(A.shape[:-1] + (1,)), A], axis=-1)
+    i, j, k = _TRIPLES
+    return X[..., i] * X[..., j] * X[..., k]
+
+
+def compile_tables(tables):
+    """Coefficient matrix of shape (6 T, 56) for T tables of degree <= 3.
+
+    Rows 6 t .. 6 t + 5 of table t hold its value and its five partial
+    derivatives, so ``eval_compiled`` returns them side by side.
+    """
+    rows = np.zeros((6 * len(tables), len(MONOMIALS)))
+    for t, table in enumerate(tables):
+        for expo, coef in table.items():
+            rows[6 * t, _MONOMIAL_POS[expo]] += coef
+            for k, e in enumerate(expo):
+                if e:
+                    lower = expo[:k] + (e - 1,) + expo[k + 1:]
+                    rows[6 * t + 1 + k, _MONOMIAL_POS[lower]] += coef * e
+    return rows
+
+
+def eval_compiled(rows, A):
+    """Values and gradients of compiled tables at a batch of points.
+
+    A has shape (..., 5); the result has shape (..., T, 6), value first and
+    then the five partial derivatives.  Each point is summed in the same
+    order whatever the batch holds (BLAS matmul picks kernels by shape), so
+    a point's result does not depend on the batch it came in.
+    """
+    out = np.einsum("...m,rm->...r", monomials(A), rows)
+    return out.reshape(out.shape[:-1] + (-1, 6))
+
+
+# the three-ellipse conditions and both reduced resultants, for the solvers
+ELL3_COMPILED = compile_tables((ELL3_QUAD_A, ELL3_QUAD_B, ELL3_CUBIC))
+RESULTANTS_COMPILED = compile_tables(R1_TABLES + R2_TABLES)

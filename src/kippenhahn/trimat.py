@@ -9,6 +9,7 @@ everything computed downstream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -84,8 +85,10 @@ class ReciprocalParams:
             object.__setattr__(self, "n", len(self.A) + 1)
         if self.n != len(self.A) + 1:
             raise ValueError("n must equal len(A) + 1")
-        if any(v < 1.0 - 1e-12 for v in self.A):
-            raise InvalidParam(f"A_j >= 1 required, got {self.A}")
+        # one pass rejects both A_j < 1 and non-finite entries (nan fails
+        # every comparison, inf fails the upper one)
+        if not all(1.0 - 1e-12 <= v < math.inf for v in self.A):
+            raise InvalidParam(f"finite A_j >= 1 required, got {self.A}")
 
     @property
     def all_equal(self) -> bool:

@@ -183,3 +183,44 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     code, out, _ = run(capsys, "classify", "--config", str(cfg), "--A", "2,2")
     assert code == 0
     assert "elliptic" in out
+
+
+@pytest.mark.parametrize("command,fmt", [("classify", "csv"), ("classify", "svg"),
+                                         ("poly", "csv"), ("poly", "svg"),
+                                         ("curve", "text"), ("curve", "json")])
+def test_format_choices_per_subcommand(capsys, command, fmt):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--A", "2,3", "--format", fmt])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,fmt", [("classify", "csv"), ("poly", "svg"),
+                                         ("curve", "json")])
+def test_config_file_format_must_suit_subcommand(tmp_path, capsys, command, fmt):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(f"A = 2,3\nm = 8\nout = {tmp_path / 'x'}\nformat = {fmt}\n")
+    code, _, err = run(capsys, command, "--config", str(cfg))
+    assert code == 2
+    assert "format" in err
+
+
+def test_curve_format_writes_only_that_file(tmp_path, capsys):
+    for fmt in ("csv", "svg"):
+        stem = tmp_path / fmt
+        code, out, _ = run(capsys, "curve", "--A", "2,3", "--m", "8",
+                           "--out", str(stem), "--format", fmt)
+        assert code == 0
+        assert [p.suffix for p in tmp_path.glob(f"{fmt}.*")] == ["." + fmt]
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_solve_rejects_non_finite_fix(capsys, bad):
+    code, _, err = run(capsys, "solve", "--fix", f"A1={bad}", "A5=4")
+    assert code == 2
+    assert "finite" in err
+
+
+def test_classify_rejects_non_finite(capsys):
+    code, _, err = run(capsys, "classify", "--A", "2,nan,3")
+    assert code == 2

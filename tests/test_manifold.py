@@ -10,6 +10,7 @@ from kippenhahn import (NoBracket, NotRealizable, ReciprocalParams, a_params,
                         branch_points, contains_ellipse6, cubic_roots,
                         fit_ellipse_axis_aligned, realize, residuals_m6,
                         sample_curve, solve_m6, solve_uv, three_ellipses6)
+from kippenhahn import manifold
 
 F = Fraction
 
@@ -19,6 +20,35 @@ REF_FIXED = {"A1": 20.0, "A5": 40.0}
 TRUE_A2 = 64.939592074349341
 TRUE_A3 = 36.038754716096765
 TRUE_A4 = 28.900837358252576
+
+# every solution solve_m6 returns for three fixed pairs (grid 200, default
+# bracket), frozen from the sweep solver; each must still be found
+REFERENCE_SOLUTIONS = {
+    (("A2", 5.0), ("A4", 9.0)): [
+        (6.231914113471989, 5.0, 5.792249056782078, 9.0, 4.0120815851213365),
+        (6.780167471650028, 5.0, 2.780167471649295, 9.0, 5.548253358171063),
+        (7.572416528431145, 5.0, 17.987918414870258, 9.0, 10.780167471650923),
+        (8.451746641829367, 5.0, 11.219832528347975, 9.0, 7.219832528349169),
+        (25.195669358088214, 5.0, 11.219832528349198, 9.0, 16.207750943219033),
+        (34.183587772959285, 5.0, 17.98791841487015, 9.0, 13.987918414869801)],
+    (("A1", 20.0), ("A5", 40.0)): [
+        (20.0, 3.96124528390231, 8.90083735825094, -4.939592074352398, 40.0),
+        (20.0, 3.961245283903548, 84.93959207434824, 28.900837358252375, 40.0),
+        (20.0, 15.060407925652175, 23.96124528390643, 11.09916264174956, 40.0),
+        (20.0, 48.90083735825237, 84.93959207434824, -16.03875471609645, 40.0),
+        (20.0, 48.90083735826135, 36.03875471610631, 44.93959207435593, 40.0),
+        (20.0, 64.9395920743477, 51.09916264174598, 56.038754716095596, 40.0),
+        (20.0, 64.9395920743559, 36.03875471610631, 28.900837358261363, 40.0),
+        (20.0, 76.0387547160959, 51.09916264174642, 44.939592074348305, 40.0)],
+    (("A1", 3.0), ("A2", 7.0)): [
+        (3.0, 7.0, 4.427583471568941, -5.987918414869688, 10.207750943219239),
+        (3.0, 7.0, 4.427583471570326, 3.792249056782139, 4.780167471649936),
+        (3.0, 7.0, 5.219832528348309, 4.780167471648828, 4.427583471569466),
+        (3.0, 7.0, 5.219832528350526, 6.451746641828878, 5.768085886519044),
+        (3.0, 7.0, 5.768085886520332, 9.219832528349645, -1.9879184148700806),
+        (3.0, 7.0, 11.987918414869647, -1.9879184148698483, 5.768085886520431),
+        (3.0, 7.0, 11.987918414869885, 32.18358777295921, -13.195669358089297)],
+}
 
 
 def test_residuals_all_equal_ray():
@@ -98,6 +128,39 @@ def test_solve_m6_rejects_bad_names():
         solve_m6({"A1": 2.0, "A3": 3.0})
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_solve_m6_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        solve_m6({"A1": bad, "A5": 4.0})
+
+
+@pytest.mark.parametrize("pair", sorted(REFERENCE_SOLUTIONS))
+def test_solve_m6_finds_every_reference_solution(pair):
+    fixed = dict(pair)
+    scale = max(fixed.values())
+    sols = solve_m6(fixed)
+    assert len(sols) == len(REFERENCE_SOLUTIONS[pair])
+    for R in REFERENCE_SOLUTIONS[pair]:
+        assert any(max(abs(a - r) for a, r in zip(s.A, R)) <= 1e-7 * scale for s in sols), R
+    for s in sols:
+        assert s.scaled_norm() <= 1e-9
+
+
+def test_solve_m6_stats():
+    sols = solve_m6(REF_FIXED)
+    stats = sols[0].stats
+    assert all(s.stats is stats for s in sols)
+    assert stats.starts == stats.converged + stats.diverged
+    # 200 grid points, six fresh starts each, plus warm starts and the rest
+    assert stats.starts > 6 * 200
+    assert stats.converged >= len(sols)
+    assert 1 <= stats.max_iterations <= 60
+    # telemetry is not part of a solution's identity
+    from kippenhahn.manifold import M6Solution
+    assert sols[0] == M6Solution(A=sols[0].A, residuals=sols[0].residuals,
+                                 branch=sols[0].branch)
+
+
 def test_solve_uv_line_structure_all_roots():
     for idx, x in enumerate(cubic_roots()):
         res = solve_uv(x)
@@ -107,6 +170,16 @@ def test_solve_uv_line_structure_all_roots():
         want = (1.0 / nrm, (2 * x - 1.0) / nrm, -2 * x / nrm)
         assert max(abs(p - q) for p, q in zip(res.line, want)) <= 1e-9
         assert res.all_equal_point == (1.0, 1.0)
+
+
+@pytest.mark.parametrize("idx", range(3))
+def test_solve_uv_line_passes_through_all_equal_point(idx):
+    res = solve_uv(cubic_roots()[idx])
+    a, b, c = res.line
+    assert abs(a + b + c) <= 1e-9
+    assert res.stats.starts == 13 * 13
+    assert res.stats.converged + res.stats.diverged == res.stats.starts
+    assert 0 < res.stats.max_iterations <= 80
 
 
 def test_solve_uv_contains_reference_pairs():
@@ -162,3 +235,43 @@ def test_realize_reference_solution_end_to_end():
 def test_realize_rejects_negative_parameters():
     with pytest.raises(NotRealizable):
         realize((8.84369, -2.49077, 1.0, -2.49077, 8.84369))
+
+
+@given(st.lists(st.tuples(st.floats(min_value=2.0, max_value=400.0),
+                          st.floats(min_value=-50.0, max_value=150.0),
+                          st.floats(min_value=-50.0, max_value=150.0)),
+                min_size=2, max_size=8))
+@settings(max_examples=25, deadline=None)
+def test_newton_batch_matches_rows_alone(rows):
+    # the quadratic pair of solve_m6 with A1 = 20, A5 = 40 fixed, free (A2, A4)
+    base = np.array([(20.0, 0.0, a3, 0.0, 40.0) for a3, _, _ in rows])
+    starts = np.array([(u, v) for _, u, v in rows])
+    system = manifold._ell3_system(base, [1, 3], 2)
+
+    def converged(x, F):
+        return np.max(np.abs(F), axis=1) <= 1e-13 * 40.0 ** 2
+
+    x, ok, iters = manifold._newton(system, starts, converged, 60, 1e8 * 40.0)
+    for r in range(len(rows)):
+        def alone(_, xr, r=r):
+            return system(np.array([r]), xr)
+        xr, okr, itr = manifold._newton(alone, starts[r:r + 1], converged, 60, 1e8 * 40.0)
+        assert ok[r] == okr[0]
+        assert iters[r] == itr[0]
+        if ok[r]:
+            np.testing.assert_allclose(x[r], xr[0], rtol=1e-12, atol=0)
+
+
+def test_newton_retires_singular_rows():
+    # F(x) = x^2 - 4 per coordinate: J is singular at the zero start only
+    def system(rows, x):
+        return x * x - 4.0, 2.0 * x[:, :, None] * np.eye(2)
+
+    def converged(x, F):
+        return np.max(np.abs(F), axis=1) <= 1e-12
+
+    starts = np.array([(1.0, 3.0), (0.0, 1.0), (-1.0, -5.0)])
+    x, ok, iters = manifold._newton(system, starts, converged, 50)
+    assert ok.tolist() == [True, False, True]
+    np.testing.assert_allclose(x[[0, 2]], [(2.0, 2.0), (-2.0, -2.0)], rtol=1e-12)
+    assert iters[1] == 0 and iters[0] > 0

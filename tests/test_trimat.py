@@ -70,6 +70,14 @@ def test_params_below_floor():
         ReciprocalParams(A=(0.5,))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite(bad):
+    with pytest.raises(InvalidParam):
+        ReciprocalParams(A=(2.0, bad, 3.0))
+    with pytest.raises(InvalidParam):
+        ReciprocalParams(A=(bad,) * 5)
+
+
 @given(st.lists(st.floats(min_value=1.0, max_value=50.0), min_size=1, max_size=7))
 @settings(max_examples=50, deadline=None)
 def test_params_matrix_roundtrip(A):
