@@ -12,9 +12,9 @@ from .classify import (Classification, EllipseComponent, Inconclusive,
                        NotToeplitzCase, WrongSize, classify, classify3,
                        classify4, classify5, contains_ellipse6,
                        ellipse_centers_z, three_ellipses6, toeplitz_components)
-from .curve import (CurveSample, DegenerateBranch, FitResult, branch_points,
-                    deviation_metric, fit_ellipse_axis_aligned, sample_curve,
-                    symmetry_residual)
+from .curve import (CurveSample, CurveSamples, DegenerateBranch, FitResult,
+                    branch_points, deviation_metric, fit_ellipse_axis_aligned,
+                    sample_curve, symmetry_residual)
 from .eigsolve import IndexOutOfRange, Spectrum, eig_all, eigpair, min_gap
 from .manifold import (M6Solution, NoBracket, NotRealizable, UVSolveResult,
                        realize, residuals_m6, solve_m6, solve_uv)
@@ -27,9 +27,9 @@ from .trimat import (InvalidParam, NotReciprocal, ReciprocalParams,
                      params_to_matrix, realified_pencil)
 
 __all__ = [
-    "BivariatePoly", "Classification", "CurveSample", "DegenerateBranch",
-    "DegenerateInput", "EllipseComponent", "FitResult", "Inconclusive",
-    "IndexOutOfRange", "InvalidParam", "M6Solution", "NoBracket",
+    "BivariatePoly", "Classification", "CurveSample", "CurveSamples",
+    "DegenerateBranch", "DegenerateInput", "EllipseComponent", "FitResult",
+    "Inconclusive", "IndexOutOfRange", "InvalidParam", "M6Solution", "NoBracket",
     "NotRealizable", "NotReciprocal", "NotToeplitzCase", "ReciprocalParams",
     "Spectrum", "SymTridiagonal", "TridiagonalMatrix", "UVSolveResult",
     "UniPoly", "WrongSize", "ZeroSuperdiagonal", "a_params",

@@ -180,9 +180,10 @@ def cmd_classify(cfg: JobConfig) -> int:
 
 def _write_csv(path, samples):
     lines = ["theta,branch,u,v,lambda"]
-    for s in samples:
-        lines.append(f"{s.theta:.17g},{s.branch},{s.point.real:.17g},"
-                     f"{s.point.imag:.17g},{s.lam:.17g}")
+    for theta, points, lams in zip(samples.theta.tolist(), samples.points.tolist(),
+                                   samples.lam.tolist()):
+        for k, (p, lam) in enumerate(zip(points, lams), start=1):
+            lines.append(f"{theta:.17g},{k},{p.real:.17g},{p.imag:.17g},{lam:.17g}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -193,8 +194,8 @@ def _svg_ellipse_path(semi_u, semi_v, m=256):
     return " ".join(f"{x:.6f},{y:.6f}" for x, y in pts)
 
 
-def _write_svg(path, samples, n, fits=None):
-    pts = np.array([s.point for s in samples])
+def _write_svg(path, samples, fits=None):
+    pts = samples.points
     umax = float(np.max(np.abs(pts.real))) or 1.0
     vmax = float(np.max(np.abs(pts.imag))) or 1.0
     rx, ry = 1.1 * umax, 1.1 * vmax
@@ -209,10 +210,7 @@ def _write_svg(path, samples, n, fits=None):
         f'<line x1="{-rx:.6f}" y1="0" x2="{rx:.6f}" y2="0" stroke="#cccccc"/>',
         f'<line x1="0" y1="{-ry:.6f}" x2="0" y2="{ry:.6f}" stroke="#cccccc"/>',
     ]
-    for k in range(1, n + 1):
-        branch = [s.point for s in samples if s.branch == k]
-        if not branch:
-            continue
+    for k, branch in enumerate(pts.T.tolist(), start=1):
         branch.append(branch[0])
         coords = " ".join(f"{p.real:.6f},{p.imag:.6f}" for p in branch)
         color = PALETTE[(k - 1) % len(PALETTE)]
@@ -248,7 +246,7 @@ def cmd_curve(cfg: JobConfig, with_fits: bool = False) -> int:
             _write_csv(stem + ".csv", samples)
             written.append(f"{stem}.csv ({len(samples)} rows)")
         if cfg.fmt in (None, "svg"):
-            _write_svg(stem + ".svg", samples, M.n, fits)
+            _write_svg(stem + ".svg", samples, fits)
             written.append(f"{stem}.svg")
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)

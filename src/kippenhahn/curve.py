@@ -3,19 +3,25 @@
 For every angle theta the eigenvectors of Re(e^{i theta} M) produce curve
 points as quadratic-form values <M v, v>; the eigenvalue itself is the
 support value of the tangent line at that angle.  Branches are labeled in
-descending eigenvalue order.
+descending eigenvalue order.  This is Johnson's eigen-sweep (SIAM J. Numer.
+Anal. 15, 1978), run on blocks of angles at once.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .eigsolve import eig_all
-from .trimat import TridiagonalMatrix, phase_diagonal, realified_pencil
+from .trimat import (TridiagonalMatrix, phase_diagonal, realified_offdiag,
+                     realified_pencil)
+
+# angles per batched eigensolve; keeps peak memory bounded for any grid size
+BLOCK = 64
 
 
 class DegenerateBranch(ValueError):
@@ -33,6 +39,33 @@ class CurveSample:
     lam: float
 
 
+@dataclass(frozen=True, eq=False)
+class CurveSamples(Sequence):
+    """All branches on an angle grid, as arrays.
+
+    theta (m,), lam (m, n) in descending order (column k - 1 is branch k),
+    points (m, n) complex, and gap (m,), the smallest gap between
+    consecutive eigenvalues at each angle: where it is (near) zero the
+    tangent point is not unique and branch labels may swap.  As a sequence
+    it holds m * n CurveSample views, angle-major.
+    """
+
+    theta: np.ndarray
+    lam: np.ndarray
+    points: np.ndarray
+    gap: np.ndarray
+
+    def __len__(self) -> int:
+        return self.points.size
+
+    def __getitem__(self, index):
+        if not -len(self) <= index < len(self):
+            raise IndexError(f"sample index {index} out of range")
+        i, k = divmod(index % len(self), self.points.shape[1])
+        return CurveSample(theta=float(self.theta[i]), branch=k + 1,
+                           point=complex(self.points[i, k]), lam=float(self.lam[i, k]))
+
+
 @dataclass(frozen=True)
 class FitResult:
     semi_major: float
@@ -44,45 +77,86 @@ class FitResult:
     semi_v: float = 0.0
 
 
-def sample_curve(M: TridiagonalMatrix, m: int = 720) -> list:
+def sample_curve(M: TridiagonalMatrix, m: int = 720) -> CurveSamples:
     """Sample all n branches on a uniform theta grid over [0, 2 pi).
 
-    The symmetric tridiagonal pencil is solved once per angle; eigenvectors
-    are mapped back to the Hermitian pencil through the diagonal phase
-    similarity before the quadratic form is evaluated.
+    The angles are solved BLOCK at a time, so peak memory does not grow
+    with m.
     """
     if m < 8:
         raise ValueError("grid size m >= 8 required")
+    theta = 2.0 * np.pi * np.arange(m) / m
+    lam = np.empty((m, M.n))
+    points = np.empty((m, M.n), dtype=complex)
+    for lo in range(0, m, BLOCK):
+        block = slice(lo, lo + BLOCK)
+        lam[block], points[block] = _sample_block(M, theta[block])
+    gap = np.min(lam[:, :-1] - lam[:, 1:], axis=1, initial=np.inf)
+    for a in (theta, lam, points, gap):
+        a.flags.writeable = False  # frozen, and branch_points hands out views
+    return CurveSamples(theta=theta, lam=lam, points=points, gap=gap)
+
+
+def _sample_block(M: TridiagonalMatrix, theta: np.ndarray):
+    """Descending eigenvalues and curve points at a block of angles.
+
+    Angles whose realified pencil has an exact zero off-diagonal go through
+    eig_all, which solves the decoupled blocks separately and so keeps each
+    eigenvector inside one block: the canonical tangent points where two
+    blocks share an eigenvalue.  Every other angle joins one batched dense
+    eigensolve.
+    """
     n = M.n
-    dense = M.dense()
-    samples = []
-    for i in range(m):
-        theta = 2.0 * math.pi * i / m
-        T = realified_pencil(M, theta)
-        spectrum = eig_all(T, vectors=True)
-        phases = phase_diagonal(M, theta)
-        # descending eigenvalue order defines the branch index
+    e = realified_offdiag(M, theta)
+    lam = np.empty((len(theta), n))
+    w = np.empty((len(theta), n, n))
+    split = np.any(e == 0.0, axis=1)
+    whole = ~split
+    if whole.any():
+        T = np.zeros((int(whole.sum()), n, n))
+        i = np.arange(n)
+        T[:, i, i] = np.real(np.exp(1j * theta[whole]) * M.a)[:, None]
+        T[:, i[:-1], i[1:]] = T[:, i[1:], i[:-1]] = e[whole]
+        vals, vecs = np.linalg.eigh(T)  # ascending
+        lam[whole], w[whole] = vals[:, ::-1], vecs[:, :, ::-1]
+    for t in np.flatnonzero(split):
+        spectrum = eig_all(realified_pencil(M, float(theta[t])), vectors=True)
+        # decoupled blocks can tie exactly; a stable order keeps ties in
+        # eig_all's order
         order = np.argsort(-spectrum.values, kind="stable")
-        for k, idx in enumerate(order, start=1):
-            v = phases * spectrum.vectors[:, idx]
-            point = complex(np.vdot(v, dense @ v))
-            samples.append(CurveSample(theta=theta, branch=k, point=point,
-                                       lam=float(spectrum.values[idx])))
-    return samples
+        lam[t], w[t] = spectrum.values[order], spectrum.vectors[:, order]
+    # <M v, v> for v = D w is a * sum w_j^2 + sum_j (b_j r_j + c_j conj(r_j))
+    # w_j w_{j+1}, with the phase ratios r_j = d_{j+1} / d_j of D
+    D = phase_diagonal(M, theta)
+    r = D[:, 1:] * np.conj(D[:, :-1])
+    g = np.asarray(M.b) * r + np.asarray(M.c) * np.conj(r)
+    pair = w[:, :-1, :] * w[:, 1:, :]
+    points = (M.a * np.einsum("tjk,tjk->tk", w, w)
+              + np.einsum("tj,tjk->tk", g.real, pair)
+              + 1j * np.einsum("tj,tjk->tk", g.imag, pair))
+    return lam, points
 
 
-def branch_points(samples, k: int) -> np.ndarray:
-    """Complex points of branch k."""
-    return np.array([s.point for s in samples if s.branch == k])
+def branch_points(samples: CurveSamples, k: int) -> np.ndarray:
+    """Complex points of branch k (1 = largest eigenvalue)."""
+    if not 1 <= k <= samples.points.shape[1]:
+        raise IndexError(f"branch {k} outside 1..{samples.points.shape[1]}")
+    return samples.points[:, k - 1]
 
 
 def _as_points(samples) -> np.ndarray:
-    if isinstance(samples, np.ndarray):
-        return samples.astype(complex)
-    samples = list(samples)
-    if samples and isinstance(samples[0], CurveSample):
-        return np.array([s.point for s in samples])
+    if isinstance(samples, CurveSamples):
+        return samples.points.ravel()
     return np.asarray(samples, dtype=complex)
+
+
+def _max_radial_deviation(u, v, alpha, beta) -> float:
+    """Max |r - r_fit| over the points, both radii at the same polar angle,
+    for the ellipse alpha u^2 + beta v^2 = 1."""
+    r = np.hypot(u, v)
+    psi = np.arctan2(v, u)
+    r_fit = 1.0 / np.sqrt(alpha * np.cos(psi) ** 2 + beta * np.sin(psi) ** 2)
+    return float(np.max(np.abs(r - r_fit)))
 
 
 def fit_ellipse_axis_aligned(samples) -> FitResult:
@@ -106,10 +180,7 @@ def fit_ellipse_axis_aligned(samples) -> FitResult:
     rms = float(np.sqrt(np.mean(resid ** 2)))
     semi_u = 1.0 / math.sqrt(alpha)
     semi_v = 1.0 / math.sqrt(beta)
-    r = np.hypot(u, v)
-    psi = np.arctan2(v, u)
-    r_fit = 1.0 / np.sqrt(alpha * np.cos(psi) ** 2 + beta * np.sin(psi) ** 2)
-    max_dev = float(np.max(np.abs(r - r_fit)))
+    max_dev = _max_radial_deviation(u, v, alpha, beta)
     return FitResult(semi_major=max(semi_u, semi_v), semi_minor=min(semi_u, semi_v),
                      rms_residual=rms, max_radial_deviation=max_dev,
                      semi_u=semi_u, semi_v=semi_v)
@@ -124,13 +195,8 @@ def deviation_metric(samples, fit: FitResult) -> float:
     pts = _as_points(samples)
     if pts.size == 0:
         return 0.0
-    u, v = pts.real, pts.imag
-    alpha = 1.0 / fit.semi_u ** 2
-    beta = 1.0 / fit.semi_v ** 2
-    r = np.hypot(u, v)
-    psi = np.arctan2(v, u)
-    r_fit = 1.0 / np.sqrt(alpha * np.cos(psi) ** 2 + beta * np.sin(psi) ** 2)
-    return float(np.max(np.abs(r - r_fit)))
+    return _max_radial_deviation(pts.real, pts.imag, 1.0 / fit.semi_u ** 2,
+                                 1.0 / fit.semi_v ** 2)
 
 
 def symmetry_residual(samples) -> float:
@@ -145,12 +211,11 @@ def symmetry_residual(samples) -> float:
         return 0.0
     cloud = np.column_stack([pts.real, pts.imag])
     tree = cKDTree(cloud)
-    worst = 0.0
-    for refl in (cloud * np.array([1.0, -1.0]), cloud * np.array([-1.0, 1.0])):
-        d1 = tree.query(refl)[0].max()
-        d2 = cKDTree(refl).query(cloud)[0].max()
-        worst = max(worst, float(d1), float(d2))
-    return worst
+    # a reflection R is an exact isometric involution, so the distance from
+    # x to RS equals the distance from Rx to S, bit for bit: one tree and one
+    # query per reflection give both directions of the Hausdorff distance
+    return max(float(tree.query(cloud * flip)[0].max())
+               for flip in ((1.0, -1.0), (-1.0, 1.0)))
 
 
 def sample_diameter(samples) -> float:

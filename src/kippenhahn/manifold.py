@@ -202,7 +202,8 @@ def solve_m6(fixed: dict, a3_bracket=None, grid: int = 200):
     """Sweep A_3, solving the quadratic pair for the two free parameters and
     bisecting the cubic condition at its sign changes.
 
-    fixed maps two names among A1, A2, A4, A5 to values.  Solutions with
+    fixed maps two names among A1, A2, A4, A5 to values; a3_bracket, when
+    given, must have finite bounds 0 < lo < hi.  Solutions with
     any A_j < 1 are returned but flagged not realizable.  Raises NoBracket
     when the cubic condition never changes sign on any tracked branch.
     """
@@ -222,7 +223,10 @@ def solve_m6(fixed: dict, a3_bracket=None, grid: int = 200):
     scale = max(fixed_vals)
     if a3_bracket is None:
         a3_bracket = (scale / 10.0, 10.0 * scale)
-    a3_grid = np.linspace(a3_bracket[0], a3_bracket[1], grid)
+    a3_lo, a3_hi = (float(v) for v in a3_bracket)
+    if not 0.0 < a3_lo < a3_hi < math.inf:
+        raise ValueError(f"a3_bracket needs finite bounds 0 < lo < hi, got {a3_bracket}")
+    a3_grid = np.linspace(a3_lo, a3_hi, grid)
     base = np.zeros((grid, 5))  # one parameter row per grid point
     base[:, fixed_idx] = fixed_vals
     base[:, 2] = a3_grid

@@ -530,11 +530,15 @@ _MONOMIAL_POS = {expo: m for m, expo in enumerate(MONOMIALS)}
 
 
 def monomials(A):
-    """Every monomial of degree <= 3 at each row of A, shape (..., 56)."""
+    """Every monomial of degree <= 3 at each row of A, shape (..., 56).
+
+    C-contiguous: on the strided layout that fancy indexing returns, einsum
+    sums a one-row batch in a different order than a many-row batch.
+    """
     A = np.asarray(A, dtype=float)
     X = np.concatenate([np.ones(A.shape[:-1] + (1,)), A], axis=-1)
     i, j, k = _TRIPLES
-    return X[..., i] * X[..., j] * X[..., k]
+    return np.ascontiguousarray(X[..., i] * X[..., j] * X[..., k])
 
 
 def compile_tables(tables):

@@ -9,6 +9,7 @@ everything computed downstream.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -27,14 +28,15 @@ class NotReciprocal(ValueError):
 
 
 class InvalidParam(ValueError):
-    """A_j parameters must satisfy A_j >= 1."""
+    """Parameters must be finite, and A_j parameters must satisfy A_j >= 1."""
 
 
 @dataclass(frozen=True)
 class TridiagonalMatrix:
     """Tridiagonal matrix with constant main diagonal a.
 
-    b holds the n-1 superdiagonal entries, c the n-1 subdiagonal entries.
+    b holds the n-1 superdiagonal entries, c the n-1 subdiagonal entries;
+    every entry must be finite.
     """
 
     n: int
@@ -49,6 +51,12 @@ class TridiagonalMatrix:
             raise ValueError("off-diagonals must have length n-1")
         object.__setattr__(self, "b", tuple(complex(v) for v in self.b))
         object.__setattr__(self, "c", tuple(complex(v) for v in self.c))
+        if not cmath.isfinite(self.a):
+            raise InvalidParam(f"diagonal entry a = {self.a} is not finite")
+        for name, entries in (("b", self.b), ("c", self.c)):
+            for j, v in enumerate(entries, start=1):
+                if not cmath.isfinite(v):
+                    raise InvalidParam(f"entry {name}_{j} = {v} is not finite")
 
     @property
     def is_reciprocal(self) -> bool:
@@ -159,27 +167,44 @@ def params_to_matrix(p: ReciprocalParams) -> TridiagonalMatrix:
     return build_reciprocal(b)
 
 
-def hermitian_offdiag(M: TridiagonalMatrix, theta: float) -> np.ndarray:
-    """Superdiagonal h_j of Re(e^{i theta} M), a Hermitian tridiagonal matrix."""
+def hermitian_offdiag(M: TridiagonalMatrix, theta) -> np.ndarray:
+    """Superdiagonal h_j of Re(e^{i theta} M), a Hermitian tridiagonal matrix.
+
+    theta may be an array of angles; the result then has shape
+    theta.shape + (n - 1,).
+    """
     w = np.exp(1j * theta)
+    if np.ndim(w):  # one row of h per angle
+        w = w[..., None]
     b = np.asarray(M.b)
     c = np.asarray(M.c)
     return (w * b + np.conj(w * c)) / 2.0
 
 
-def phase_diagonal(M: TridiagonalMatrix, theta: float) -> np.ndarray:
+def phase_diagonal(M: TridiagonalMatrix, theta) -> np.ndarray:
     """Unit diagonal D with D* Re(e^{i theta} M) D real symmetric tridiagonal.
 
-    Eigenvectors of the realified pencil map back through v = D w.
+    Eigenvectors of the realified pencil map back through v = D w.  theta
+    may be an array of angles; the result then has shape theta.shape + (n,).
     """
     h = hermitian_offdiag(M, theta)
-    d = np.ones(M.n, dtype=complex)
-    for j, hj in enumerate(h):
-        if abs(hj) > 0:
-            d[j + 1] = d[j] * np.conj(hj) / abs(hj)
-        else:
-            d[j + 1] = d[j]
-    return d
+    mod = np.abs(h)
+    # d_{j+1} / d_j = conj(h_j) / |h_j|, or 1 where h_j vanishes
+    ratio = np.divide(np.conj(h), mod, out=np.ones_like(h), where=mod > 0)
+    first = np.ones(h.shape[:-1] + (1,), dtype=complex)
+    return np.concatenate([first, np.cumprod(ratio, axis=-1)], axis=-1)
+
+
+def realified_offdiag(M: TridiagonalMatrix, theta) -> np.ndarray:
+    """Off-diagonal |h_j| of the realified pencil, for one angle or an array.
+
+    Rounding noise at hermitian-degenerate angles is snapped to exact zeros,
+    so the eigensolver sees genuinely decoupled blocks.
+    """
+    e = np.abs(hermitian_offdiag(M, theta))
+    scale = np.abs(np.asarray(M.b)) + np.abs(np.asarray(M.c))
+    e[e <= 8e-16 * np.maximum(1.0, scale)] = 0.0
+    return e
 
 
 def realified_pencil(M: TridiagonalMatrix, theta: float) -> SymTridiagonal:
@@ -189,14 +214,8 @@ def realified_pencil(M: TridiagonalMatrix, theta: float) -> SymTridiagonal:
     moduli |h_j| of the Hermitian pencil's superdiagonal, which a diagonal
     phase similarity removes without touching the spectrum.
     """
-    h = hermitian_offdiag(M, theta)
-    e = np.abs(h)
-    # snap rounding noise at hermitian-degenerate angles so the eigensolver
-    # sees genuinely decoupled blocks
-    scale = np.abs(np.asarray(M.b)) + np.abs(np.asarray(M.c))
-    e[e <= 8e-16 * np.maximum(1.0, scale)] = 0.0
     d0 = float(np.real(np.exp(1j * theta) * M.a))
-    return SymTridiagonal(d=(d0,) * M.n, e=tuple(e))
+    return SymTridiagonal(d=(d0,) * M.n, e=tuple(realified_offdiag(M, theta)))
 
 
 def is_normal_reciprocal(p: ReciprocalParams) -> bool:

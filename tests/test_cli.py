@@ -224,3 +224,10 @@ def test_solve_rejects_non_finite_fix(capsys, bad):
 def test_classify_rejects_non_finite(capsys):
     code, _, err = run(capsys, "classify", "--A", "2,nan,3")
     assert code == 2
+
+
+def test_classify_names_non_finite_superdiagonal(capsys):
+    code, _, err = run(capsys, "classify", "--b", "nan,1")
+    assert code == 2
+    assert "b_1" in err and "not finite" in err
+    assert "reciprocal" not in err

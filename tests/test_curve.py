@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
-from kippenhahn import (DegenerateBranch, ReciprocalParams, a_params,
-                        branch_points, build_reciprocal, classify5,
-                        deviation_metric, fit_ellipse_axis_aligned,
-                        params_to_matrix, sample_curve, symmetry_residual)
+from kippenhahn import (CurveSample, CurveSamples, DegenerateBranch,
+                        ReciprocalParams, a_params, branch_points,
+                        build_reciprocal, classify5, deviation_metric, eig_all,
+                        fit_ellipse_axis_aligned, params_to_matrix,
+                        realified_pencil, sample_curve, symmetry_residual)
 from kippenhahn.curve import sample_diameter
-from kippenhahn.trimat import TridiagonalMatrix
+from kippenhahn.trimat import SymTridiagonal, TridiagonalMatrix, phase_diagonal
 
 
 def test_hermitian_2x2_segment():
@@ -145,3 +149,157 @@ def test_symmetry_residual_empty():
 def test_minimum_grid_size():
     with pytest.raises(ValueError):
         sample_curve(build_reciprocal([1]), m=4)
+
+
+def _tangent_points(M, theta, T):
+    """Descending eigenvalues of the pencil T at theta, and a dense <M v, v>
+    for each eigenvector."""
+    dense = M.dense()
+    spectrum = eig_all(T, vectors=True)
+    D = phase_diagonal(M, theta)
+    order = np.argsort(-spectrum.values, kind="stable")
+    vs = [D * spectrum.vectors[:, k] for k in order]
+    return spectrum.values[order], [np.vdot(v, dense @ v) for v in vs]
+
+
+def _reference(M, m):
+    """Per-angle eigen-sweep: one eig_all and one dense <M v, v> per vector."""
+    thetas = [2.0 * math.pi * i / m for i in range(m)]
+    lam, points = zip(*(_tangent_points(M, t, realified_pencil(M, t)) for t in thetas))
+    return np.array(lam), np.array(points)
+
+
+def _assert_matches_reference(M, m):
+    samples = sample_curve(M, m=m)
+    lam, points = _reference(M, m)
+    scale = max(1.0, float(np.max(np.abs(lam))))
+    assert samples.theta.shape == (m,) and samples.gap.shape == (m,)
+    assert samples.lam.shape == samples.points.shape == (m, M.n)
+    assert np.max(np.abs(samples.lam - lam)) <= 1e-12 * scale
+    assert np.max(np.abs(samples.points - points)) <= 1e-12 * scale
+    return samples
+
+
+# moduli keep |h_j| >= 0.2 at every angle, so no eigenvalue gap is tiny and
+# the eigenvectors are well conditioned, except at exact splits (b_1 = 1)
+moduli = st.floats(min_value=1.25, max_value=4.0)
+phases = st.floats(min_value=0.0, max_value=2 * math.pi)
+
+
+@st.composite
+def matrices(draw):
+    n = draw(st.integers(min_value=2, max_value=8))
+    kind = draw(st.sampled_from(["reciprocal", "split", "general"]))
+    r = [draw(moduli) for _ in range(n - 1)]
+    phi = [draw(phases) for _ in range(n - 1)]
+    b = [rj * complex(math.cos(p), math.sin(p)) for rj, p in zip(r, phi)]
+    if kind == "split":
+        # A_1 = 1: e_1 vanishes exactly at theta = pi/2 and 3 pi/2
+        b[0] = 1.0
+        return build_reciprocal(b), kind
+    if kind == "reciprocal":
+        return build_reciprocal(b), kind
+    # |c_j| <= |b_j| - 0.5 keeps the pencil irreducible at every angle
+    c = [draw(st.floats(min_value=0.25, max_value=0.75)) * complex(math.cos(p), -math.sin(p))
+         for p in (draw(phases) for _ in range(n - 1))]
+    a = complex(draw(st.floats(min_value=-2, max_value=2)),
+                draw(st.floats(min_value=0.1, max_value=2)))
+    return TridiagonalMatrix(n=n, a=a, b=tuple(b), c=tuple(c)), kind
+
+
+@given(matrices(), st.integers(min_value=2, max_value=50))
+@settings(max_examples=40, deadline=None)
+def test_sampler_matches_per_angle_reference(case, quarter):
+    M, kind = case
+    # a multiple of 4 puts pi/2 and 3 pi/2 on the grid; most m are not
+    # multiples of the 64-angle block
+    _assert_matches_reference(M, 4 * quarter if kind == "split" else 4 * quarter + 1)
+
+
+@pytest.mark.parametrize("m", [63, 64, 65, 200])
+def test_sampler_block_edges(m):
+    M = TridiagonalMatrix(n=4, a=0.5 + 1j, b=(2.0, 1.5j, -3.0), c=(0.5, 0.25, 1j))
+    _assert_matches_reference(M, m)
+
+
+def test_split_angles_match_reference_and_flag_gap():
+    # n = 20 with A_1 = 1: e_1 = 0 exactly at theta = pi/2 and 3 pi/2, where
+    # two eigenvalues coincide and a single dense solve would move points
+    # by up to 0.53
+    A = (1.0,) + tuple(np.linspace(2.0, 9.0, 18))
+    M = params_to_matrix(ReciprocalParams(A=A))
+    samples = _assert_matches_reference(M, 720)
+    scale = float(np.max(np.abs(samples.lam)))
+    split = [180, 540]
+    for i in split:
+        # e_1 = cos(theta) is zero in exact arithmetic: the canonical tangent
+        # points come from the two decoupled blocks
+        T = realified_pencil(M, samples.theta[i])
+        lam, points = _tangent_points(M, samples.theta[i],
+                                      SymTridiagonal(d=T.d, e=(0.0,) + T.e[1:]))
+        assert np.max(np.abs(samples.points[i] - points)) <= 1e-12 * scale
+    assert np.all(samples.gap[split] <= 1e-12 * scale)
+    assert np.all(samples.gap[split] == samples.gap.min())
+    assert np.all(np.delete(samples.gap, split) > 1e-6 * scale)
+
+
+@given(st.lists(st.floats(min_value=1.01, max_value=10.0), min_size=1, max_size=8))
+@settings(max_examples=30, deadline=None)
+def test_gaps_positive_when_all_parameters_above_one(A):
+    samples = sample_curve(params_to_matrix(ReciprocalParams(A=tuple(A))), m=72)
+    assert np.all(samples.gap > 0)
+
+
+def test_gap_of_one_by_one_matrix_is_infinite():
+    samples = sample_curve(TridiagonalMatrix(n=1, a=1j, b=(), c=()), m=8)
+    assert np.all(samples.gap == np.inf)
+    np.testing.assert_allclose(samples.points, 1j)
+
+
+def test_samples_sequence_view():
+    M = build_reciprocal([1.5, 2.0])
+    samples = sample_curve(M, m=16)
+    assert isinstance(samples, CurveSamples)
+    assert len(samples) == 16 * 3
+    for idx, s in enumerate(samples):
+        i, k = divmod(idx, 3)
+        assert s == CurveSample(theta=float(samples.theta[i]), branch=k + 1,
+                                point=complex(samples.points[i, k]),
+                                lam=float(samples.lam[i, k]))
+    assert samples[-1] == samples[len(samples) - 1]
+    assert samples[-1].branch == 3 and samples[-1].theta == samples.theta[-1]
+    assert samples[-len(samples)] == samples[0]
+    for bad in (len(samples), -len(samples) - 1):
+        with pytest.raises(IndexError):
+            samples[bad]
+
+
+def test_branch_points_is_a_column():
+    samples = sample_curve(build_reciprocal([1.5, 2.0]), m=16)
+    for k in (1, 2, 3):
+        np.testing.assert_array_equal(branch_points(samples, k), samples.points[:, k - 1])
+    for bad in (0, 4):
+        with pytest.raises(IndexError):
+            branch_points(samples, bad)
+
+
+def _four_tree_residual(pts):
+    """The Hausdorff distance with a tree on each side of every reflection."""
+    cloud = np.column_stack([pts.real, pts.imag])
+    tree = cKDTree(cloud)
+    worst = 0.0
+    for refl in (cloud * np.array([1.0, -1.0]), cloud * np.array([-1.0, 1.0])):
+        d1 = tree.query(refl)[0].max()
+        d2 = cKDTree(refl).query(cloud)[0].max()
+        worst = max(worst, float(d1), float(d2))
+    return worst
+
+
+coords = st.floats(min_value=-1e3, max_value=1e3)
+
+
+@given(st.lists(st.tuples(coords, coords), min_size=1, max_size=60))
+@settings(max_examples=60, deadline=None)
+def test_symmetry_residual_matches_four_tree_formula(cloud):
+    pts = np.array([complex(u, v) for u, v in cloud])
+    assert symmetry_residual(pts) == _four_tree_residual(pts)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kippenhahn import (NoBracket, NotRealizable, ReciprocalParams, a_params,
@@ -134,6 +134,13 @@ def test_solve_m6_rejects_non_finite(bad):
         solve_m6({"A1": bad, "A5": 4.0})
 
 
+@pytest.mark.parametrize("bracket", [(math.nan, 5.0), (1.0, math.inf), (5.0, 1.0),
+                                     (2.0, 2.0), (0.0, 5.0), (-1.0, 5.0)])
+def test_solve_m6_rejects_bad_bracket(bracket):
+    with pytest.raises(ValueError, match="a3_bracket"):
+        solve_m6({"A1": 2.0, "A5": 3.0}, a3_bracket=bracket)
+
+
 @pytest.mark.parametrize("pair", sorted(REFERENCE_SOLUTIONS))
 def test_solve_m6_finds_every_reference_solution(pair):
     fixed = dict(pair)
@@ -241,6 +248,7 @@ def test_realize_rejects_negative_parameters():
                           st.floats(min_value=-50.0, max_value=150.0),
                           st.floats(min_value=-50.0, max_value=150.0)),
                 min_size=2, max_size=8))
+@example(rows=[(2.0, 0.0, 0.0), (369.0, 56.25, 0.0)])
 @settings(max_examples=25, deadline=None)
 def test_newton_batch_matches_rows_alone(rows):
     # the quadratic pair of solve_m6 with A1 = 20, A5 = 40 fixed, free (A2, A4)

@@ -51,3 +51,14 @@ def test_eval_table_exact_on_fractions(A):
                             * A[3] ** e[3] * A[4] ** e[4] for e, c in table.items())
         assert all(isinstance(g, Fraction) for g in rtables.grad_table(table, A))
 
+
+
+@given(st.lists(st.lists(st.floats(min_value=-100.0, max_value=100.0), min_size=5, max_size=5),
+                min_size=2, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_compiled_batch_matches_rows_alone(batch):
+    # bit for bit: the Newton solvers rely on a row's result not depending on
+    # the batch it is evaluated in
+    out = rtables.eval_compiled(COMPILED, batch)
+    for A, got in zip(batch, out):
+        assert got.tobytes() == rtables.eval_compiled(COMPILED, [A])[0].tobytes()

@@ -9,7 +9,7 @@ from kippenhahn import (InvalidParam, NotReciprocal, ReciprocalParams,
                         ZeroSuperdiagonal, a_params, build_reciprocal,
                         eig_all, is_normal_reciprocal, params_to_matrix,
                         realified_pencil)
-from kippenhahn.trimat import TridiagonalMatrix
+from kippenhahn.trimat import TridiagonalMatrix, phase_diagonal
 
 
 def test_build_reciprocal_unit():
@@ -76,6 +76,16 @@ def test_params_reject_non_finite(bad):
         ReciprocalParams(A=(2.0, bad, 3.0))
     with pytest.raises(InvalidParam):
         ReciprocalParams(A=(bad,) * 5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(1.0, math.nan)])
+def test_build_reciprocal_rejects_non_finite(bad):
+    with pytest.raises(InvalidParam, match="b_2"):
+        build_reciprocal([1.5, bad, 2.0])
+    with pytest.raises(InvalidParam, match="c_1"):
+        TridiagonalMatrix(n=3, a=0.0, b=(1.0, 2.0), c=(bad, 1.0))
+    with pytest.raises(InvalidParam, match="a = "):
+        TridiagonalMatrix(n=3, a=bad, b=(1.0, 2.0), c=(1.0, 1.0))
 
 
 @given(st.lists(st.floats(min_value=1.0, max_value=50.0), min_size=1, max_size=7))
@@ -155,3 +165,18 @@ def test_general_tridiagonal_accepted_by_pencil():
     M = TridiagonalMatrix(n=3, a=0.0, b=(1, 2), c=(1, 1))
     T = realified_pencil(M, 0.4)
     assert len(T.d) == 3
+
+
+def test_phase_diagonal_accepts_array_of_angles():
+    rng = np.random.default_rng(5)
+    M = TridiagonalMatrix(n=5, a=0.3 - 0.2j, b=tuple(rng.normal(size=4) + 1j * rng.normal(size=4)),
+                          c=tuple(rng.normal(size=4) + 1j * rng.normal(size=4)))
+    theta = rng.uniform(0, 2 * np.pi, 37)
+    D = phase_diagonal(M, theta)
+    assert D.shape == (37, 5)
+    for t, row in zip(theta, D):
+        np.testing.assert_allclose(row, phase_diagonal(M, t), rtol=0, atol=1e-15)
+        # D* Re(e^{i theta} M) D is the realified pencil
+        H = (np.exp(1j * t) * M.dense() + (np.exp(1j * t) * M.dense()).conj().T) / 2
+        R = row.conj()[:, None] * H * row[None, :]
+        np.testing.assert_allclose(R, realified_pencil(M, t).dense(), rtol=0, atol=1e-14)
