@@ -203,6 +203,8 @@ def contains_ellipse6(p: ReciprocalParams, tol: float = DEFAULT_TOL) -> Classifi
     _require_size(p, 6)
     if p.all_ones:
         return _normal_classification(p)
+    # one product gives every table this test and the three-ellipse test read
+    c12, c11, c10, c22, c21, c20, *ell3 = rtables.n6_values(p.A).tolist()
     sumA = sum(p.A)
     scale1 = tol * max(1.0, sumA ** 2)
     scale2 = tol * max(1.0, sumA ** 3)
@@ -210,8 +212,8 @@ def contains_ellipse6(p: ReciprocalParams, tol: float = DEFAULT_TOL) -> Classifi
     root_hits = []
     diag = {}
     for xr in cubic_roots():
-        r1v, r2v = rtables.eval_resultants_at(p.A, xr)
-        r1v, r2v = float(r1v), float(r2v)
+        r1v = c12 * xr * xr + c11 * xr + c10
+        r2v = c22 * xr * xr + c21 * xr + c20
         root_hits.append((xr, r1v, r2v))
         if abs(r1v) > scale1 or abs(r2v) > scale2:
             continue
@@ -227,7 +229,7 @@ def contains_ellipse6(p: ReciprocalParams, tol: float = DEFAULT_TOL) -> Classifi
             continue  # factor exists but the conic has no real points
         components.append(EllipseComponent(x=xr, z=z))
     diag["resultant_values"] = root_hits
-    three = three_ellipses6(p, tol=tol)
+    three = _three_ellipses(p, ell3, tol)
     if three.elliptic:
         return Classification(kind="all_components_elliptic",
                               components=three.components,
@@ -243,13 +245,18 @@ def three_ellipses6(p: ReciprocalParams, tol: float = DEFAULT_TOL) -> Classifica
     """n=6: the curve is three concentric ellipses iff the three closed-form
     conditions vanish (homogeneity-aware scaling) and not all A_j equal 1."""
     _require_size(p, 6)
-    qa, qb, cubic, qdiff = (float(v) for v in rtables.ell3_residuals(p.A))
+    if p.all_ones:
+        return _normal_classification(p)
+    return _three_ellipses(p, rtables.n6_values(p.A)[6:].tolist(), tol)
+
+
+def _three_ellipses(p: ReciprocalParams, residuals, tol: float) -> Classification:
+    """three_ellipses6 on the four ELL3 residuals at p (not all A_j = 1)."""
+    qa, qb, cubic, qdiff = residuals
     sumA = sum(p.A)
     ok = (abs(qa) <= tol * sumA ** 2 and abs(qb) <= tol * sumA ** 2
           and abs(cubic) <= tol * sumA ** 3)
     diag = {"three_ellipse_residuals": (qa, qb, cubic, qdiff)}
-    if p.all_ones:
-        return _normal_classification(p)
     if not ok:
         return Classification(kind="non_elliptic", diagnostics=diag)
     roots = cubic_roots()
@@ -314,7 +321,12 @@ def toeplitz_components(p: ReciprocalParams, tol: float = DEFAULT_TOL) -> Classi
 
 
 def classify(p: ReciprocalParams, tol: float = DEFAULT_TOL) -> Classification:
-    """Dispatch on size; all-equal parameter vectors of any size are accepted."""
+    """Dispatch on size; all-equal parameter vectors of any size are accepted.
+
+    Raises ValueError unless 0 < tol < inf.
+    """
+    if not 0 < tol < math.inf:  # nan fails every comparison
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     if p.all_ones:
         return _normal_classification(p)
     if p.all_equal:

@@ -45,12 +45,14 @@ class JobConfig:
         modes = sum(1 for v in (self.b, self.A, self.A0) if v is not None)
         if modes != 1:
             raise ValueError("exactly one of --b, --A, --A0 must be given")
+        if self.n is not None and self.n < 2:
+            raise ValueError(f"matrix size --n must be at least 2, got {self.n}")
         if self.A0 is not None and not self.n:
             raise ValueError("--A0 requires --n")
         if self.m < 8:
             raise ValueError("grid size m >= 8 required")
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tol < math.inf:  # nan fails every comparison
+            raise ValueError(f"tolerance must be positive and finite, got {self.tol}")
 
     def matrix(self) -> trimat.TridiagonalMatrix:
         if self.b is not None:

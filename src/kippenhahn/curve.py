@@ -14,7 +14,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .eigsolve import eig_all
 from .trimat import (TridiagonalMatrix, phase_diagonal, realified_offdiag,
@@ -206,6 +205,9 @@ def symmetry_residual(samples) -> float:
     symmetric about both coordinate axes; general zero-diagonal tridiagonal
     matrices only guarantee central symmetry.
     """
+    # imported here so that classifying and solving never load SciPy
+    from scipy.spatial import cKDTree
+
     pts = _as_points(samples)
     if pts.size == 0:
         return 0.0

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .trimat import SymTridiagonal
 
@@ -47,6 +46,9 @@ def _blocks(e):
 
 def eig_all(T: SymTridiagonal, vectors: bool = False) -> Spectrum:
     """All eigenvalues of T ascending, with eigenvectors on request."""
+    # imported here so that classifying and solving never load SciPy
+    import scipy.linalg
+
     d = np.asarray(T.d, dtype=float)
     e = np.asarray(T.e, dtype=float)
     n = len(d)

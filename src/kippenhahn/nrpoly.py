@@ -364,15 +364,15 @@ def reduce_mod_cubic(f: UniPoly) -> UniPoly:
     return rem
 
 
+# The roots of CUBIC_COEFFS ascending: np.roots polished by three Newton
+# steps, written out so that importing the package makes no LAPACK call
+# (tests/test_nrpoly.py recomputes them bit for bit).
+_CUBIC_ROOTS = (0.09903113209758087, 0.7774790660436857, 1.6234898018587336)
+
+
 def cubic_roots():
-    """Roots of 8x^3 - 20x^2 + 12x - 1 ascending, Newton-polished floats."""
-    raw = np.roots([8.0, -20.0, 12.0, -1.0])
-    roots = sorted(float(np.real(r)) for r in raw)
-    out = []
-    for r in roots:
-        for _ in range(3):
-            fv = ((8 * r - 20) * r + 12) * r - 1
-            dv = (24 * r - 40) * r + 12
-            r -= fv / dv
-        out.append(r)
-    return tuple(out)
+    """Roots of 8x^3 - 20x^2 + 12x - 1 ascending, Newton-polished floats.
+
+    A constant: every call returns the same tuple.
+    """
+    return _CUBIC_ROOTS

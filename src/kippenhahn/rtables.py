@@ -24,7 +24,8 @@ not all 1.
 The dict tables are the source of truth.  For float work in bulk they are
 also compiled, at import, into coefficient matrices over the 56 monomials of
 degree <= 3 (see ``compile_tables``); one product then gives the values and
-gradients of several tables at a whole batch of points.
+gradients of several tables at a whole batch of points.  ``n6_values`` gives
+the values of all ten tables the n = 6 classifier reads from one product.
 """
 
 from __future__ import annotations
@@ -573,3 +574,17 @@ def eval_compiled(rows, A):
 # the three-ellipse conditions and both reduced resultants, for the solvers
 ELL3_COMPILED = compile_tables((ELL3_QUAD_A, ELL3_QUAD_B, ELL3_CUBIC))
 RESULTANTS_COMPILED = compile_tables(R1_TABLES + R2_TABLES)
+
+# what the n = 6 classifier reads: the six resultant coefficients, then the
+# four three-ellipse residuals; value rows only
+N6_TABLES = R1_TABLES + R2_TABLES + (ELL3_QUAD_A, ELL3_QUAD_B, ELL3_CUBIC, ELL3_QUAD_DIFF)
+N6_VALUES = np.ascontiguousarray(compile_tables(N6_TABLES)[::6])
+
+
+def n6_values(A):
+    """Values of the ten ``N6_TABLES`` at each row of A, shape (..., 10).
+
+    The floats agree with ``eval_table`` up to rounding; the dict tables stay
+    the exact path.
+    """
+    return np.einsum("...m,rm->...r", monomials(A), N6_VALUES)

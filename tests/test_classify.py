@@ -7,8 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kippenhahn import (NotToeplitzCase, ReciprocalParams, WrongSize,
-                        a_params, build_reciprocal, classify3, classify4,
-                        classify5, contains_ellipse6, cubic_roots,
+                        a_params, build_reciprocal, classify, classify3,
+                        classify4, classify5, contains_ellipse6, cubic_roots,
                         divide_by_linear, ellipse_centers_z, generating_poly,
                         three_ellipses6, toeplitz_components)
 
@@ -163,6 +163,12 @@ def test_contains_ellipse6_all_equal_passes_every_root():
 def test_contains_ellipse6_generic_rejects():
     c = contains_ellipse6(ReciprocalParams(A=(2.0, 3.0, 4.0, 5.0, 6.0)))
     assert c.kind == "non_elliptic"
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9])
+def test_classify_rejects_tol_outside_positive_finite(tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        classify(ReciprocalParams(A=(2.0, 3.0, 4.0, 5.0, 6.0)), tol=tol)
 
 
 def test_three_ellipses6_all_equal():

@@ -115,6 +115,20 @@ def test_config_validation(capsys):
     assert code == 2 and "--n" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_classify_rejects_non_finite_tol(capsys, tol):
+    code, out, err = run(capsys, "classify", "--A", "2,3,4,5,6", "--tol", tol)
+    assert code == 2 and out == ""
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("n", ["-3", "1"])
+def test_classify_rejects_size_below_two(capsys, n):
+    code, out, err = run(capsys, "classify", "--A0", "2", "--n", n)
+    assert code == 2 and out == ""
+    assert "--n must be at least 2" in err
+
+
 def test_solve_fixed_pair(capsys):
     code, out, _ = run(capsys, "solve", "--fix", "A1=20", "A5=40", "--grid", "120")
     assert code == 0

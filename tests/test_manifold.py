@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kippenhahn import (NoBracket, NotRealizable, ReciprocalParams, a_params,
-                        branch_points, contains_ellipse6, cubic_roots,
+                        branch_points, classify, contains_ellipse6, cubic_roots,
                         fit_ellipse_axis_aligned, realize, residuals_m6,
                         sample_curve, solve_m6, solve_uv, three_ellipses6)
 from kippenhahn import manifold
@@ -212,6 +212,30 @@ def test_solve_uv_locus_points_give_single_ellipse_matrices():
         cl = contains_ellipse6(ReciprocalParams(A=A), tol=1e-7)
         assert cl.kind == "boundary_ellipse_only"
         assert three_ellipses6(ReciprocalParams(A=A)).kind == "non_elliptic"
+
+
+X3 = cubic_roots()[2]
+# single-ellipse points: the reference pair of the root-3 slice and two points
+# of its line u + (2 x3 - 1) v = 2 x3, scaled by 5 as in the test above
+SINGLE_N6 = [tuple(5.0 * t for t in (u, v, 1.0, v, u))
+             for u, v in [(1.7724359313231006, 0.6562336702811362)]
+             + [(2 * X3 - (2 * X3 - 1) * v, v) for v in (0.65, 0.8)]]
+KNOWN_N6 = ([(A, "all_components_elliptic") for sols in REFERENCE_SOLUTIONS.values()
+             for A in sols if min(A) >= 1.0]
+            + [(A, "boundary_ellipse_only") for A in SINGLE_N6])
+GENERIC_N6 = st.tuples(*[st.floats(min_value=1.0, max_value=100.0)] * 5).map(lambda A: (A, None))
+
+
+@given(st.one_of(st.sampled_from(KNOWN_N6), GENERIC_N6), st.floats(min_value=1.0, max_value=50.0))
+@settings(max_examples=150, deadline=None)
+def test_classify6_kind_invariant_under_reversal_and_scaling(point, s):
+    A, want = point
+    p = ReciprocalParams(A=A)
+    assume(not p.all_ones)  # the normal matrix; sA is all-equal instead
+    kind = classify(p).kind
+    assert want is None or kind == want
+    assert classify(ReciprocalParams(A=A[::-1])).kind == kind
+    assert classify(ReciprocalParams(A=tuple(s * a for a in A))).kind == kind
 
 
 def test_solve_uv_rejects_non_root():

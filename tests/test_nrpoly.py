@@ -228,6 +228,17 @@ def test_cubic_roots_reference_values():
     assert np.allclose(roots, trig, atol=1e-12)
 
 
+def test_cubic_roots_constant_matches_polished_numeric_roots():
+    # the computation the constant was written out from
+    out = []
+    for r in sorted(float(np.real(r)) for r in np.roots([8.0, -20.0, 12.0, -1.0])):
+        for _ in range(3):
+            r -= (((8 * r - 20) * r + 12) * r - 1) / ((24 * r - 40) * r + 12)
+        out.append(r)
+    assert cubic_roots() == tuple(out)
+    assert cubic_roots() is cubic_roots()
+
+
 def test_generating_poly_n2():
     P = generating_poly(ReciprocalParams(A=(F(9, 4),)))
     assert P.deg_zeta == 1

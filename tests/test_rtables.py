@@ -29,11 +29,15 @@ def test_compiled_matches_dict_tables(batch):
     # scale of the rounding in any evaluation order (A > 0 here)
     out = rtables.eval_compiled(COMPILED, batch)
     assert out.shape == (len(batch), len(TABLES), 6)
-    for A, row in zip(batch, out):
-        for table, got in zip(TABLES, row):
+    # the classifier's value rows cover the same ten tables in the same order
+    values = rtables.n6_values(batch)
+    assert values.shape == (len(batch), len(TABLES))
+    for A, row, value_row in zip(batch, out, values):
+        for table, got, value_only in zip(TABLES, row, value_row):
             absolute = {expo: abs(c) for expo, c in table.items()}
             value, size = rtables.eval_table(table, A), rtables.eval_table(absolute, A)
             assert abs(got[0] - value) <= 1e-12 * size
+            assert abs(value_only - value) <= 1e-12 * size
             grads = rtables.grad_table(table, A)
             sizes = rtables.grad_table(absolute, A)
             for k in range(5):
