@@ -16,8 +16,8 @@ from .curve import (CurveSample, CurveSamples, DegenerateBranch, FitResult,
                     branch_points, deviation_metric, fit_ellipse_axis_aligned,
                     sample_curve, symmetry_residual)
 from .eigsolve import IndexOutOfRange, Spectrum, eig_all, eigpair, min_gap
-from .manifold import (M6Solution, NoBracket, NotRealizable, UVSolveResult,
-                       realize, residuals_m6, solve_m6, solve_uv)
+from .manifold import (M6Solution, NotRealizable, UVSolveResult, realize,
+                       residuals_m6, solve_m6, solve_uv)
 from .nrpoly import (BivariatePoly, DegenerateInput, UniPoly, cubic_roots,
                      divide_by_linear, eval_residual, generating_poly,
                      reduce_mod_cubic, resultant_in_z)
@@ -29,7 +29,7 @@ from .trimat import (InvalidParam, NotReciprocal, ReciprocalParams,
 __all__ = [
     "BivariatePoly", "Classification", "CurveSample", "CurveSamples",
     "DegenerateBranch", "DegenerateInput", "EllipseComponent", "FitResult",
-    "Inconclusive", "IndexOutOfRange", "InvalidParam", "M6Solution", "NoBracket",
+    "Inconclusive", "IndexOutOfRange", "InvalidParam", "M6Solution",
     "NotRealizable", "NotReciprocal", "NotToeplitzCase", "ReciprocalParams",
     "Spectrum", "SymTridiagonal", "TridiagonalMatrix", "UVSolveResult",
     "UniPoly", "WrongSize", "ZeroSuperdiagonal", "a_params",

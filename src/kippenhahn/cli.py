@@ -5,7 +5,7 @@ Subcommands: classify | curve | solve | poly | verify.  Matrix input comes
 as a superdiagonal string (--b), as A_j parameters (--A), or as the
 all-equal value --A0 with --n.  stdout carries the report, stderr carries
 diagnostics; exit codes: 0 success, 1 unexpected verification failure,
-2 invalid input, 3 unwritable output, 4 no bracket found.
+2 invalid input, 3 unwritable output.
 """
 
 from __future__ import annotations
@@ -28,6 +28,13 @@ from .classify import classify as classify_params
 from .classify import ellipse_centers_z
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+
+# input flags only some subcommands read: --tol (classify), --m and --out (curve)
+EXTRA_FLAGS = {
+    "m": dict(type=int, help="theta grid size (default 720)"),
+    "tol": dict(type=float, help="classification tolerance"),
+    "out": dict(help="output path stem"),
+}
 
 
 @dataclass
@@ -95,6 +102,10 @@ def _read_config_file(path):
 def _config_from_args(args) -> JobConfig:
     cfg = JobConfig()
     file_vals = _read_config_file(args.config) if getattr(args, "config", None) else {}
+    unknown = sorted(set(file_vals) - set(args.keys))
+    if unknown:
+        raise ValueError(f"config key {', '.join(unknown)} not available for "
+                         f"{args.command}; it takes {', '.join(args.keys)}")
     def pick(flag, key, conv):
         v = getattr(args, flag, None)
         if v is not None:
@@ -268,28 +279,20 @@ def cmd_solve(args) -> int:
         if args.format == "json":
             print(json.dumps({
                 "root_index": args.root, "root": res.root,
-                "line": res.line, "all_equal_point": res.all_equal_point,
-                "pairs": [list(p) for p in res.pairs]}, sort_keys=True))
+                "line": res.line, "all_equal_point": res.all_equal_point},
+                sort_keys=True))
             return 0
+        a, b, c = res.line
         print(f"single-ellipse slice at root x{args.root} = {res.root:.9g}")
-        if res.line is not None:
-            a, b, c = res.line
-            print(f"solution locus is the line {a:.9g}*u + {b:.9g}*v + {c:.9g} = 0")
-        if res.all_equal_point:
-            print(f"  all-equal point on the locus: u = v = {res.all_equal_point[0]:.9g}")
-        for u, v in res.pairs:
-            tag = "" if res.realizable(u, v) else "  [not realizable]"
-            print(f"  sample pair ({u: .9g}, {v: .9g}){tag}")
+        print(f"solution locus is the line {a:.9g}*u + {b:.9g}*v + {c:.9g} = 0")
+        print(f"  all-equal point on the locus: u = v = {res.all_equal_point[0]:.9g}")
         return 0
     fixed = {}
     for item in args.fix or []:
         name, _, val = item.partition("=")
         fixed[name.strip()] = float(val)
     try:
-        sols = manifold.solve_m6(fixed, grid=args.grid)
-    except manifold.NoBracket as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        sols = manifold.solve_m6(fixed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -431,6 +434,10 @@ def _verify_z_centers(trials, rng):
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    if args.n < 3:
+        raise ValueError(f"--n must be at least 3, got {args.n}")
     rng = random.Random(20260811)
     checks = args.check or ["determinant", "resultants", "r-coefficients", "z-centers"]
     failed = False
@@ -471,33 +478,34 @@ def build_parser():
                                  description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_input_flags(sp, formats):
+    def add_input_flags(sp, formats, *extra):
+        """The matrix input flags, --format, --config, and the extra flags
+        among m, tol, out that this subcommand reads."""
         sp.add_argument("--b", help="superdiagonal entries, comma separated")
         sp.add_argument("--A", help="A_j parameters, comma separated")
         sp.add_argument("--A0", type=float, help="all-equal parameter value")
         sp.add_argument("--n", type=int, help="matrix size (with --A0)")
-        sp.add_argument("--m", type=int, help="theta grid size (default 720)")
-        sp.add_argument("--tol", type=float, help="classification tolerance")
-        sp.add_argument("--out", help="output path stem")
+        for key in extra:
+            sp.add_argument("--" + key, **EXTRA_FLAGS[key])
         sp.add_argument("--format", choices=formats, help="report format")
         sp.add_argument("--config", help="structured-text config file; flags win")
-        sp.set_defaults(formats=formats)
+        sp.set_defaults(formats=formats, keys=("b", "A", "A0", "n", *extra, "format"))
 
     sp = sub.add_parser("classify", help="ellipticity classification report")
-    add_input_flags(sp, ("text", "json"))
+    add_input_flags(sp, ("text", "json"), "tol")
 
     sp = sub.add_parser("curve", help="sample the curve; write CSV and SVG "
                                       "(or only the one --format names)")
-    add_input_flags(sp, ("csv", "svg"))
+    add_input_flags(sp, ("csv", "svg"), "m", "out")
     sp.add_argument("--fit", action="store_true", help="overlay best-fit ellipses")
 
     sp = sub.add_parser("solve", help="three-ellipse / single-ellipse solvers")
-    sp.add_argument("--fix", nargs="*", metavar="NAME=VALUE",
-                    help="fix two of A1 A2 A4 A5")
-    sp.add_argument("--uv", action="store_true", help="single-ellipse slice solver")
+    mode = sp.add_mutually_exclusive_group()
+    mode.add_argument("--fix", nargs="*", metavar="NAME=VALUE",
+                      help="fix two of A1 A2 A4 A5")
+    mode.add_argument("--uv", action="store_true", help="single-ellipse slice solver")
     sp.add_argument("--root", type=int, default=3, choices=(1, 2, 3),
                     help="slope-cubic root index for --uv")
-    sp.add_argument("--grid", type=int, default=200, help="A3 sweep size")
     sp.add_argument("--format", choices=("text", "json"), default="text")
 
     sp = sub.add_parser("poly", help="print the generating polynomial")

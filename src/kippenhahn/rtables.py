@@ -21,11 +21,11 @@ one cubic in the A_j, plus their difference); a reciprocal 6-by-6 matrix has
 a three-ellipse Kippenhahn curve iff all three vanish and the parameters are
 not all 1.
 
-The dict tables are the source of truth.  For float work in bulk they are
-also compiled, at import, into coefficient matrices over the 56 monomials of
-degree <= 3 (see ``compile_tables``); one product then gives the values and
-gradients of several tables at a whole batch of points.  ``n6_values`` gives
-the values of all ten tables the n = 6 classifier reads from one product.
+The dict tables are the source of truth.  For float work in bulk the ten
+tables the n = 6 classifier reads are also compiled, at import, into one
+coefficient matrix over the 56 monomials of degree <= 3 (see
+``compile_tables``); ``n6_values`` then gives their values at a whole batch
+of points from one product.
 """
 
 from __future__ import annotations
@@ -543,48 +543,29 @@ def monomials(A):
 
 
 def compile_tables(tables):
-    """Coefficient matrix of shape (6 T, 56) for T tables of degree <= 3.
+    """Coefficient matrix of shape (T, 56) for T tables of degree <= 3.
 
-    Rows 6 t .. 6 t + 5 of table t hold its value and its five partial
-    derivatives, so ``eval_compiled`` returns them side by side.
+    Row t holds table t's coefficient of each monomial in ``MONOMIALS``.
     """
-    rows = np.zeros((6 * len(tables), len(MONOMIALS)))
+    rows = np.zeros((len(tables), len(MONOMIALS)))
     for t, table in enumerate(tables):
         for expo, coef in table.items():
-            rows[6 * t, _MONOMIAL_POS[expo]] += coef
-            for k, e in enumerate(expo):
-                if e:
-                    lower = expo[:k] + (e - 1,) + expo[k + 1:]
-                    rows[6 * t + 1 + k, _MONOMIAL_POS[lower]] += coef * e
+            rows[t, _MONOMIAL_POS[expo]] += coef
     return rows
 
 
-def eval_compiled(rows, A):
-    """Values and gradients of compiled tables at a batch of points.
-
-    A has shape (..., 5); the result has shape (..., T, 6), value first and
-    then the five partial derivatives.  Each point is summed in the same
-    order whatever the batch holds (BLAS matmul picks kernels by shape), so
-    a point's result does not depend on the batch it came in.
-    """
-    out = np.einsum("...m,rm->...r", monomials(A), rows)
-    return out.reshape(out.shape[:-1] + (-1, 6))
-
-
-# the three-ellipse conditions and both reduced resultants, for the solvers
-ELL3_COMPILED = compile_tables((ELL3_QUAD_A, ELL3_QUAD_B, ELL3_CUBIC))
-RESULTANTS_COMPILED = compile_tables(R1_TABLES + R2_TABLES)
-
 # what the n = 6 classifier reads: the six resultant coefficients, then the
-# four three-ellipse residuals; value rows only
+# four three-ellipse residuals
 N6_TABLES = R1_TABLES + R2_TABLES + (ELL3_QUAD_A, ELL3_QUAD_B, ELL3_CUBIC, ELL3_QUAD_DIFF)
-N6_VALUES = np.ascontiguousarray(compile_tables(N6_TABLES)[::6])
+N6_VALUES = compile_tables(N6_TABLES)
 
 
 def n6_values(A):
     """Values of the ten ``N6_TABLES`` at each row of A, shape (..., 10).
 
     The floats agree with ``eval_table`` up to rounding; the dict tables stay
-    the exact path.
+    the exact path.  The product is an einsum, not a matmul: BLAS picks
+    kernels by batch shape, which would give a point different last digits
+    in different batches, while einsum sums each point in one order.
     """
     return np.einsum("...m,rm->...r", monomials(A), N6_VALUES)

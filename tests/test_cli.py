@@ -130,7 +130,7 @@ def test_classify_rejects_size_below_two(capsys, n):
 
 
 def test_solve_fixed_pair(capsys):
-    code, out, _ = run(capsys, "solve", "--fix", "A1=20", "A5=40", "--grid", "120")
+    code, out, _ = run(capsys, "solve", "--fix", "A1=20", "A5=40")
     assert code == 0
     assert "64.939592" in out
     assert "36.0387547" in out
@@ -145,18 +145,8 @@ def test_solve_uv_reports_line(capsys):
 
 def test_solve_symmetric_pair_warns(capsys):
     with pytest.warns(UserWarning):
-        code, out, _ = run(capsys, "solve", "--fix", "A2=3", "A4=3", "--grid", "80")
+        code, out, _ = run(capsys, "solve", "--fix", "A2=3", "A4=3")
     assert code == 0
-
-
-def test_solve_no_bracket_exit_code(capsys, monkeypatch):
-    import kippenhahn.cli as climod
-
-    def boom(fixed, grid):
-        raise climod.manifold.NoBracket("nothing")
-    monkeypatch.setattr(climod.manifold, "solve_m6", boom)
-    code, _, err = run(capsys, "solve", "--fix", "A1=2", "A5=3")
-    assert code == 4
 
 
 def test_poly_report(capsys):
@@ -189,7 +179,7 @@ def test_verify_r_coefficients_reports_expected_mismatches(capsys):
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "job.cfg"
-    cfg.write_text("A = 1,1,1\nm = 16\n# comment line\nformat = text\n")
+    cfg.write_text("A = 1,1,1\n# comment line\nformat = text\n")
     code, out, _ = run(capsys, "classify", "--config", str(cfg))
     assert code == 0
     assert "normal" in out
@@ -213,7 +203,8 @@ def test_format_choices_per_subcommand(capsys, command, fmt):
                                          ("curve", "json")])
 def test_config_file_format_must_suit_subcommand(tmp_path, capsys, command, fmt):
     cfg = tmp_path / "job.cfg"
-    cfg.write_text(f"A = 2,3\nm = 8\nout = {tmp_path / 'x'}\nformat = {fmt}\n")
+    curve_keys = f"m = 8\nout = {tmp_path / 'x'}\n" if command == "curve" else ""
+    cfg.write_text(f"A = 2,3\n{curve_keys}format = {fmt}\n")
     code, _, err = run(capsys, command, "--config", str(cfg))
     assert code == 2
     assert "format" in err
@@ -245,3 +236,48 @@ def test_classify_names_non_finite_superdiagonal(capsys):
     assert code == 2
     assert "b_1" in err and "not finite" in err
     assert "reciprocal" not in err
+
+
+@pytest.mark.parametrize("argv", [("classify", "--m", "4"), ("classify", "--out", "x"),
+                                  ("poly", "--m", "2"), ("poly", "--tol", "1e-3"),
+                                  ("poly", "--out", "x"), ("curve", "--tol", "nan")])
+def test_subcommands_take_only_flags_they_read(capsys, argv):
+    command, *flag = argv
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--A", "2,3", *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,line", [("classify", "m = 4"), ("classify", "out = x"),
+                                          ("poly", "tol = 1e-3"), ("curve", "tol = nan")])
+def test_config_file_key_must_suit_subcommand(tmp_path, capsys, command, line):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(f"A = 2,3\n{line}\n")
+    code, out, err = run(capsys, command, "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert f"config key {line.split()[0]} not available for {command}" in err
+
+
+@pytest.mark.parametrize("argv", [("--trials", "0"), ("--trials", "-4"),
+                                  ("--check", "determinant", "--n", "1"), ("--n", "2")])
+def test_verify_rejects_checks_that_check_nothing(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert "must be at least" in err
+
+
+def test_solve_uv_and_fix_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--uv", "--fix", "A1=2", "A5=3"])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
+def test_solve_json_gives_twelve_solutions_and_the_line(capsys):
+    code, out, _ = run(capsys, "solve", "--fix", "A1=20", "A5=40", "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)) == 12
+    code, out, _ = run(capsys, "solve", "--uv", "--root", "3", "--format", "json")
+    assert code == 0
+    assert sorted(json.loads(out)) == ["all_equal_point", "line", "root", "root_index"]

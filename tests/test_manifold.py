@@ -1,16 +1,18 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kippenhahn import (NoBracket, NotRealizable, ReciprocalParams, a_params,
+from kippenhahn import (NotRealizable, ReciprocalParams, UniPoly, a_params,
                         branch_points, classify, contains_ellipse6, cubic_roots,
-                        fit_ellipse_axis_aligned, realize, residuals_m6,
-                        sample_curve, solve_m6, solve_uv, three_ellipses6)
-from kippenhahn import manifold
+                        fit_ellipse_axis_aligned, realize, reduce_mod_cubic,
+                        residuals_m6, sample_curve, solve_m6, solve_uv,
+                        three_ellipses6)
+from kippenhahn import manifold, rtables
 
 F = Fraction
 
@@ -21,8 +23,9 @@ TRUE_A2 = 64.939592074349341
 TRUE_A3 = 36.038754716096765
 TRUE_A4 = 28.900837358252576
 
-# every solution solve_m6 returns for three fixed pairs (grid 200, default
-# bracket), frozen from the sweep solver; each must still be found
+# every solution an earlier A3-sweep solver returned for three fixed pairs
+# (grid 200, bracket (scale/10, 10 scale)); each must still be found, among
+# the twelve points the closed form gives
 REFERENCE_SOLUTIONS = {
     (("A2", 5.0), ("A4", 9.0)): [
         (6.231914113471989, 5.0, 5.792249056782078, 9.0, 4.0120815851213365),
@@ -111,16 +114,16 @@ def test_solve_m6_homogeneity_half_scale():
 
 def test_solve_m6_symmetric_pair_warns_and_gives_ray():
     with pytest.warns(UserWarning):
-        sols = solve_m6({"A2": 3.0, "A4": 3.0}, grid=120)
-    # the ray is a degenerate root of the system, so parameter accuracy is
-    # only on the order of sqrt of the residual tolerance there
+        sols = solve_m6({"A2": 3.0, "A4": 3.0})
     for s in sols:
         assert max(abs(a - 3.0) for a in s.A) <= 1e-3
+    # every plane meets the hyperplane A2 = A4 on the all-equal ray only
+    assert [s.A for s in sols] == [(3.0,) * 5]
 
 
-def test_solve_m6_no_bracket():
-    with pytest.raises(NoBracket):
-        solve_m6(REF_FIXED, a3_bracket=(1.0, 1.15), grid=12)
+def test_solve_m6_equal_values_give_all_equal_point():
+    sols = solve_m6({"A1": 3.0, "A2": 3.0})
+    assert [(s.A, s.residuals) for s in sols] == [((3.0,) * 5, (0.0,) * 4)]
 
 
 def test_solve_m6_rejects_bad_names():
@@ -134,38 +137,16 @@ def test_solve_m6_rejects_non_finite(bad):
         solve_m6({"A1": bad, "A5": 4.0})
 
 
-@pytest.mark.parametrize("bracket", [(math.nan, 5.0), (1.0, math.inf), (5.0, 1.0),
-                                     (2.0, 2.0), (0.0, 5.0), (-1.0, 5.0)])
-def test_solve_m6_rejects_bad_bracket(bracket):
-    with pytest.raises(ValueError, match="a3_bracket"):
-        solve_m6({"A1": 2.0, "A5": 3.0}, a3_bracket=bracket)
-
-
 @pytest.mark.parametrize("pair", sorted(REFERENCE_SOLUTIONS))
 def test_solve_m6_finds_every_reference_solution(pair):
     fixed = dict(pair)
     scale = max(fixed.values())
     sols = solve_m6(fixed)
-    assert len(sols) == len(REFERENCE_SOLUTIONS[pair])
+    assert len(sols) == 12
     for R in REFERENCE_SOLUTIONS[pair]:
         assert any(max(abs(a - r) for a, r in zip(s.A, R)) <= 1e-7 * scale for s in sols), R
     for s in sols:
         assert s.scaled_norm() <= 1e-9
-
-
-def test_solve_m6_stats():
-    sols = solve_m6(REF_FIXED)
-    stats = sols[0].stats
-    assert all(s.stats is stats for s in sols)
-    assert stats.starts == stats.converged + stats.diverged
-    # 200 grid points, six fresh starts each, plus warm starts and the rest
-    assert stats.starts > 6 * 200
-    assert stats.converged >= len(sols)
-    assert 1 <= stats.max_iterations <= 60
-    # telemetry is not part of a solution's identity
-    from kippenhahn.manifold import M6Solution
-    assert sols[0] == M6Solution(A=sols[0].A, residuals=sols[0].residuals,
-                                 branch=sols[0].branch)
 
 
 def test_solve_uv_line_structure_all_roots():
@@ -184,9 +165,6 @@ def test_solve_uv_line_passes_through_all_equal_point(idx):
     res = solve_uv(cubic_roots()[idx])
     a, b, c = res.line
     assert abs(a + b + c) <= 1e-9
-    assert res.stats.starts == 13 * 13
-    assert res.stats.converged + res.stats.diverged == res.stats.starts
-    assert 0 < res.stats.max_iterations <= 80
 
 
 def test_solve_uv_contains_reference_pairs():
@@ -223,12 +201,28 @@ SINGLE_N6 = [tuple(5.0 * t for t in (u, v, 1.0, v, u))
 KNOWN_N6 = ([(A, "all_components_elliptic") for sols in REFERENCE_SOLUTIONS.values()
              for A in sols if min(A) >= 1.0]
             + [(A, "boundary_ellipse_only") for A in SINGLE_N6])
-GENERIC_N6 = st.tuples(*[st.floats(min_value=1.0, max_value=100.0)] * 5).map(lambda A: (A, None))
+PHI = (math.sqrt(5.0) + 1.0) / 2.0
+UNIT = st.floats(min_value=1.0, max_value=100.0)
+# n = 4: A2 on one of the two golden-ratio planes of classify4
+GOLDEN_N4 = st.tuples(UNIT, UNIT, st.booleans()).map(
+    lambda t: (t[0], PHI * t[0] - t[1] / PHI if t[2] else PHI * t[1] - t[0] / PHI, t[1]))
+# n = 5: A1 = A4, or A1 - A4 = 2 (A3 - A2)
+HYPER_N5 = st.one_of(st.tuples(UNIT, UNIT, UNIT).map(lambda t: (t[0], t[1], t[2], t[0])),
+                     st.tuples(UNIT, UNIT, UNIT).map(
+                         lambda t: (t[2] + 2.0 * (t[1] - t[0]), t[0], t[1], t[2])))
+# (points at or near the all-equal ray are the toeplitz case instead)
+ELLIPTIC_N45 = st.one_of(GOLDEN_N4, HYPER_N5).filter(
+    lambda A: min(A) >= 1.0 and max(A) - min(A) > 1e-9 * max(A)).map(
+    lambda A: (A, "all_components_elliptic"))
+GENERIC = st.integers(min_value=3, max_value=6).flatmap(
+    lambda n: st.tuples(*[UNIT] * (n - 1))).map(lambda A: (A, None))
 
 
-@given(st.one_of(st.sampled_from(KNOWN_N6), GENERIC_N6), st.floats(min_value=1.0, max_value=50.0))
-@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.sampled_from(KNOWN_N6), ELLIPTIC_N45, GENERIC),
+       st.floats(min_value=1.0, max_value=50.0))
+@settings(max_examples=200, deadline=None)
 def test_classify6_kind_invariant_under_reversal_and_scaling(point, s):
+    # n = 3 to 6: on-manifold points keep their kind, generic ones any kind
     A, want = point
     p = ReciprocalParams(A=A)
     assume(not p.all_ones)  # the normal matrix; sA is all-equal instead
@@ -236,6 +230,115 @@ def test_classify6_kind_invariant_under_reversal_and_scaling(point, s):
     assert want is None or kind == want
     assert classify(ReciprocalParams(A=A[::-1])).kind == kind
     assert classify(ReciprocalParams(A=tuple(s * a for a in A))).kind == kind
+
+
+# realizable points of the variety that the A3 sweep missed inside its own
+# bracket, with the accuracy they are quoted to
+SWEEP_MISSED = {
+    (("A2", 5.0), ("A4", 9.0)): [((4.36466559, 5, 5.79224906, 9, 1.79224906), 1e-7),
+                                 ((9.98791841, 5, 8.20775094, 9, 7.76808589), 1e-7),
+                                 ((12.2077509, 5, 8.20775094, 9, 9.63533441), 1e-6)],
+    (("A1", 3.0), ("A2", 7.0)): [((3, 7, 5.7681, 6.2078, 4.7802), 1e-4)],
+}
+
+
+@pytest.mark.parametrize("pair", sorted(SWEEP_MISSED))
+def test_solve_m6_finds_points_the_sweep_missed(pair):
+    sols = solve_m6(dict(pair))
+    for point, tol in SWEEP_MISSED[pair]:
+        best = min(sols, key=lambda s: max(abs(a - b) for a, b in zip(s.A, point)))
+        assert max(abs(a - b) for a, b in zip(best.A, point)) <= tol * max(point)
+        assert best.realizable
+        assert classify(ReciprocalParams(A=best.A)).kind == "all_components_elliptic"
+
+
+@given(st.sampled_from(list(combinations(("A1", "A2", "A4", "A5"), 2))), UNIT, UNIT)
+@settings(max_examples=60, deadline=None)
+def test_solve_m6_twelve_solutions_on_random_pairs(names, a, b):
+    assume(abs(a - b) > 1e-9 * max(a, b))
+    sols = solve_m6(dict(zip(names, (a, b))))
+    assert len({s.A for s in sols}) == 12
+    for s in sols:
+        assert s.scaled_norm() <= 1e-9
+        if s.realizable:
+            p = ReciprocalParams(A=tuple(max(x, 1.0) for x in s.A))
+            assert classify(p).kind == "all_components_elliptic"
+
+
+# exact certificates over Q(x) = Q[x] / (8x^3 - 20x^2 + 12x - 1), written with
+# the package's own UniPoly tower: an element vanishes at every root of the
+# cubic iff its remainder modulo the cubic is zero (the cubic is irreducible)
+X = UniPoly("x", [0, 1])
+
+
+def _xpoly(coeffs):
+    return UniPoly("x", [F(c) for c in coeffs])
+
+
+def _reduced(p):
+    """p with each coefficient in Q[x] reduced modulo the slope cubic."""
+    if isinstance(p, UniPoly) and p.var != "x":
+        return UniPoly(p.var, [_reduced(c) for c in p.coeffs])
+    return reduce_mod_cubic(p if isinstance(p, UniPoly) else UniPoly("x", [p]))
+
+
+def _resultant_at_root(tables, A):
+    """c2 x^2 + c1 x + c0 from a resultant's coefficient tables at A, reduced."""
+    c2, c1, c0 = (rtables.eval_table(t, A) for t in tables)
+    return _reduced(c2 * X * X + c1 * X + c0)
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_ell3_plane_certificate(k):
+    # A = 1 + t d(x): every t-coefficient of the three conditions is zero in
+    # Q(x), and by homogeneity so is every point of span{1, d(x)}
+    A = [UniPoly("t", [1, _xpoly(c)]) for c in manifold.ELL3_DIRECTIONS[k]]
+    for table in (rtables.ELL3_QUAD_A, rtables.ELL3_QUAD_B, rtables.ELL3_CUBIC):
+        value = rtables.eval_table(table, A)
+        assert value.var == "t" and _reduced(value).is_zero
+
+
+def test_ell3_planes_are_distinct():
+    # d_1 = 0 and d_2 = 1 normalise each direction, so distinct d are
+    # distinct planes: 12 lines of a degree 2 * 2 * 3 = 12 intersection
+    ds = [d for _, d in manifold._PLANES]
+    assert len(ds) == 12
+    assert all(d[:2] == (0.0, 1.0) for d in ds)
+    assert min(max(abs(p - q) for p, q in zip(d, e))
+               for i, d in enumerate(ds) for e in ds[:i]) > 0.05
+
+
+def test_uv_line_certificate():
+    V = UniPoly("v", [0, 1])
+
+    def slice_on(c0, c1):
+        # (u, v, 1, v, u) along u = c0(x) + c1(x) v
+        u = UniPoly("v", [_xpoly(c0), _xpoly(c1)])
+        return (u, V, 1, V, u)
+
+    # both resultants vanish on L: u + (2x - 1) v - 2x = 0
+    on_L = slice_on((0, 2), (1, -2))
+    assert _resultant_at_root(rtables.R1_TABLES, on_L).is_zero
+    assert _resultant_at_root(rtables.R2_TABLES, on_L).is_zero
+
+    # on the whole slice R1 = (2 - 4x^2) L L', in the tower u > v > x
+    U, Vu = UniPoly("u", [0, 1]), UniPoly("u", [V])
+    r1 = _resultant_at_root(rtables.R1_TABLES, (U, Vu, 1, Vu, U))
+
+    def u_line(c0, c1):
+        # u + c1(x) v + c0(x)
+        return UniPoly("u", [UniPoly("v", [_xpoly(c0), _xpoly(c1)]), 1])
+
+    L = u_line((0, -2), (-1, 2))
+    L_prime = u_line((-8, 18, -8), (7, -18, 8))
+    assert _reduced(r1 - L * L_prime * _xpoly((2, 0, -4))).is_zero
+
+    # on L' (u = 8x^2 - 18x + 8 - (8x^2 - 18x + 7) v) R2 = c (v - 1)^3 with
+    # c != 0, so L' meets the locus only at (1, 1), which lies on L
+    r2 = _resultant_at_root(rtables.R2_TABLES, slice_on((8, -18, 8), (-7, 18, -8)))
+    c = r2.coeff(3)
+    assert not c.is_zero
+    assert _reduced(r2 - UniPoly("v", [-1, 3, -3, 1]) * c).is_zero
 
 
 def test_solve_uv_rejects_non_root():
@@ -266,44 +369,3 @@ def test_realize_reference_solution_end_to_end():
 def test_realize_rejects_negative_parameters():
     with pytest.raises(NotRealizable):
         realize((8.84369, -2.49077, 1.0, -2.49077, 8.84369))
-
-
-@given(st.lists(st.tuples(st.floats(min_value=2.0, max_value=400.0),
-                          st.floats(min_value=-50.0, max_value=150.0),
-                          st.floats(min_value=-50.0, max_value=150.0)),
-                min_size=2, max_size=8))
-@example(rows=[(2.0, 0.0, 0.0), (369.0, 56.25, 0.0)])
-@settings(max_examples=25, deadline=None)
-def test_newton_batch_matches_rows_alone(rows):
-    # the quadratic pair of solve_m6 with A1 = 20, A5 = 40 fixed, free (A2, A4)
-    base = np.array([(20.0, 0.0, a3, 0.0, 40.0) for a3, _, _ in rows])
-    starts = np.array([(u, v) for _, u, v in rows])
-    system = manifold._ell3_system(base, [1, 3], 2)
-
-    def converged(x, F):
-        return np.max(np.abs(F), axis=1) <= 1e-13 * 40.0 ** 2
-
-    x, ok, iters = manifold._newton(system, starts, converged, 60, 1e8 * 40.0)
-    for r in range(len(rows)):
-        def alone(_, xr, r=r):
-            return system(np.array([r]), xr)
-        xr, okr, itr = manifold._newton(alone, starts[r:r + 1], converged, 60, 1e8 * 40.0)
-        assert ok[r] == okr[0]
-        assert iters[r] == itr[0]
-        if ok[r]:
-            np.testing.assert_allclose(x[r], xr[0], rtol=1e-12, atol=0)
-
-
-def test_newton_retires_singular_rows():
-    # F(x) = x^2 - 4 per coordinate: J is singular at the zero start only
-    def system(rows, x):
-        return x * x - 4.0, 2.0 * x[:, :, None] * np.eye(2)
-
-    def converged(x, F):
-        return np.max(np.abs(F), axis=1) <= 1e-12
-
-    starts = np.array([(1.0, 3.0), (0.0, 1.0), (-1.0, -5.0)])
-    x, ok, iters = manifold._newton(system, starts, converged, 50)
-    assert ok.tolist() == [True, False, True]
-    np.testing.assert_allclose(x[[0, 2]], [(2.0, 2.0), (-2.0, -2.0)], rtol=1e-12)
-    assert iters[1] == 0 and iters[0] > 0

@@ -9,7 +9,6 @@ from kippenhahn import rtables
 TABLES = (rtables.R1_TABLES + rtables.R2_TABLES
           + (rtables.ELL3_QUAD_A, rtables.ELL3_QUAD_B, rtables.ELL3_CUBIC,
              rtables.ELL3_QUAD_DIFF))
-COMPILED = rtables.compile_tables(TABLES)
 
 points = st.lists(st.floats(min_value=1.0, max_value=100.0), min_size=5, max_size=5)
 
@@ -27,21 +26,14 @@ def test_monomial_basis():
 def test_compiled_matches_dict_tables(batch):
     # error relative to the sum of the absolute values of the terms, the
     # scale of the rounding in any evaluation order (A > 0 here)
-    out = rtables.eval_compiled(COMPILED, batch)
-    assert out.shape == (len(batch), len(TABLES), 6)
-    # the classifier's value rows cover the same ten tables in the same order
+    assert rtables.N6_TABLES == TABLES
     values = rtables.n6_values(batch)
     assert values.shape == (len(batch), len(TABLES))
-    for A, row, value_row in zip(batch, out, values):
-        for table, got, value_only in zip(TABLES, row, value_row):
+    for A, row in zip(batch, values):
+        for table, got in zip(TABLES, row):
             absolute = {expo: abs(c) for expo, c in table.items()}
             value, size = rtables.eval_table(table, A), rtables.eval_table(absolute, A)
-            assert abs(got[0] - value) <= 1e-12 * size
-            assert abs(value_only - value) <= 1e-12 * size
-            grads = rtables.grad_table(table, A)
-            sizes = rtables.grad_table(absolute, A)
-            for k in range(5):
-                assert abs(got[1 + k] - grads[k]) <= 1e-12 * sizes[k]
+            assert abs(got - value) <= 1e-12 * size
 
 
 @given(st.lists(st.fractions(min_value=1, max_value=100, max_denominator=50),
@@ -56,13 +48,11 @@ def test_eval_table_exact_on_fractions(A):
         assert all(isinstance(g, Fraction) for g in rtables.grad_table(table, A))
 
 
-
 @given(st.lists(st.lists(st.floats(min_value=-100.0, max_value=100.0), min_size=5, max_size=5),
                 min_size=2, max_size=8))
 @settings(max_examples=60, deadline=None)
 def test_compiled_batch_matches_rows_alone(batch):
-    # bit for bit: the Newton solvers rely on a row's result not depending on
-    # the batch it is evaluated in
-    out = rtables.eval_compiled(COMPILED, batch)
+    # bit for bit: a point's values do not depend on the batch it comes in
+    out = rtables.n6_values(batch)
     for A, got in zip(batch, out):
-        assert got.tobytes() == rtables.eval_compiled(COMPILED, [A])[0].tobytes()
+        assert got.tobytes() == rtables.n6_values([A])[0].tobytes()
