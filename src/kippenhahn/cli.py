@@ -272,18 +272,20 @@ def cmd_curve(cfg: JobConfig, with_fits: bool = False) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.root is not None and not args.uv:
+        raise ValueError("--root applies only to --uv")
     if args.uv:
-        roots = nrpoly.cubic_roots()
-        x_t = roots[args.root - 1]
+        root = args.root or 3
+        x_t = nrpoly.cubic_roots()[root - 1]
         res = manifold.solve_uv(x_t)
         if args.format == "json":
             print(json.dumps({
-                "root_index": args.root, "root": res.root,
+                "root_index": root, "root": res.root,
                 "line": res.line, "all_equal_point": res.all_equal_point},
                 sort_keys=True))
             return 0
         a, b, c = res.line
-        print(f"single-ellipse slice at root x{args.root} = {res.root:.9g}")
+        print(f"single-ellipse slice at root x{root} = {res.root:.9g}")
         print(f"solution locus is the line {a:.9g}*u + {b:.9g}*v + {c:.9g} = 0")
         print(f"  all-equal point on the locus: u = v = {res.all_equal_point[0]:.9g}")
         return 0
@@ -504,8 +506,8 @@ def build_parser():
     mode.add_argument("--fix", nargs="*", metavar="NAME=VALUE",
                       help="fix two of A1 A2 A4 A5")
     mode.add_argument("--uv", action="store_true", help="single-ellipse slice solver")
-    sp.add_argument("--root", type=int, default=3, choices=(1, 2, 3),
-                    help="slope-cubic root index for --uv")
+    sp.add_argument("--root", type=int, choices=(1, 2, 3),
+                    help="slope-cubic root index for --uv (default 3)")
     sp.add_argument("--format", choices=("text", "json"), default="text")
 
     sp = sub.add_parser("poly", help="print the generating polynomial")

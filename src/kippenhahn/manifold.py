@@ -20,13 +20,17 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import rtables
 from .nrpoly import cubic_roots
 from .trimat import ReciprocalParams, TridiagonalMatrix, params_to_matrix
 
 PARAM_NAMES = ("A1", "A2", "A3", "A4", "A5")
+
+# slack below the A_j >= 1 floor that still counts as realizable
+REALIZABLE_SLACK = 1e-9
+# fixed values closer than this count as an equal pair
+EQUAL_PAIR_TOL = 1e-12
 
 # The four plane directions d(x), coordinate by coordinate, each coordinate
 # the ascending coefficients (c0, c1, c2) of c0 + c1 x + c2 x^2.
@@ -59,7 +63,7 @@ class M6Solution:
 
     @property
     def realizable(self) -> bool:
-        return all(a >= 1.0 - 1e-9 for a in self.A)
+        return all(a >= 1.0 - REALIZABLE_SLACK for a in self.A)
 
     def scaled_norm(self) -> float:
         """Residuals over their degree's power of sum |A_j|, which, unlike
@@ -74,10 +78,10 @@ def residuals_m6(A, exact: bool = False):
 
     Evaluation is exact (floats convert losslessly to rationals), so the
     identity quad_a - quad_b = quad_diff holds with no rounding; results
-    come back as floats unless exact=True.
+    come back as Fractions with exact=True, else as their correctly rounded
+    floats.
     """
-    Aex = tuple(Fraction(a) if not isinstance(a, Fraction) else a for a in A)
-    vals = rtables.ell3_residuals(Aex)
+    vals = rtables.ell3_residuals(A)
     if exact:
         return vals
     return tuple(float(v) for v in vals)
@@ -102,7 +106,7 @@ def solve_m6(fixed: dict):
     (i, a), (j, b) = ((PARAM_NAMES.index(nm), float(fixed[nm])) for nm in names)
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"fixed values must be finite, got {fixed}")
-    if abs(a - b) <= 1e-12:
+    if abs(a - b) <= EQUAL_PAIR_TOL:
         if set(names) in ({"A1", "A5"}, {"A2", "A4"}):
             warnings.warn("fixed pair imposes a symmetry hyperplane; only the "
                           "all-equal ray lies on the three-ellipse variety there",
@@ -173,6 +177,6 @@ def realize(sol) -> TridiagonalMatrix:
     Raises NotRealizable when some A_j < 1 (no reciprocal matrix exists).
     """
     A = sol.A if isinstance(sol, M6Solution) else tuple(sol)
-    if any(a < 1.0 - 1e-9 for a in A):
+    if any(a < 1.0 - REALIZABLE_SLACK for a in A):
         raise NotRealizable(f"parameters below the A_j >= 1 floor: {A}")
     return params_to_matrix(ReciprocalParams(A=tuple(max(a, 1.0) for a in A)))

@@ -21,15 +21,23 @@ one cubic in the A_j, plus their difference); a reciprocal 6-by-6 matrix has
 a three-ellipse Kippenhahn curve iff all three vanish and the parameters are
 not all 1.
 
-The dict tables are the source of truth.  For float work in bulk the ten
-tables the n = 6 classifier reads are also compiled, at import, into one
-coefficient matrix over the 56 monomials of degree <= 3 (see
-``compile_tables``); ``n6_values`` then gives their values at a whole batch
-of points from one product.
+The dict tables are the source of truth.  Tables of degree <= 3 are also
+compiled, at import, over the 56 monomials of degree <= 3:
+
+* for exact work into sparse integer rows (``compile_rows``);
+  ``eval_exact`` gives their values at one point as Fractions from a single
+  integer dot product per table, with no rational arithmetic per term;
+* for float work in bulk the ten tables the n = 6 classifier reads into one
+  coefficient matrix (``compile_tables``); ``n6_values`` then gives their
+  values at a whole batch of points from one product.
+
+``eval_table`` stays the generic evaluator for any arithmetic (floats,
+Fractions, polynomials) and any degree.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -515,17 +523,12 @@ def eval_resultants_at(A, x):
     return (c12 * x * x + c11 * x + c10, c22 * x * x + c21 * x + c20)
 
 
-def ell3_residuals(A):
-    """The three three-ellipse conditions plus their difference, in input arithmetic."""
-    return (eval_table(ELL3_QUAD_A, A), eval_table(ELL3_QUAD_B, A),
-            eval_table(ELL3_CUBIC, A), eval_table(ELL3_QUAD_DIFF, A))
-
-
-# ------------------------------------------------------- compiled float tables
+# ------------------------------------------------------------- compiled tables
 #
 # A monomial of degree <= 3 in A_1..A_5 is a product X_i X_j X_k over
 # X = (1, A_1, ..., A_5) with i <= j <= k: 56 index triples, one per monomial.
-_TRIPLES = np.array(list(combinations_with_replacement(range(6), 3))).T
+_TRIPLE_LIST = tuple(combinations_with_replacement(range(6), 3))
+_TRIPLES = np.array(_TRIPLE_LIST).T
 MONOMIALS = tuple(tuple(int((t == v).sum()) for v in range(1, 6)) for t in _TRIPLES.T)
 _MONOMIAL_POS = {expo: m for m, expo in enumerate(MONOMIALS)}
 
@@ -542,21 +545,64 @@ def monomials(A):
     return np.ascontiguousarray(X[..., i] * X[..., j] * X[..., k])
 
 
+def compile_rows(tables):
+    """Sparse rows ((monomial index, coefficient), ...), one per table.
+
+    Indices point into ``MONOMIALS``; a monomial of degree above 3 raises
+    ValueError.
+    """
+    for table in tables:
+        for expo in table:
+            if expo not in _MONOMIAL_POS:
+                raise ValueError(f"monomial {expo} has degree {sum(expo)}; compiled "
+                                 "tables take degree <= 3 in A_1..A_5")
+    return tuple(tuple((_MONOMIAL_POS[expo], coef) for expo, coef in table.items())
+                 for table in tables)
+
+
 def compile_tables(tables):
     """Coefficient matrix of shape (T, 56) for T tables of degree <= 3.
 
     Row t holds table t's coefficient of each monomial in ``MONOMIALS``.
     """
-    rows = np.zeros((len(tables), len(MONOMIALS)))
-    for t, table in enumerate(tables):
-        for expo, coef in table.items():
-            rows[t, _MONOMIAL_POS[expo]] += coef
-    return rows
+    dense = np.zeros((len(tables), len(MONOMIALS)))
+    for t, row in enumerate(compile_rows(tables)):
+        for m, coef in row:
+            dense[t, m] = coef
+    return dense
+
+
+def eval_exact(rows, A):
+    """Exact values of compiled ``rows`` at A, one Fraction per row.
+
+    With L the lcm of the denominators of the A_j, X = (L, L A_1, ...,
+    L A_5) is integral and X_i X_j X_k is L^3 times a monomial of degree
+    <= 3, so each value is one integer dot product over L^3.  Floats
+    convert to Fraction losslessly; NumPy integers become Python ints, so
+    nothing overflows.
+    """
+    if len(A) != 5:
+        raise ValueError(f"expected 5 parameters A_1..A_5, got {len(A)}")
+    A = [Fraction(a) for a in A]
+    L = math.lcm(*(int(a.denominator) for a in A))
+    X = [L] + [int(a.numerator) * (L // int(a.denominator)) for a in A]
+    mono = [X[i] * X[j] * X[k] for i, j, k in _TRIPLE_LIST]
+    L3 = L * L * L
+    return tuple(Fraction(sum(c * mono[m] for m, c in row), L3) for row in rows)
+
+
+ELL3_TABLES = (ELL3_QUAD_A, ELL3_QUAD_B, ELL3_CUBIC, ELL3_QUAD_DIFF)
+ELL3_ROWS = compile_rows(ELL3_TABLES)
+
+
+def ell3_residuals(A):
+    """The three three-ellipse conditions plus their difference, as Fractions."""
+    return eval_exact(ELL3_ROWS, A)
 
 
 # what the n = 6 classifier reads: the six resultant coefficients, then the
 # four three-ellipse residuals
-N6_TABLES = R1_TABLES + R2_TABLES + (ELL3_QUAD_A, ELL3_QUAD_B, ELL3_CUBIC, ELL3_QUAD_DIFF)
+N6_TABLES = R1_TABLES + R2_TABLES + ELL3_TABLES
 N6_VALUES = compile_tables(N6_TABLES)
 
 

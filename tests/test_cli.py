@@ -281,3 +281,19 @@ def test_solve_json_gives_twelve_solutions_and_the_line(capsys):
     code, out, _ = run(capsys, "solve", "--uv", "--root", "3", "--format", "json")
     assert code == 0
     assert sorted(json.loads(out)) == ["all_equal_point", "line", "root", "root_index"]
+
+
+@pytest.mark.parametrize("argv", [("--fix", "A1=2", "A5=3", "--root", "1"), ("--root", "2")])
+def test_solve_root_needs_uv(capsys, argv):
+    code, out, err = run(capsys, "solve", *argv)
+    assert code == 2 and out == ""
+    assert "--root applies only to --uv" in err
+
+
+def test_solve_uv_defaults_to_root_3(capsys):
+    code, out, _ = run(capsys, "solve", "--uv", "--format", "json")
+    assert code == 0
+    default = json.loads(out)
+    code, out, _ = run(capsys, "solve", "--uv", "--root", "3", "--format", "json")
+    assert code == 0 and default == json.loads(out)
+    assert default["root_index"] == 3

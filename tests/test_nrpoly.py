@@ -292,3 +292,19 @@ def test_substitution_matches_divide_remainder_numerically():
             if isinstance(want, UniPoly):
                 want = want(x0)
             assert rem.coeff(k) == want
+
+
+@st.composite
+def pencil_points(draw):
+    n = draw(st.integers(3, 12))
+    A = draw(st.lists(st.floats(1.0, 100.0), min_size=n - 1, max_size=n - 1))
+    return A, draw(st.floats(0.0, 2 * math.pi)), draw(st.floats(-20.0, 20.0))
+
+
+@given(pencil_points())
+@settings(max_examples=100, deadline=None)
+def test_eval_residual_small_for_n_up_to_12(case):
+    # the library form of `verify`'s determinant check
+    A, theta, lam = case
+    p = ReciprocalParams(A=tuple(A))
+    assert eval_residual(generating_poly(p), params_to_matrix(p), theta, lam) <= 1e-9

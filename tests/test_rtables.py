@@ -1,10 +1,14 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kippenhahn import rtables
+from kippenhahn import rtables, solve_m6
+from kippenhahn.manifold import residuals_m6
 
 TABLES = (rtables.R1_TABLES + rtables.R2_TABLES
           + (rtables.ELL3_QUAD_A, rtables.ELL3_QUAD_B, rtables.ELL3_CUBIC,
@@ -56,3 +60,69 @@ def test_compiled_batch_matches_rows_alone(batch):
     out = rtables.n6_values(batch)
     for A, got in zip(batch, out):
         assert got.tobytes() == rtables.n6_values([A])[0].tobytes()
+
+
+# every dict table the module ships, and those of degree <= 3
+DICT_TABLES = {name: t for name, t in vars(rtables).items()
+               if name[0] != "_" and isinstance(t, dict)}
+CUBIC_TABLES = {name: t for name, t in DICT_TABLES.items()
+                if all(sum(e) <= 3 for e in t)}
+
+exact_inputs = st.one_of(
+    st.integers(-10**12, 10**12),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                     1e300, -1e300]),
+    st.builds(Fraction, st.integers(-10**9, 10**9),
+              st.sampled_from([1, 3, 5, 6, 7, 9, 10, 49, 1000003])))
+
+
+def test_degree_filter_keeps_all_but_the_printed_typo():
+    assert set(DICT_TABLES) - set(CUBIC_TABLES) == {"R2_X1_PRINTED"}
+    assert len(CUBIC_TABLES) == 15
+
+
+@given(st.lists(exact_inputs, min_size=5, max_size=5))
+@settings(max_examples=150, deadline=None)
+def test_eval_exact_equals_fraction_eval_table(A):
+    names = sorted(CUBIC_TABLES)
+    got = rtables.eval_exact(rtables.compile_rows([CUBIC_TABLES[nm] for nm in names]), A)
+    Aex = [Fraction(a) for a in A]
+    for name, value in zip(names, got):
+        assert type(value) is Fraction
+        assert value == rtables.eval_table(CUBIC_TABLES[name], Aex), name
+
+
+def test_compile_rows_rejects_degree_above_3():
+    with pytest.raises(ValueError, match="degree 6"):
+        rtables.compile_rows([rtables.R2_X1_PRINTED])
+    with pytest.raises(ValueError, match="degree 6"):
+        rtables.compile_tables([rtables.R2_X1_PRINTED])
+
+
+def test_eval_exact_needs_five_parameters():
+    with pytest.raises(ValueError, match="5 parameters"):
+        rtables.ell3_residuals((1, 2, 3, 4))
+
+
+def test_eval_exact_does_not_overflow_numpy_ints():
+    A = (10**6, 2, -3, 4, 10**5)
+    assert rtables.ell3_residuals(np.array(A)) == rtables.ell3_residuals(A)
+
+
+REFERENCE_PAIRS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "data.json").read_text()
+)["solve_references"]
+
+
+@pytest.mark.parametrize("ref", REFERENCE_PAIRS, ids=lambda ref: "-".join(ref["fixed"]))
+def test_residuals_m6_bit_identical_to_fraction_eval_table(ref):
+    # the residuals as Fraction evaluation of the dict tables gave them
+    sols = solve_m6(ref["fixed"])
+    assert len(sols) == 12
+    for sol in sols:
+        old = [rtables.eval_table(t, [Fraction(a) for a in sol.A]) for t in rtables.ELL3_TABLES]
+        assert list(residuals_m6(sol.A, exact=True)) == old
+        want = [float(v).hex() for v in old]
+        assert [v.hex() for v in residuals_m6(sol.A)] == want
+        assert [v.hex() for v in sol.residuals] == want
