@@ -8,10 +8,10 @@ solvers for the parameter manifolds on which the curves decompose into
 ellipses.
 """
 
-from .classify import (Classification, EllipseComponent, Inconclusive,
-                       NotToeplitzCase, WrongSize, classify, classify3,
-                       classify4, classify5, contains_ellipse6,
-                       ellipse_centers_z, three_ellipses6, toeplitz_components)
+from .classify import (Classification, EllipseComponent, NotToeplitzCase,
+                       WrongSize, classify, classify3, classify4, classify5,
+                       contains_ellipse6, ellipse_centers_z, three_ellipses6,
+                       toeplitz_components)
 from .curve import (CurveSample, CurveSamples, DegenerateBranch, FitResult,
                     branch_points, deviation_metric, fit_ellipse_axis_aligned,
                     sample_curve, symmetry_residual)
@@ -29,7 +29,7 @@ from .trimat import (InvalidParam, NotReciprocal, ReciprocalParams,
 __all__ = [
     "BivariatePoly", "Classification", "CurveSample", "CurveSamples",
     "DegenerateBranch", "DegenerateInput", "EllipseComponent", "FitResult",
-    "Inconclusive", "IndexOutOfRange", "InvalidParam", "M6Solution",
+    "IndexOutOfRange", "InvalidParam", "M6Solution",
     "NotRealizable", "NotReciprocal", "NotToeplitzCase", "ReciprocalParams",
     "Spectrum", "SymTridiagonal", "TridiagonalMatrix", "UVSolveResult",
     "UniPoly", "WrongSize", "ZeroSuperdiagonal", "a_params",

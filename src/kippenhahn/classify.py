@@ -17,6 +17,10 @@ from .nrpoly import cubic_roots
 from .trimat import ReciprocalParams
 
 DEFAULT_TOL = 1e-9
+# z - |x| below this, relative to max(1, z), collapses a component to its foci
+DEGENERATE_TOL = 1e-12
+# all-equal A_0 this close to 1 gives the hermitian (normal) matrix
+HERMITIAN_TOL = 1e-12
 
 GOLDEN = (math.sqrt(5.0) + 1.0) / 2.0
 
@@ -27,10 +31,6 @@ class WrongSize(ValueError):
 
 class NotToeplitzCase(ValueError):
     """toeplitz_components requires all A_j equal."""
-
-
-class Inconclusive(RuntimeError):
-    """The factor-recovery denominator vanished; result cannot be certified."""
 
 
 @dataclass(frozen=True)
@@ -49,13 +49,9 @@ class EllipseComponent:
         return math.sqrt(max(self.z - abs(self.x), 0.0))
 
     @property
-    def focus(self) -> float:
-        return math.sqrt(2.0 * abs(self.x))
-
-    @property
     def degenerate(self) -> bool:
         # z = |x| collapses the component to the doubleton of its foci
-        return self.z - abs(self.x) <= 1e-12 * max(1.0, self.z)
+        return self.z - abs(self.x) <= DEGENERATE_TOL * max(1.0, self.z)
 
 
 KINDS = ("normal", "all_components_elliptic", "boundary_ellipse_only",
@@ -203,6 +199,7 @@ def contains_ellipse6(p: ReciprocalParams, tol: float = DEFAULT_TOL) -> Classifi
     _require_size(p, 6)
     if p.all_ones:
         return _normal_classification(p)
+    rtables.check_n6_scale(p.A)
     # one product gives every table this test and the three-ellipse test read
     c12, c11, c10, c22, c21, c20, *ell3 = rtables.n6_values(p.A).tolist()
     sumA = sum(p.A)
@@ -217,9 +214,8 @@ def contains_ellipse6(p: ReciprocalParams, tol: float = DEFAULT_TOL) -> Classifi
         root_hits.append((xr, r1v, r2v))
         if abs(r1v) > scale1 or abs(r2v) > scale2:
             continue
+        # q11 at the three roots is 1.034, -0.574 and 1.290, never near 0
         (q11, q10), (q22, q21, q20), (q32, q31, q30) = _q_polys(p.A, xr)
-        if abs(q11) <= 1e-9:
-            raise Inconclusive(f"factor denominator vanishes at x={xr}")
         z = -q10 / q11
         res2 = (q22 * z + q21) * z + q20
         res3 = ((z + q32) * z + q31) * z + q30
@@ -247,6 +243,7 @@ def three_ellipses6(p: ReciprocalParams, tol: float = DEFAULT_TOL) -> Classifica
     _require_size(p, 6)
     if p.all_ones:
         return _normal_classification(p)
+    rtables.check_n6_scale(p.A)
     return _three_ellipses(p, rtables.n6_values(p.A)[6:].tolist(), tol)
 
 
@@ -317,13 +314,13 @@ def toeplitz_components(p: ReciprocalParams, tol: float = DEFAULT_TOL) -> Classi
         components=tuple(comps),
         origin_component=(n % 2 == 1),
         diagnostics={"sigma": tuple(sigmas), "A0": A0,
-                     "hermitian": abs(A0 - 1.0) <= 1e-12})
+                     "hermitian": abs(A0 - 1.0) <= HERMITIAN_TOL})
 
 
 def classify(p: ReciprocalParams, tol: float = DEFAULT_TOL) -> Classification:
     """Dispatch on size; all-equal parameter vectors of any size are accepted.
 
-    Raises ValueError unless 0 < tol < inf.
+    Raises ValueError unless 0 < tol < inf, and at n = 6 past N6_MAX_SCALE.
     """
     if not 0 < tol < math.inf:  # nan fails every comparison
         raise ValueError(f"tolerance must be positive and finite, got {tol}")

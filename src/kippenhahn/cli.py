@@ -11,30 +11,21 @@ diagnostics; exit codes: 0 success, 1 unexpected verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
-import random
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from . import curve as crv
-from . import manifold, nrpoly, rtables, trimat
-from .classify import Classification, WrongSize
+from . import manifold, nrpoly, trimat, verify
+from .classify import DEFAULT_TOL, Classification
 from .classify import classify as classify_params
-from .classify import ellipse_centers_z
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
-
-# input flags only some subcommands read: --tol (classify), --m and --out (curve)
-EXTRA_FLAGS = {
-    "m": dict(type=int, help="theta grid size (default 720)"),
-    "tol": dict(type=float, help="classification tolerance"),
-    "out": dict(help="output path stem"),
-}
 
 
 @dataclass
@@ -44,9 +35,9 @@ class JobConfig:
     A0: Optional[float] = None
     n: Optional[int] = None
     m: int = 720
-    tol: float = 1e-9
+    tol: float = DEFAULT_TOL
     out: Optional[str] = None
-    fmt: Optional[str] = None
+    format: Optional[str] = None
 
     def validate(self):
         modes = sum(1 for v in (self.b, self.A, self.A0) if v is not None)
@@ -60,6 +51,15 @@ class JobConfig:
             raise ValueError("grid size m >= 8 required")
         if not 0 < self.tol < math.inf:  # nan fails every comparison
             raise ValueError(f"tolerance must be positive and finite, got {self.tol}")
+        if self.A0 is None:
+            flag, values = ("--b", self.b) if self.b is not None else ("--A", self.A)
+            if not values:
+                raise ValueError(f"{flag} needs at least one value")
+            if self.n is not None and self.n != len(values) + 1:
+                raise ValueError(f"--n {self.n} disagrees with the size {len(values) + 1} "
+                                 f"that {flag} gives")
+            if flag == "--A" and any(isinstance(a, complex) for a in values):
+                raise ValueError(f"A_j parameters must be real, got {values}")
 
     def matrix(self) -> trimat.TridiagonalMatrix:
         if self.b is not None:
@@ -68,7 +68,7 @@ class JobConfig:
 
     def params(self) -> trimat.ReciprocalParams:
         if self.A is not None:
-            return trimat.ReciprocalParams(A=tuple(float(a) for a in self.A))
+            return trimat.ReciprocalParams(A=tuple(self.A))
         if self.A0 is not None:
             return trimat.ReciprocalParams(A=(float(self.A0),) * (self.n - 1))
         return trimat.a_params(self.matrix())
@@ -87,6 +87,20 @@ def _parse_numlist(text):
     return out
 
 
+# input key -> (converter, help).  Config-file values and flags share the
+# converter; list flags stay text for it, so a malformed list is an input error.
+INPUTS = {
+    "b": (_parse_numlist, "superdiagonal entries, comma separated"),
+    "A": (_parse_numlist, "A_j parameters, comma separated"),
+    "A0": (float, "all-equal parameter value"),
+    "n": (int, "matrix size (with --A0)"),
+    "m": (int, "theta grid size (default 720)"),
+    "tol": (float, "classification tolerance"),
+    "out": (str, "output path stem"),
+    "format": (str, "report format"),
+}
+
+
 def _read_config_file(path):
     values = {}
     with open(path) as fh:
@@ -100,40 +114,20 @@ def _read_config_file(path):
 
 
 def _config_from_args(args) -> JobConfig:
-    cfg = JobConfig()
-    file_vals = _read_config_file(args.config) if getattr(args, "config", None) else {}
+    file_vals = _read_config_file(args.config) if args.config else {}
     unknown = sorted(set(file_vals) - set(args.keys))
     if unknown:
         raise ValueError(f"config key {', '.join(unknown)} not available for "
                          f"{args.command}; it takes {', '.join(args.keys)}")
-    def pick(flag, key, conv):
-        v = getattr(args, flag, None)
-        if v is not None:
-            return v if not isinstance(v, str) else conv(v)
-        if key in file_vals:
-            return conv(file_vals[key])
-        return None
-    b = pick("b", "b", _parse_numlist)
-    A = pick("A", "A", _parse_numlist)
-    A0 = pick("A0", "A0", float)
-    n = pick("n", "n", int)
-    m = pick("m", "m", int)
-    tol = pick("tol", "tol", float)
-    out = pick("out", "out", str)
-    fmt = pick("format", "format", str)
-    if fmt is not None and fmt not in args.formats:
-        raise ValueError(f"format {fmt!r} not available for {args.command}; "
+    values = {}
+    for key in args.keys:  # a flag wins over the file
+        value = file_vals.get(key) if getattr(args, key) is None else getattr(args, key)
+        if value is not None:
+            values[key] = INPUTS[key][0](value) if isinstance(value, str) else value
+    if values.get("format") not in (None, *args.formats):
+        raise ValueError(f"format {values['format']!r} not available for {args.command}; "
                          f"choose from {', '.join(args.formats)}")
-    cfg.b = b
-    cfg.A = [float(a) for a in A] if A is not None else None
-    cfg.A0 = A0
-    cfg.n = n
-    if m is not None:
-        cfg.m = m
-    if tol is not None:
-        cfg.tol = tol
-    cfg.out = out
-    cfg.fmt = fmt
+    cfg = JobConfig(**values)
     cfg.validate()
     return cfg
 
@@ -158,15 +152,11 @@ def _plain(v):
     return v
 
 
-def cmd_classify(cfg: JobConfig) -> int:
-    try:
-        p = cfg.params()
-        result = classify_params(p, tol=cfg.tol)
-    except (WrongSize, trimat.InvalidParam, trimat.NotReciprocal,
-            trimat.ZeroSuperdiagonal, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if cfg.fmt == "json":
+def cmd_classify(args) -> int:
+    cfg = _config_from_args(args)
+    p = cfg.params()
+    result = classify_params(p, tol=cfg.tol)
+    if cfg.format == "json":
         print(json.dumps({"A": list(p.A), **_classification_dict(result)},
                          sort_keys=True))
         return 0
@@ -237,15 +227,12 @@ def _write_svg(path, samples, fits=None):
         fh.write("\n".join(parts) + "\n")
 
 
-def cmd_curve(cfg: JobConfig, with_fits: bool = False) -> int:
-    try:
-        M = cfg.matrix()
-    except (trimat.InvalidParam, trimat.ZeroSuperdiagonal, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def cmd_curve(args) -> int:
+    cfg = _config_from_args(args)
+    M = cfg.matrix()
     samples = crv.sample_curve(M, m=cfg.m)
     fits = []
-    if with_fits:
+    if args.fit:
         for k in range(1, M.n + 1):
             pts = crv.branch_points(samples, k)
             try:
@@ -255,10 +242,10 @@ def cmd_curve(cfg: JobConfig, with_fits: bool = False) -> int:
     stem = cfg.out or "curve"
     written = []
     try:
-        if cfg.fmt in (None, "csv"):
+        if cfg.format in (None, "csv"):
             _write_csv(stem + ".csv", samples)
             written.append(f"{stem}.csv ({len(samples)} rows)")
-        if cfg.fmt in (None, "svg"):
+        if cfg.format in (None, "svg"):
             _write_svg(stem + ".svg", samples, fits)
             written.append(f"{stem}.svg")
     except OSError as exc:
@@ -293,11 +280,7 @@ def cmd_solve(args) -> int:
     for item in args.fix or []:
         name, _, val = item.partition("=")
         fixed[name.strip()] = float(val)
-    try:
-        sols = manifold.solve_m6(fixed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    sols = manifold.solve_m6(fixed)
     if args.format == "json":
         print(json.dumps([{"A": list(s.A), "residuals": list(s.residuals),
                            "realizable": s.realizable, "branch": s.branch}
@@ -310,14 +293,11 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def cmd_poly(cfg: JobConfig) -> int:
-    try:
-        p = cfg.params()
-    except (trimat.InvalidParam, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def cmd_poly(args) -> int:
+    cfg = _config_from_args(args)
+    p = cfg.params()
     P = nrpoly.generating_poly(p)
-    if cfg.fmt == "json":
+    if cfg.format == "json":
         print(json.dumps({
             "n": p.n,
             "origin_component": P.origin_component,
@@ -339,166 +319,39 @@ def cmd_poly(cfg: JobConfig) -> int:
     return 0
 
 
-def _verify_determinant(n_max, trials, rng):
-    worst = 0.0
-    for n in range(3, n_max + 1):
-        for _ in range(trials):
-            A = tuple(1.0 + 4.0 * rng.random() for _ in range(n - 1))
-            p = trimat.ReciprocalParams(A=A)
-            M = trimat.params_to_matrix(p)
-            P = nrpoly.generating_poly(p)
-            theta = 2 * math.pi * rng.random()
-            lam = 6.0 * rng.random() - 3.0
-            worst = max(worst, nrpoly.eval_residual(P, M, theta, lam))
-    return worst, worst <= 1e-9
-
-
-def _pipeline_quadratics(A):
-    """Reduced resultants straight from the polynomial pipeline, exact."""
-    P = nrpoly.generating_poly(trimat.ReciprocalParams(A=tuple(A)))
-    taus = nrpoly.substitution_tau_coeffs(P)
-    q1, q2, q3 = taus[2], taus[1], taus[0]
-    r1 = nrpoly.reduce_mod_cubic(nrpoly.resultant_in_z(q1, q2))
-    r2 = nrpoly.reduce_mod_cubic(nrpoly.resultant_in_z(q1, q3))
-    return r1, r2
-
-
-def _verify_resultants(trials, rng):
-    for _ in range(trials):
-        A = tuple(Fraction(rng.randint(1, 40), rng.randint(1, 8)) + 1 for _ in range(5))
-        r1, r2 = _pipeline_quadratics(A)
-        t1, t2 = rtables.resultant_quadratics(A)
-        for k in range(3):
-            if rtables.R1_PIPELINE_SCALE * r1.coeff(k) != t1[2 - k]:
-                return False, f"R1 coefficient x^{k} mismatch at {A}"
-            if rtables.R2_PIPELINE_SCALE * r2.coeff(k) != t2[2 - k]:
-                return False, f"R2 coefficient x^{k} mismatch at {A}"
-    return True, "pipeline == corrected tables (exact)"
-
-
-KNOWN_MISMATCHES = {
-    "R1.x^1": "printed 18-group ends A3*A5; oracle gives A4*A5",
-    "R2.x^1": "printed has degree-6 A1^3*A5^3 for A1^3 + A5^3 and A1^2 for A1^2*A4 (documented)",
-    "R2.x^2": "printed 20-group has -A1*A2*A4; oracle gives +A1*A2*A4",
-    "R.r1": "printed 4(A2+A3+A4) term enters with the opposite sign (documented)",
-}
-
-
-def _verify_r_coefficients():
-    mismatches = {}
-    names = (("R1.x^2", rtables.R1_X2, rtables.R1_X2_PRINTED),
-             ("R1.x^1", rtables.R1_X1, rtables.R1_X1_PRINTED),
-             ("R1.x^0", rtables.R1_X0, rtables.R1_X0_PRINTED),
-             ("R2.x^2", rtables.R2_X2, rtables.R2_X2_PRINTED),
-             ("R2.x^1", rtables.R2_X1, rtables.R2_X1_PRINTED),
-             ("R2.x^0", rtables.R2_X0, rtables.R2_X0_PRINTED))
-    for name, corrected, printed in names:
-        if corrected != printed:
-            diff = {k: (printed.get(k, 0), corrected.get(k, 0))
-                    for k in set(printed) | set(corrected)
-                    if printed.get(k, 0) != corrected.get(k, 0)}
-            mismatches[name] = diff
-    A = (2, 3, 5, 7, 11)
-    if rtables.z_quadratic_coeffs(A) != rtables.z_quadratic_coeffs_printed(A):
-        mismatches["R.r1"] = "sign of the 4(A2+A3+A4) term"
-    return mismatches
-
-
-def _verify_z_centers(trials, rng):
-    worst = 0.0
-    roots = nrpoly.cubic_roots()
-    for _ in range(trials):
-        A = tuple(1.0 + 9.0 * rng.random() for _ in range(5))
-        p = trimat.ReciprocalParams(A=A)
-        zs = ellipse_centers_z(p)
-        r2, r1, r0 = rtables.z_quadratic_coeffs(A)
-        for j, xj in enumerate(roots):
-            xi, xk = (roots[m] for m in range(3) if m != j)
-            z_alt = ((r2 * xj + r1) * xj + r0) / (8 * (xj - xi) * (xj - xk))
-            worst = max(worst, abs(z_alt - zs[j]) / max(1.0, abs(zs[j])))
-        # independence cross-check: the residuals of the nonlinear part of the
-        # factorization system are fixed multiples of the closed-form conditions
-        qa, qb, cu, _ = manifold.residuals_m6(A)
-        z1, z2, z3 = zs
-        x1, x2, x3 = roots
-        S2a = (A[0] * A[2] + A[0] * A[3] + A[0] * A[4] + A[1] * A[3]
-               + A[1] * A[4] + A[2] * A[4])
-        S2o = A[0] * A[2] + A[0] * A[4] + A[2] * A[4]
-        e_pairs = z1 * z2 + z1 * z3 + z2 * z3 - S2a / 4
-        e_mixed = z1 * z2 * x3 + z1 * z3 * x2 + z2 * z3 * x1 - S2o / 8
-        e_prod = z1 * z2 * z3 - A[0] * A[2] * A[4] / 8
-        scale = sum(A)
-        worst = max(worst,
-                    abs(qa - (-28) * e_pairs) / scale ** 2,
-                    abs(qb - (-56) * e_mixed) / scale ** 2,
-                    abs(cu - (-392) * e_prod) / scale ** 3)
-    return worst, worst <= 1e-9
-
-
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
     if args.n < 3:
         raise ValueError(f"--n must be at least 3, got {args.n}")
-    rng = random.Random(20260811)
-    checks = args.check or ["determinant", "resultants", "r-coefficients", "z-centers"]
-    failed = False
-    for check in checks:
-        if check == "determinant":
-            worst, ok = _verify_determinant(args.n, args.trials, rng)
-            print(f"determinant oracle (n<=%d): max relative residual %.3e -> %s"
-                  % (args.n, worst, "pass" if ok else "FAIL"))
-            failed |= not ok
-        elif check == "resultants":
-            ok, msg = _verify_resultants(max(args.trials // 10, 3), rng)
-            print(f"resultant pipeline vs tables: {msg} -> {'pass' if ok else 'FAIL'}")
-            failed |= not ok
-        elif check == "r-coefficients":
-            mismatches = _verify_r_coefficients()
-            unexpected = set(mismatches) - set(KNOWN_MISMATCHES)
-            missing = set(KNOWN_MISMATCHES) - set(mismatches)
-            for name in sorted(mismatches):
-                status = "expected mismatch" if name in KNOWN_MISMATCHES else "UNEXPECTED"
-                print(f"printed-vs-oracle {name}: {status}: {KNOWN_MISMATCHES.get(name, mismatches[name])}")
-            ok = not unexpected and not missing
-            print(f"printed-table comparison: {len(mismatches)} known typo'd "
-                  f"coefficients -> {'pass' if ok else 'FAIL'}")
-            failed |= not ok
-        elif check == "z-centers":
-            worst, ok = _verify_z_centers(args.trials, rng)
-            print(f"ellipse-center solve cross-checks: max residual %.3e -> %s"
-                  % (worst, "pass" if ok else "FAIL"))
-            failed |= not ok
-        else:
-            print(f"unknown check {check!r}", file=sys.stderr)
-            return 2
-    return 1 if failed else 0
+    results = verify.run(args.check, n_max=args.n, trials=args.trials)
+    for result in results:
+        print("\n".join(result.lines))
+    return 0 if all(result.ok for result in results) else 1
 
 
+@functools.cache
 def build_parser():
     ap = argparse.ArgumentParser(prog="kippenhahn",
                                  description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_input_flags(sp, formats, *extra):
-        """The matrix input flags, --format, --config, and the extra flags
-        among m, tol, out that this subcommand reads."""
-        sp.add_argument("--b", help="superdiagonal entries, comma separated")
-        sp.add_argument("--A", help="A_j parameters, comma separated")
-        sp.add_argument("--A0", type=float, help="all-equal parameter value")
-        sp.add_argument("--n", type=int, help="matrix size (with --A0)")
-        for key in extra:
-            sp.add_argument("--" + key, **EXTRA_FLAGS[key])
-        sp.add_argument("--format", choices=formats, help="report format")
+    def add_matrix_command(name, run, summary, formats, *extra):
+        """A subcommand on one matrix: input flags, `extra` ones, --format, --config."""
+        sp = sub.add_parser(name, help=summary)
+        keys = ("b", "A", "A0", "n", *extra, "format")
+        for key in keys:
+            conv, text = INPUTS[key]
+            sp.add_argument("--" + key, type=None if conv is _parse_numlist else conv,
+                            choices=formats if key == "format" else None, help=text)
         sp.add_argument("--config", help="structured-text config file; flags win")
-        sp.set_defaults(formats=formats, keys=("b", "A", "A0", "n", *extra, "format"))
+        sp.set_defaults(run=run, formats=formats, keys=keys)
+        return sp
 
-    sp = sub.add_parser("classify", help="ellipticity classification report")
-    add_input_flags(sp, ("text", "json"), "tol")
-
-    sp = sub.add_parser("curve", help="sample the curve; write CSV and SVG "
-                                      "(or only the one --format names)")
-    add_input_flags(sp, ("csv", "svg"), "m", "out")
+    add_matrix_command("classify", cmd_classify, "ellipticity classification report",
+                       ("text", "json"), "tol")
+    sp = add_matrix_command("curve", cmd_curve, "sample the curve; write CSV and SVG "
+                            "(or only the one --format names)", ("csv", "svg"), "m", "out")
     sp.add_argument("--fit", action="store_true", help="overlay best-fit ellipses")
 
     sp = sub.add_parser("solve", help="three-ellipse / single-ellipse solvers")
@@ -509,36 +362,28 @@ def build_parser():
     sp.add_argument("--root", type=int, choices=(1, 2, 3),
                     help="slope-cubic root index for --uv (default 3)")
     sp.add_argument("--format", choices=("text", "json"), default="text")
+    sp.set_defaults(run=cmd_solve)
 
-    sp = sub.add_parser("poly", help="print the generating polynomial")
-    add_input_flags(sp, ("text", "json"))
+    add_matrix_command("poly", cmd_poly, "print the generating polynomial", ("text", "json"))
 
     sp = sub.add_parser("verify", help="run the oracle cross-checks")
-    sp.add_argument("--check", nargs="*",
-                    choices=("determinant", "resultants", "r-coefficients", "z-centers"),
+    sp.add_argument("--check", nargs="*", choices=verify.CHECKS,
                     help="subset of checks (default: all)")
-    sp.add_argument("--n", type=int, default=8, help="max size for the determinant oracle")
-    sp.add_argument("--trials", type=int, default=30, help="random trials per check")
+    sp.add_argument("--n", type=int, default=verify.DEFAULT_N_MAX,
+                    help="max size for the determinant oracle")
+    sp.add_argument("--trials", type=int, default=verify.DEFAULT_TRIALS,
+                    help="random trials per check")
+    sp.set_defaults(run=cmd_verify)
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "classify":
-            return cmd_classify(_config_from_args(args))
-        if args.command == "curve":
-            return cmd_curve(_config_from_args(args), with_fits=args.fit)
-        if args.command == "solve":
-            return cmd_solve(args)
-        if args.command == "poly":
-            return cmd_poly(_config_from_args(args))
-        if args.command == "verify":
-            return cmd_verify(args)
-    except ValueError as exc:
+        return args.run(args)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ import numpy as np
 from .trimat import SymTridiagonal
 
 
-class IndexOutOfRange(IndexError):
+class IndexOutOfRange(IndexError, ValueError):
     """Eigenpair index k must satisfy 1 <= k <= n."""
 
 

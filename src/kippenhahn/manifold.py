@@ -88,6 +88,7 @@ def residuals_m6(A, exact: bool = False):
 
 
 def _solution(A, branch):
+    rtables.check_n6_scale(A)
     return M6Solution(A=A, residuals=residuals_m6(A), branch=branch)
 
 
@@ -98,7 +99,7 @@ def solve_m6(fixed: dict):
     a != b each of the twelve planes gives one point, so exactly twelve
     solutions come back, sorted; for a == b the only one is the all-equal
     point.  Solutions with any A_j < 1 are returned but flagged not
-    realizable.
+    realizable; one past ``rtables.N6_MAX_SCALE`` raises ValueError.
     """
     names = sorted(fixed)
     if len(names) != 2 or any(nm not in ("A1", "A2", "A4", "A5") for nm in names):
@@ -144,12 +145,6 @@ class UVSolveResult:
         """Distance from (u, v) to the locus."""
         a, b, c = self.line
         return abs(a * u + b * v + c)
-
-    def contains(self, u, v, tol: float = 1e-8) -> bool:
-        r1, r2 = self.residuals(u, v)
-        s = abs(u) + abs(v) + 1.0
-        return (abs(r1) <= tol * s ** 2 and abs(r2) <= tol * s ** 3
-                and self.distance(u, v) <= max(tol, 1e-6))
 
     @staticmethod
     def realizable(u, v) -> bool:

@@ -604,6 +604,15 @@ def ell3_residuals(A):
 # four three-ellipse residuals
 N6_TABLES = R1_TABLES + R2_TABLES + ELL3_TABLES
 N6_VALUES = compile_tables(N6_TABLES)
+# each N6 value is at most its row's sum of |coefficients| times (1 + sum |A_j|)^3,
+# so below this 1 + sum |A_j| every value, and that cube, is a finite float
+N6_MAX_SCALE = float(np.finfo(float).max / np.abs(N6_VALUES).sum(axis=1).max()) ** (1 / 3)
+
+
+def check_n6_scale(A):
+    """Raise ValueError unless 1 + sum |A_j| is at most ``N6_MAX_SCALE``."""
+    if 1 + sum(abs(a) for a in A) > N6_MAX_SCALE:
+        raise ValueError(f"A = {tuple(A)} is past the float range of the n = 6 tables")
 
 
 def n6_values(A):

@@ -17,6 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 RECIPROCAL_TOL = 1e-12
+# slack in comparing A_j with the floor 1, with 1, and (relative) with each other
+PARAM_TOL = 1e-12
 
 
 class ZeroSuperdiagonal(ValueError):
@@ -95,16 +97,16 @@ class ReciprocalParams:
             raise ValueError("n must equal len(A) + 1")
         # one pass rejects both A_j < 1 and non-finite entries (nan fails
         # every comparison, inf fails the upper one)
-        if not all(1.0 - 1e-12 <= v < math.inf for v in self.A):
+        if not all(1.0 - PARAM_TOL <= v < math.inf for v in self.A):
             raise InvalidParam(f"finite A_j >= 1 required, got {self.A}")
 
     @property
     def all_equal(self) -> bool:
-        return max(self.A) - min(self.A) <= 1e-12 * max(1.0, max(self.A))
+        return max(self.A) - min(self.A) <= PARAM_TOL * max(1.0, max(self.A))
 
     @property
     def all_ones(self) -> bool:
-        return all(abs(v - 1.0) <= 1e-12 for v in self.A)
+        return all(abs(v - 1.0) <= PARAM_TOL for v in self.A)
 
 
 @dataclass(frozen=True)
@@ -160,7 +162,7 @@ def params_to_matrix(p: ReciprocalParams) -> TridiagonalMatrix:
     b = []
     for Aj in p.A:
         Aj = float(Aj)
-        if Aj < 1.0 - 1e-12:
+        if Aj < 1.0 - PARAM_TOL:
             raise InvalidParam(f"A_j >= 1 required, got {Aj}")
         s = max(Aj * Aj - 1.0, 0.0)
         b.append(float(np.sqrt(Aj + np.sqrt(s))))

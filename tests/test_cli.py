@@ -297,3 +297,71 @@ def test_solve_uv_defaults_to_root_3(capsys):
     code, out, _ = run(capsys, "solve", "--uv", "--root", "3", "--format", "json")
     assert code == 0 and default == json.loads(out)
     assert default["root_index"] == 3
+
+
+@pytest.mark.parametrize("argv", [("solve", "--fix", "A1=1e200", "A5=3e200"),
+                                  ("classify", "--A", "1e160,2e160,3e160,4e160,5e160")])
+def test_out_of_float_range_is_an_input_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "float range" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("--A", "2,1j"), "must be real"),
+    (("--A", ","), "--A needs at least one value"),
+    (("--b", ","), "--b needs at least one value"),
+    (("--A", "2,3", "--n", "7"), "--n 7 disagrees with the size 3 that --A gives"),
+    (("--b", "1.5,2", "--n", "4"), "--n 4 disagrees with the size 3 that --b gives"),
+])
+def test_classify_rejects_inconsistent_input(capsys, argv, message):
+    code, out, err = run(capsys, "classify", *argv)
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def test_n_may_repeat_the_size_the_list_gives(capsys):
+    assert run(capsys, "classify", "--A", "2,3", "--n", "3") == run(capsys, "classify", "--A", "2,3")
+
+
+def test_missing_config_file_is_an_input_error(tmp_path, capsys):
+    code, out, err = run(capsys, "classify", "--config", str(tmp_path / "missing.cfg"))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "missing.cfg" in err
+
+
+def test_parser_is_built_once_and_reused_without_carry_over(tmp_path, capsys):
+    from kippenhahn.cli import build_parser
+
+    stem = str(tmp_path / "c")
+    sequence = [
+        ("classify", "--A", "2,3,4,5,6"),
+        ("classify", "--A", "2,nan"),
+        ("classify", "--A", "2,3", "--format", "csv"),
+        ("curve", "--A", "2,3", "--m", "8", "--out", stem, "--fit", "--format", "csv"),
+        ("curve", "--A", "2,3", "--m", "8", "--out", stem, "--format", "csv"),
+        ("solve", "--fix", "A1=20", "A5=40", "--format", "json"),
+        ("solve", "--root", "2"),
+        ("solve", "--uv"),
+        ("nosuch",),
+        ("verify", "--check", "r-coefficients"),
+        ("verify", "--trials", "0"),
+        ("poly", "--A", "2,3"),
+        ("classify", "--A", "2,3,4,5,6"),
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in sequence:
+        build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    build_parser.cache_clear()
+    assert [outcome(argv) for argv in sequence] == fresh
+    assert build_parser() is build_parser()
