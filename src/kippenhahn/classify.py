@@ -90,6 +90,16 @@ def _normal_classification(p: ReciprocalParams) -> Classification:
         diagnostics={"spectrum_endpoints": (-endpoint, endpoint)})
 
 
+def _discriminant(p: ReciprocalParams, S, prod):
+    """S^2 - 4 prod clipped at 0; ValueError where the float range overflows,
+    as it does for A_j near 1e154 and above."""
+    disc = S * S - 4.0 * prod
+    if not math.isfinite(disc):
+        raise ValueError(f"A = {p.A} is past the float range of the n = {p.n} "
+                         "discriminant")
+    return max(disc, 0.0)
+
+
 def classify3(p: ReciprocalParams, tol: float = DEFAULT_TOL) -> Classification:
     """n=3: the curve is always the origin plus one origin-centered ellipse."""
     _require_size(p, 3)
@@ -119,8 +129,7 @@ def classify4(p: ReciprocalParams, tol: float = DEFAULT_TOL) -> Classification:
     if not (hit1 or hit2):
         return Classification(kind="non_elliptic", diagnostics=diag)
     S = A1 + A2 + A3
-    disc = max(S * S - 4.0 * A1 * A3, 0.0)
-    root = math.sqrt(disc)
+    root = math.sqrt(_discriminant(p, S, A1 * A3))
     # the same discriminant must match sqrt(5)/5 (A1 + 3 A2 + A3) on-manifold
     diag["consistency_identity"] = (root, math.sqrt(5.0) / 5.0 * (A1 + 3.0 * A2 + A3))
     diag["branches_hit"] = (hit1, hit2)
@@ -148,7 +157,7 @@ def classify5(p: ReciprocalParams, tol: float = DEFAULT_TOL) -> Classification:
     hit1 = abs(b1) <= tol * scale
     hit2 = abs(b2) <= tol * scale
     S = A1 + A2 + A3 + A4
-    disc = max(S * S - 4.0 * (A1 * A3 + A1 * A4 + A2 * A4), 0.0)
+    disc = _discriminant(p, S, A1 * A3 + A1 * A4 + A2 * A4)
     diag["nested_gap"] = (math.sqrt(disc), A2 + A3)  # equal on-manifold
     diag["branches_hit"] = (hit1, hit2)
     if not (hit1 or hit2):

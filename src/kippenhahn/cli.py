@@ -15,6 +15,7 @@ import functools
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -377,13 +378,21 @@ def build_parser():
     return ap
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    # one line per warning, without the source location the library points at
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    saved, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = saved
 
 
 if __name__ == "__main__":

@@ -80,16 +80,26 @@ def sample_curve(M: TridiagonalMatrix, m: int = 720) -> CurveSamples:
     """Sample all n branches on a uniform theta grid over [0, 2 pi).
 
     The angles are solved BLOCK at a time, so peak memory does not grow
-    with m.
+    with m.  For even m only the first half of the grid is solved: since
+    Re(e^{i (theta + pi)} M) = -Re(e^{i theta} M), the angle theta + pi has
+    the same eigenvectors, hence the same tangent points, and the negated
+    eigenvalues in reverse order.
     """
     if m < 8:
         raise ValueError("grid size m >= 8 required")
     theta = 2.0 * np.pi * np.arange(m) / m
     lam = np.empty((m, M.n))
     points = np.empty((m, M.n), dtype=complex)
-    for lo in range(0, m, BLOCK):
-        block = slice(lo, lo + BLOCK)
+    h = m // 2 if m % 2 == 0 else m
+    for lo in range(0, h, BLOCK):
+        block = slice(lo, min(lo + BLOCK, h))
         lam[block], points[block] = _sample_block(M, theta[block])
+    if h < m:
+        # a stable ascending sort reverses each row but keeps exact ties
+        # (split angles) in the order a direct solve at theta + pi gives
+        order = np.argsort(lam[:h], axis=1, kind="stable")
+        lam[h:] = -np.take_along_axis(lam[:h], order, axis=1)
+        points[h:] = np.take_along_axis(points[:h], order, axis=1)
     gap = np.min(lam[:, :-1] - lam[:, 1:], axis=1, initial=np.inf)
     for a in (theta, lam, points, gap):
         a.flags.writeable = False  # frozen, and branch_points hands out views
@@ -198,26 +208,28 @@ def deviation_metric(samples, fit: FitResult) -> float:
                                  1.0 / fit.semi_v ** 2)
 
 
-def symmetry_residual(samples) -> float:
-    """Hausdorff distance between the sample set and its axis reflections.
+def symmetry_residual(samples: CurveSamples) -> float:
+    """Largest support-value difference between the curve and its
+    reflections in the two coordinate axes.
 
-    Zero (to grid accuracy) for reciprocal matrices, whose curves are
-    symmetric about both coordinate axes; general zero-diagonal tridiagonal
-    matrices only guarantee central symmetry.
+    The tangent line u cos theta - v sin theta = lambda reflects in the real
+    axis to the line at -theta with the same lambda, and in the imaginary
+    axis to the line at pi - theta, where spec H(pi - theta) =
+    -spec H(-theta) for H(theta) = Re(e^{i theta} M).  So the curve is
+    symmetric about both axes iff each row of lam equals the row at -theta
+    and its negation reversed; -theta is on every uniform grid, odd m
+    included, and the comparison needs no tangent points, so it is also
+    well defined where the gap is zero.  Zero (to rounding) for reciprocal
+    matrices; general zero-diagonal tridiagonal matrices only guarantee
+    central symmetry.  An empty input gives 0.0.
     """
-    # imported here so that classifying and solving never load SciPy
-    from scipy.spatial import cKDTree
-
-    pts = _as_points(samples)
-    if pts.size == 0:
-        return 0.0
-    cloud = np.column_stack([pts.real, pts.imag])
-    tree = cKDTree(cloud)
-    # a reflection R is an exact isometric involution, so the distance from
-    # x to RS equals the distance from Rx to S, bit for bit: one tree and one
-    # query per reflection give both directions of the Hausdorff distance
-    return max(float(tree.query(cloud * flip)[0].max())
-               for flip in ((1.0, -1.0), (-1.0, 1.0)))
+    if not isinstance(samples, CurveSamples):
+        if np.size(samples) == 0:
+            return 0.0
+        raise TypeError("symmetry_residual needs the CurveSamples of sample_curve")
+    lam = samples.lam
+    mirror = lam[-np.arange(len(lam))]  # row i holds the angle -theta_i
+    return float(max(np.abs(lam - mirror).max(), np.abs(lam + mirror[:, ::-1]).max()))
 
 
 def sample_diameter(samples) -> float:

@@ -1,8 +1,8 @@
 """Eigenvalues and eigenvectors of real symmetric tridiagonal matrices.
 
-Thin wrapper over LAPACK (scipy.linalg.eigh_tridiagonal) that splits the
-matrix into independent blocks at exact zeros of the off-diagonal before
-solving, so hermitian-degenerate angles are handled exactly.
+Splits the matrix into independent blocks at exact zeros of the
+off-diagonal and solves each block densely with LAPACK through
+numpy.linalg.eigh, so hermitian-degenerate angles are handled exactly.
 """
 
 from __future__ import annotations
@@ -46,26 +46,18 @@ def _blocks(e):
 
 def eig_all(T: SymTridiagonal, vectors: bool = False) -> Spectrum:
     """All eigenvalues of T ascending, with eigenvectors on request."""
-    # imported here so that classifying and solving never load SciPy
-    import scipy.linalg
-
     d = np.asarray(T.d, dtype=float)
     e = np.asarray(T.e, dtype=float)
     n = len(d)
+    dense = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
     vals = np.empty(n)
     vecs = np.zeros((n, n)) if vectors else None
     for i0, i1 in _blocks(e):
-        if i1 - i0 == 1:
-            vals[i0] = d[i0]
-            if vectors:
-                vecs[i0, i0] = 1.0
-        elif vectors:
-            w, v = scipy.linalg.eigh_tridiagonal(d[i0:i1], e[i0:i1 - 1])
-            vals[i0:i1] = w
-            vecs[i0:i1, i0:i1] = v
+        block = dense[i0:i1, i0:i1]
+        if vectors:
+            vals[i0:i1], vecs[i0:i1, i0:i1] = np.linalg.eigh(block)
         else:
-            vals[i0:i1] = scipy.linalg.eigh_tridiagonal(
-                d[i0:i1], e[i0:i1 - 1], eigvals_only=True)
+            vals[i0:i1] = np.linalg.eigvalsh(block)
     order = np.argsort(vals, kind="stable")
     return Spectrum(values=vals[order], vectors=vecs[:, order] if vectors else None)
 

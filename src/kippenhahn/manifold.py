@@ -79,16 +79,16 @@ def residuals_m6(A, exact: bool = False):
     Evaluation is exact (floats convert losslessly to rationals), so the
     identity quad_a - quad_b = quad_diff holds with no rounding; results
     come back as Fractions with exact=True, else as their correctly rounded
-    floats.
+    floats.  The float results raise ValueError for A past
+    ``rtables.N6_MAX_SCALE``, where they would overflow.
     """
-    vals = rtables.ell3_residuals(A)
     if exact:
-        return vals
-    return tuple(float(v) for v in vals)
+        return rtables.ell3_residuals(A)
+    rtables.check_n6_scale(A)
+    return tuple(float(v) for v in rtables.ell3_residuals(A))
 
 
 def _solution(A, branch):
-    rtables.check_n6_scale(A)
     return M6Solution(A=A, residuals=residuals_m6(A), branch=branch)
 
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kippenhahn
 from kippenhahn.cli import main
 
 
@@ -147,6 +152,19 @@ def test_solve_symmetric_pair_warns(capsys):
     with pytest.warns(UserWarning):
         code, out, _ = run(capsys, "solve", "--fix", "A2=3", "A4=3")
     assert code == 0
+
+
+def test_solve_warning_is_one_line_without_source_location():
+    # a fresh interpreter shows the warning as a user would see it (the test
+    # runner records warnings instead of printing them)
+    env = {**os.environ, "PYTHONPATH": str(Path(kippenhahn.__file__).resolve().parents[1])}
+    code = "import sys; from kippenhahn.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run([sys.executable, "-c", code, "solve", "--fix", "A2=3", "A4=3"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert "cli.py" not in proc.stderr
+    assert proc.stderr == ("warning: fixed pair imposes a symmetry hyperplane; only the "
+                           "all-equal ray lies on the three-ellipse variety there\n")
 
 
 def test_poly_report(capsys):
@@ -305,6 +323,16 @@ def test_out_of_float_range_is_an_input_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "float range" in err
+
+
+@pytest.mark.parametrize("A,n", [("1e200,2.6180339887498949e200,2e200", 4),
+                                 ("1e200,2e200,3e200,1e200", 5)])
+def test_small_n_discriminant_past_float_range_is_an_input_error(capsys, A, n):
+    # both points lie on an elliptic manifold, where the n = 4 and n = 5
+    # components need S^2 with S the sum of the A_j
+    code, out, err = run(capsys, "classify", "--A", A)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and f"float range of the n = {n}" in err
 
 
 @pytest.mark.parametrize("argv,message", [

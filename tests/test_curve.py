@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial import cKDTree
 
 from kippenhahn import (CurveSample, CurveSamples, DegenerateBranch,
                         ReciprocalParams, a_params, branch_points,
@@ -127,10 +126,10 @@ def test_non_reciprocal_axis_symmetry_can_fail():
     assert symmetry_residual(samples) > 1e-3 * sample_diameter(samples)
     # central symmetry still holds for zero-diagonal tridiagonal matrices
     pts = np.array([s.point for s in samples])
-    cloud = np.column_stack([pts.real, pts.imag])
-    from scipy.spatial import cKDTree
-    tree = cKDTree(cloud)
-    d = max(tree.query(-cloud)[0].max(), cKDTree(-cloud).query(cloud)[0].max())
+    # the cloud and its negation are the same size, so both directions of
+    # the Hausdorff distance come from one all-pairs distance matrix
+    dist = np.abs(pts[:, None] + pts[None, :])
+    d = max(dist.min(axis=1).max(), dist.min(axis=0).max())
     assert d <= 1e-8 * sample_diameter(samples)
 
 
@@ -283,23 +282,63 @@ def test_branch_points_is_a_column():
             branch_points(samples, bad)
 
 
-def _four_tree_residual(pts):
-    """The Hausdorff distance with a tree on each side of every reflection."""
-    cloud = np.column_stack([pts.real, pts.imag])
-    tree = cKDTree(cloud)
+def _per_angle_residual(M, m):
+    """The symmetry residual from one eig_all at each grid angle theta and
+    one at -theta, the angle itself rather than its grid row."""
     worst = 0.0
-    for refl in (cloud * np.array([1.0, -1.0]), cloud * np.array([-1.0, 1.0])):
-        d1 = tree.query(refl)[0].max()
-        d2 = cKDTree(refl).query(cloud)[0].max()
-        worst = max(worst, float(d1), float(d2))
-    return worst
+    for i in range(m):
+        theta = 2.0 * math.pi * i / m
+        lam = eig_all(realified_pencil(M, theta)).values[::-1]
+        mirror = eig_all(realified_pencil(M, -theta)).values[::-1]
+        worst = max(worst, np.max(np.abs(lam - mirror)), np.max(np.abs(lam + mirror[::-1])))
+    return float(worst)
 
 
-coords = st.floats(min_value=-1e3, max_value=1e3)
+@given(matrices(), st.integers(min_value=8, max_value=150))
+@settings(max_examples=40, deadline=None)
+def test_symmetry_residual_matches_per_angle_spectra(case, m):
+    M, _ = case
+    samples = sample_curve(M, m=m)
+    scale = max(1.0, float(np.max(np.abs(samples.lam))))
+    assert abs(symmetry_residual(samples) - _per_angle_residual(M, m)) <= 1e-12 * scale
 
 
-@given(st.lists(st.tuples(coords, coords), min_size=1, max_size=60))
-@settings(max_examples=60, deadline=None)
-def test_symmetry_residual_matches_four_tree_formula(cloud):
-    pts = np.array([complex(u, v) for u, v in cloud])
-    assert symmetry_residual(pts) == _four_tree_residual(pts)
+@given(matrices().filter(lambda case: case[1] != "split"),
+       st.integers(min_value=4, max_value=100))
+@settings(max_examples=40, deadline=None)
+def test_sampler_matches_reference_at_even_grid_sizes(case, half):
+    # even m: the half-turn mirror fills rows [m/2, m); m = 2 mod 4 and
+    # m = 0 mod 4 both occur, and most m/2 are not multiples of the block
+    M, _ = case
+    _assert_matches_reference(M, 2 * half)
+
+
+@pytest.mark.parametrize("M", [
+    build_reciprocal([1.5, 2j, 0.8 + 1.1j, 2.5]),
+    TridiagonalMatrix(n=4, a=0.5 + 1j, b=(2.0, 1.5j, -3.0), c=(0.5, 0.25, 1j)),
+])
+@pytest.mark.parametrize("m", [130, 720])
+def test_second_half_mirrors_first_half(M, m):
+    samples = sample_curve(M, m=m)
+    h = m // 2
+    np.testing.assert_array_equal(samples.lam[h:], -samples.lam[:h, ::-1])
+    np.testing.assert_array_equal(samples.points[h:], samples.points[:h, ::-1])
+    np.testing.assert_array_equal(samples.gap[h:], samples.gap[:h])
+
+
+@pytest.mark.parametrize("m", [16, 720])
+def test_mirrored_split_angle_keeps_tie_order(m):
+    # h_2 vanishes at theta = 0 and pi, leaving two 2 x 2 blocks with the
+    # same eigenvalues +-1 but different tangent points; the mirrored row at
+    # pi must list each tie in the order a direct solve there gives
+    M = TridiagonalMatrix(n=4, a=0.0, b=(1.0, 1.0, 1.5 + 0.5j), c=(1.0, -1.0, 0.5 + 0.5j))
+    samples = _assert_matches_reference(M, m)
+    assert np.flatnonzero(samples.gap == 0.0).tolist() == [0, m // 2]
+    assert len(set(np.round(samples.points[m // 2], 12))) == 4  # tied points differ
+
+
+def test_symmetry_residual_needs_curve_samples():
+    samples = sample_curve(build_reciprocal([1.5, 2.0]), m=16)
+    with pytest.raises(TypeError):
+        symmetry_residual(samples.points.ravel())
+    assert symmetry_residual(np.array([], dtype=complex)) == 0.0

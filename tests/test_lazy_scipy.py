@@ -1,4 +1,4 @@
-"""SciPy is imported on first use: classifying and solving never load it."""
+"""The package runs on NumPy alone: no code path loads SciPy."""
 
 import os
 import subprocess
@@ -27,11 +27,21 @@ def test_classify_and_solve_load_no_scipy():
     assert out.splitlines()[-1] == "False"
 
 
-def test_symmetry_residual_imports_scipy_on_first_call():
+def test_curve_path_loads_no_scipy(tmp_path):
     out = run_fresh(
         "import sys\n"
-        "from kippenhahn import build_reciprocal, sample_curve, symmetry_residual\n"
+        "import numpy as np\n"
+        "from kippenhahn import (ReciprocalParams, build_reciprocal, cli, eig_all,\n"
+        "                        params_to_matrix, realified_pencil, sample_curve,\n"
+        "                        symmetry_residual)\n"
         "s = sample_curve(build_reciprocal([1.5, 2, 2.5]), m=64)\n"
-        "before = 'scipy' in sys.modules\n"
-        "print(before, symmetry_residual(s) <= 1e-8, 'scipy' in sys.modules)\n")
-    assert out.split() == ["False", "True", "True"]
+        "assert symmetry_residual(s) <= 1e-8\n"
+        "# A_1 = 1 splits the pencil at pi/2, so eig_all solves two blocks\n"
+        "M = params_to_matrix(ReciprocalParams(A=(1.0, 2.0, 3.0)))\n"
+        "T = realified_pencil(M, np.pi / 2)\n"
+        "assert T.e[0] == 0.0 and eig_all(T, vectors=True).vectors.shape == (4, 4)\n"
+        "assert sample_curve(M, m=720).gap.min() <= 1e-12\n"
+        "assert cli.main(['curve', '--b', '1.5,2,2.5', '--m', '721', '--fit',\n"
+        f"                 '--out', {str(tmp_path / 'c')!r}]) == 0\n"
+        "print('scipy' in sys.modules)\n")
+    assert out.splitlines()[-1] == "False"

@@ -67,6 +67,14 @@ def test_residuals_reference_solution_small():
     assert abs(r[2]) <= 1e-9 * s**3
 
 
+def test_float_residuals_past_the_float_range_raise_value_error():
+    A = (1e200, 2e200, 3e200, 4e200, 5e200)
+    with pytest.raises(ValueError, match="float range"):
+        residuals_m6(A)
+    # the exact residuals have no range to leave
+    assert len(residuals_m6(A, exact=True)) == 4
+
+
 def test_residuals_generic_point_large():
     r = residuals_m6((1, 2, 3, 4, 5))
     s = 15.0
