@@ -17,6 +17,8 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
+from decimal import Context
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -174,7 +176,7 @@ def cmd_classify(args) -> int:
     for c in result.components:
         extra = " (degenerate)" if c.degenerate else ""
         print(f"  component x={c.x:.9g} z={c.z:.9g} "
-              f"semi-axes {c.semi_major:.6f}/{c.semi_minor:.6f}{extra}")
+              f"semi-axes {c.semi_major:.9g}/{c.semi_minor:.9g}{extra}")
     if result.origin_component:
         print("  plus the origin")
     for key, val in sorted(result.diagnostics.items()):
@@ -254,7 +256,7 @@ def cmd_curve(args) -> int:
         return 3
     print("wrote " + " and ".join(written))
     for k, fit in enumerate(fits, start=1):
-        print(f"  branch {k} fit: semi-axes {fit.semi_u:.6f}/{fit.semi_v:.6f} "
+        print(f"  branch {k} fit: semi-axes {fit.semi_u:.9g}/{fit.semi_v:.9g} "
               f"max radial deviation {fit.max_radial_deviation:.3e}")
     return 0
 
@@ -313,11 +315,23 @@ def cmd_poly(args) -> int:
         for j in range(P.deg_tau + 1):
             c = P.coeff(i, j)
             if c:
-                cs = str(c) if abs(c.denominator) <= 1000 else f"{float(c):.17g}"
+                cs = _coeff_text(c)
                 terms.append(f"{cs}*tau^{j}" if j else cs)
         if terms:
             print(f"  zeta^{i}: " + " + ".join(terms))
     return 0
+
+
+def _coeff_text(c: Fraction) -> str:
+    """A short fraction as it is, any other c to 17 significant digits.
+
+    The decimal quotient rounds the exact value, with no float in between,
+    so coefficients past the float range print too.
+    """
+    if c.denominator <= 1000 and abs(c.numerator) < 10 ** 17:
+        return str(c)
+    digits = Context(prec=17)
+    return format(digits.divide(c.numerator, c.denominator).normalize(digits), "g")
 
 
 def cmd_verify(args) -> int:

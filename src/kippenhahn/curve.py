@@ -80,20 +80,42 @@ def sample_curve(M: TridiagonalMatrix, m: int = 720) -> CurveSamples:
     """Sample all n branches on a uniform theta grid over [0, 2 pi).
 
     The angles are solved BLOCK at a time, so peak memory does not grow
-    with m.  For even m only the first half of the grid is solved: since
-    Re(e^{i (theta + pi)} M) = -Re(e^{i theta} M), the angle theta + pi has
-    the same eigenvectors, hence the same tangent points, and the negated
-    eigenvalues in reverse order.
+    with m, and two exact identities of H(theta) = Re(e^{i theta} M) skip
+    most of the grid:
+
+    - half-turn, every M: H(theta + pi) = -H(theta), so for even m the
+      angle theta + pi has the same eigenvectors, hence the same tangent
+      points, and the negated eigenvalues in reverse order;
+    - mirror, real M (a and every b_j, c_j real): H(-theta) is the
+      entrywise conjugate of H(theta), so the angle -theta has the same
+      eigenvalues and conjugate tangent points.
+
+    A real M solves theta in [0, pi/2] for even m (pi - theta follows from
+    the mirror and the half-turn) and [0, pi] for odd m; a non-real M
+    solves [0, pi) for even m and every angle for odd m.
     """
     if m < 8:
         raise ValueError("grid size m >= 8 required")
     theta = 2.0 * np.pi * np.arange(m) / m
     lam = np.empty((m, M.n))
     points = np.empty((m, M.n), dtype=complex)
-    h = m // 2 if m % 2 == 0 else m
-    for lo in range(0, h, BLOCK):
-        block = slice(lo, min(lo + BLOCK, h))
+    real = not np.imag([M.a, *M.b, *M.c]).any()
+    h = m // 2 if m % 2 == 0 else m  # rows [h, m) come from the half-turn
+    # rows [0, solved) are eigensolved, the rest mirrored
+    solved = (m // 4 if m % 2 == 0 else m // 2) + 1 if real else h
+    for lo in range(0, solved, BLOCK):
+        block = slice(lo, min(lo + BLOCK, solved))
         lam[block], points[block] = _sample_block(M, theta[block])
+    if real and m % 2:
+        # row i is the angle -theta_{m - i}
+        lam[solved:] = lam[m - solved:0:-1]
+        points[solved:] = np.conj(points[m - solved:0:-1])
+    elif real:
+        # row i is pi - theta_{m/2 - i}: the half-turn of the mirror image
+        src = slice(h - solved, 0, -1)
+        order = np.argsort(lam[src], axis=1, kind="stable")
+        lam[solved:h] = -np.take_along_axis(lam[src], order, axis=1)
+        points[solved:h] = np.conj(np.take_along_axis(points[src], order, axis=1))
     if h < m:
         # a stable ascending sort reverses each row but keeps exact ties
         # (split angles) in the order a direct solve at theta + pi gives

@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import kippenhahn
+from kippenhahn import ReciprocalParams, classify, generating_poly
 from kippenhahn.cli import main
 
 
@@ -333,6 +335,35 @@ def test_small_n_discriminant_past_float_range_is_an_input_error(capsys, A, n):
     code, out, err = run(capsys, "classify", "--A", A)
     assert code == 2 and out == ""
     assert err.startswith("error:") and f"float range of the n = {n}" in err
+
+
+@pytest.mark.parametrize("A", ["1e150,2.6180339887498949e150,2e150", "2,2,2,2,2"])
+def test_classify_semi_axes_are_short_and_parse_back(capsys, A):
+    code, out, _ = run(capsys, "classify", "--A", A)
+    assert code == 0
+    result = classify(ReciprocalParams(A=tuple(float(a) for a in A.split(","))))
+    lines = [line for line in out.splitlines() if "semi-axes" in line]
+    assert len(lines) == len(result.components) > 0
+    for line, comp in zip(lines, result.components):
+        assert len(line) < 200
+        major, minor = map(float, line.split("semi-axes ")[1].split()[0].split("/"))
+        assert major == pytest.approx(comp.semi_major, rel=1e-8)
+        assert minor == pytest.approx(comp.semi_minor, rel=1e-8)
+
+
+def test_poly_text_prints_coefficients_past_float_range(capsys):
+    A = "1e200,1.1,1e200,1.1,1e200"
+    code, out, _ = run(capsys, "poly", "--A", A)
+    assert code == 0
+    P = generating_poly(ReciprocalParams(A=tuple(float(a) for a in A.split(","))))
+    rows = [line.split(": ", 1)[1] for line in out.splitlines()[1:]]
+    assert len(rows) == P.deg_zeta + 1
+    for i, row in zip(range(P.deg_zeta, -1, -1), rows):
+        assert len(row) < 200
+        for term in row.split(" + "):
+            text, _, power = term.partition("*tau^")
+            exact = P.coeff(i, int(power or 0))
+            assert abs(Fraction(text) - exact) <= abs(exact) * Fraction(1, 10 ** 16)
 
 
 @pytest.mark.parametrize("argv,message", [

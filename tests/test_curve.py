@@ -10,6 +10,7 @@ from kippenhahn import (CurveSample, CurveSamples, DegenerateBranch,
                         build_reciprocal, classify5, deviation_metric, eig_all,
                         fit_ellipse_axis_aligned, params_to_matrix,
                         realified_pencil, sample_curve, symmetry_residual)
+from kippenhahn import curve
 from kippenhahn.curve import sample_diameter
 from kippenhahn.trimat import SymTridiagonal, TridiagonalMatrix, phase_diagonal
 
@@ -189,9 +190,16 @@ phases = st.floats(min_value=0.0, max_value=2 * math.pi)
 def matrices(draw):
     n = draw(st.integers(min_value=2, max_value=8))
     kind = draw(st.sampled_from(["reciprocal", "split", "general"]))
-    r = [draw(moduli) for _ in range(n - 1)]
-    phi = [draw(phases) for _ in range(n - 1)]
-    b = [rj * complex(math.cos(p), math.sin(p)) for rj, p in zip(r, phi)]
+    # real entries take the theta -> -theta mirror in sample_curve
+    real = draw(st.booleans())
+
+    def unit():
+        if real:
+            return draw(st.sampled_from([1.0, -1.0]))
+        p = draw(phases)
+        return complex(math.cos(p), math.sin(p))
+
+    b = [draw(moduli) * unit() for _ in range(n - 1)]
     if kind == "split":
         # A_1 = 1: e_1 vanishes exactly at theta = pi/2 and 3 pi/2
         b[0] = 1.0
@@ -199,20 +207,23 @@ def matrices(draw):
     if kind == "reciprocal":
         return build_reciprocal(b), kind
     # |c_j| <= |b_j| - 0.5 keeps the pencil irreducible at every angle
-    c = [draw(st.floats(min_value=0.25, max_value=0.75)) * complex(math.cos(p), -math.sin(p))
-         for p in (draw(phases) for _ in range(n - 1))]
-    a = complex(draw(st.floats(min_value=-2, max_value=2)),
-                draw(st.floats(min_value=0.1, max_value=2)))
+    c = [draw(st.floats(min_value=0.25, max_value=0.75)) * unit() for _ in range(n - 1)]
+    if real:
+        a = draw(st.floats(min_value=0.1, max_value=2)) * unit()
+    else:
+        a = complex(draw(st.floats(min_value=-2, max_value=2)),
+                    draw(st.floats(min_value=0.1, max_value=2)))
     return TridiagonalMatrix(n=n, a=a, b=tuple(b), c=tuple(c)), kind
 
 
-@given(matrices(), st.integers(min_value=2, max_value=50))
+@given(matrices(), st.integers(min_value=2, max_value=50), st.sampled_from([1, 3]))
 @settings(max_examples=40, deadline=None)
-def test_sampler_matches_per_angle_reference(case, quarter):
+def test_sampler_matches_per_angle_reference(case, quarter, odd):
     M, kind = case
-    # a multiple of 4 puts pi/2 and 3 pi/2 on the grid; most m are not
-    # multiples of the 64-angle block
-    _assert_matches_reference(M, 4 * quarter if kind == "split" else 4 * quarter + 1)
+    # a multiple of 4 puts pi/2 and 3 pi/2 on the grid; other kinds take
+    # odd m, so no angle has a half-turn partner; most m are not multiples
+    # of the 64-angle block
+    _assert_matches_reference(M, 4 * quarter if kind == "split" else 4 * quarter + odd)
 
 
 @pytest.mark.parametrize("m", [63, 64, 65, 200])
@@ -324,6 +335,51 @@ def test_second_half_mirrors_first_half(M, m):
     np.testing.assert_array_equal(samples.lam[h:], -samples.lam[:h, ::-1])
     np.testing.assert_array_equal(samples.points[h:], samples.points[:h, ::-1])
     np.testing.assert_array_equal(samples.gap[h:], samples.gap[:h])
+
+
+REAL_MATRICES = [
+    build_reciprocal([1.5, -2.0, 0.8, 2.5]),
+    TridiagonalMatrix(n=4, a=-0.7, b=(2.0, -1.5, 3.0), c=(0.5, 0.25, -0.4)),
+]
+
+
+@pytest.mark.parametrize("M", REAL_MATRICES)
+@pytest.mark.parametrize("m", [130, 720])
+def test_second_quarter_mirrors_first_quarter(M, m):
+    # real M: the angle pi - theta holds the negated eigenvalues in reverse
+    # order and the conjugate tangent points
+    samples = sample_curve(M, m=m)
+    h = m // 2
+    for i in range(m // 4 + 1, h):
+        order = np.argsort(samples.lam[h - i], kind="stable")
+        np.testing.assert_array_equal(samples.lam[i], -samples.lam[h - i, order])
+        np.testing.assert_array_equal(samples.points[i], np.conj(samples.points[h - i, order]))
+
+
+@pytest.mark.parametrize("M", REAL_MATRICES)
+def test_odd_grid_mirrors_upper_half(M):
+    # real M: the angle -theta holds the same eigenvalues and the conjugate
+    # tangent points
+    m = 721
+    samples = sample_curve(M, m=m)
+    for i in range(m // 2 + 1, m):
+        np.testing.assert_array_equal(samples.lam[i], samples.lam[m - i])
+        np.testing.assert_array_equal(samples.points[i], np.conj(samples.points[m - i]))
+
+
+@pytest.mark.parametrize("M,solved", [
+    (REAL_MATRICES[1], {720: 181, 722: 181, 721: 361}),
+    (build_reciprocal([1.5, 2j, 2.5]), {720: 360, 722: 361, 721: 721}),
+])
+def test_angles_solved(monkeypatch, M, solved):
+    blocks = []
+    solve = curve._sample_block
+    monkeypatch.setattr(curve, "_sample_block",
+                        lambda M, theta: blocks.append(theta) or solve(M, theta))
+    for m, count in solved.items():
+        blocks.clear()
+        sample_curve(M, m=m)
+        np.testing.assert_array_equal(np.concatenate(blocks), 2.0 * np.pi * np.arange(count) / m)
 
 
 @pytest.mark.parametrize("m", [16, 720])
