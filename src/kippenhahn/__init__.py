@@ -13,9 +13,9 @@ from .classify import (Classification, EllipseComponent, NotToeplitzCase,
                        contains_ellipse6, ellipse_centers_z, three_ellipses6,
                        toeplitz_components)
 from .curve import (CurveSample, CurveSamples, DegenerateBranch, FitResult,
-                    branch_points, deviation_metric, fit_ellipse_axis_aligned,
-                    sample_curve, symmetry_residual)
-from .eigsolve import IndexOutOfRange, Spectrum, eig_all, eigpair, min_gap
+                    branch_points, fit_ellipse_axis_aligned, sample_curve,
+                    symmetry_residual)
+from .eigsolve import Spectrum, eig_all
 from .manifold import (M6Solution, NotRealizable, UVSolveResult, realize,
                        residuals_m6, solve_m6, solve_uv)
 from .nrpoly import (BivariatePoly, DegenerateInput, UniPoly, cubic_roots,
@@ -23,24 +23,23 @@ from .nrpoly import (BivariatePoly, DegenerateInput, UniPoly, cubic_roots,
                      reduce_mod_cubic, resultant_in_z)
 from .trimat import (InvalidParam, NotReciprocal, ReciprocalParams,
                      SymTridiagonal, TridiagonalMatrix, ZeroSuperdiagonal,
-                     a_params, build_reciprocal, is_normal_reciprocal,
-                     params_to_matrix, realified_pencil)
+                     a_params, build_reciprocal, params_to_matrix,
+                     realified_pencil)
 
 __all__ = [
     "BivariatePoly", "Classification", "CurveSample", "CurveSamples",
     "DegenerateBranch", "DegenerateInput", "EllipseComponent", "FitResult",
-    "IndexOutOfRange", "InvalidParam", "M6Solution",
-    "NotRealizable", "NotReciprocal", "NotToeplitzCase", "ReciprocalParams",
-    "Spectrum", "SymTridiagonal", "TridiagonalMatrix", "UVSolveResult",
-    "UniPoly", "WrongSize", "ZeroSuperdiagonal", "a_params",
-    "branch_points", "build_reciprocal", "classify", "classify3", "classify4",
-    "classify5", "contains_ellipse6", "cubic_roots", "deviation_metric",
-    "divide_by_linear", "eig_all", "eigpair", "ellipse_centers_z",
+    "InvalidParam", "M6Solution", "NotRealizable", "NotReciprocal",
+    "NotToeplitzCase", "ReciprocalParams", "Spectrum", "SymTridiagonal",
+    "TridiagonalMatrix", "UVSolveResult", "UniPoly", "WrongSize",
+    "ZeroSuperdiagonal", "a_params", "branch_points", "build_reciprocal",
+    "classify", "classify3", "classify4", "classify5", "contains_ellipse6",
+    "cubic_roots", "divide_by_linear", "eig_all", "ellipse_centers_z",
     "eval_residual", "fit_ellipse_axis_aligned", "generating_poly",
-    "is_normal_reciprocal", "min_gap", "params_to_matrix", "realize",
-    "realified_pencil", "reduce_mod_cubic", "residuals_m6", "resultant_in_z",
-    "sample_curve", "solve_m6", "solve_uv", "symmetry_residual",
-    "three_ellipses6", "toeplitz_components",
+    "params_to_matrix", "realize", "realified_pencil", "reduce_mod_cubic",
+    "residuals_m6", "resultant_in_z", "sample_curve", "solve_m6",
+    "solve_uv", "symmetry_residual", "three_ellipses6",
+    "toeplitz_components",
 ]
 
 __version__ = "0.1.0"

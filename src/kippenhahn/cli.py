@@ -234,12 +234,11 @@ def cmd_curve(args) -> int:
     cfg = _config_from_args(args)
     M = cfg.matrix()
     samples = crv.sample_curve(M, m=cfg.m)
-    fits = []
+    fits = {}  # branch number -> fit; degenerate branches are skipped
     if args.fit:
         for k in range(1, M.n + 1):
-            pts = crv.branch_points(samples, k)
             try:
-                fits.append(crv.fit_ellipse_axis_aligned(pts))
+                fits[k] = crv.fit_ellipse_axis_aligned(crv.branch_points(samples, k))
             except crv.DegenerateBranch:
                 continue
     stem = cfg.out or "curve"
@@ -249,13 +248,13 @@ def cmd_curve(args) -> int:
             _write_csv(stem + ".csv", samples)
             written.append(f"{stem}.csv ({len(samples)} rows)")
         if cfg.format in (None, "svg"):
-            _write_svg(stem + ".svg", samples, fits)
+            _write_svg(stem + ".svg", samples, fits.values())
             written.append(f"{stem}.svg")
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 3
     print("wrote " + " and ".join(written))
-    for k, fit in enumerate(fits, start=1):
+    for k, fit in fits.items():
         print(f"  branch {k} fit: semi-axes {fit.semi_u:.9g}/{fit.semi_v:.9g} "
               f"max radial deviation {fit.max_radial_deviation:.3e}")
     return 0

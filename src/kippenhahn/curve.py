@@ -4,7 +4,11 @@ For every angle theta the eigenvectors of Re(e^{i theta} M) produce curve
 points as quadratic-form values <M v, v>; the eigenvalue itself is the
 support value of the tangent line at that angle.  Branches are labeled in
 descending eigenvalue order.  This is Johnson's eigen-sweep (SIAM J. Numer.
-Anal. 15, 1978), run on blocks of angles at once.
+Anal. 15, 1978), run on blocks of angles at once.  Since the main diagonal
+is constant, the realified pencil is a shift of the Golub-Kahan form of a
+bidiagonal matrix: one batched SVD of half the size gives the eigenvalues
+in +- pairs, and each pair's tangent points sum to 2a.  The dense
+eigensolver runs only at angles where the pencil splits into blocks.
 """
 
 from __future__ import annotations
@@ -131,40 +135,53 @@ def sample_curve(M: TridiagonalMatrix, m: int = 720) -> CurveSamples:
 def _sample_block(M: TridiagonalMatrix, theta: np.ndarray):
     """Descending eigenvalues and curve points at a block of angles.
 
-    Angles whose realified pencil has an exact zero off-diagonal go through
-    eig_all, which solves the decoupled blocks separately and so keeps each
-    eigenvector inside one block: the canonical tangent points where two
-    blocks share an eigenvalue.  Every other angle joins one batched dense
-    eigensolve.
+    The realified pencil is d0 I + T0 with d0 = Re(e^{i theta} a) and T0
+    zero-diagonal, so the odd/even permutation turns T0 into
+    [[0, B], [B^T, 0]] with the ceil(n/2) x floor(n/2) bidiagonal
+    B[(j+1)//2, j//2] = e_j (Golub and Kahan, SIAM J. Numer. Anal. B 2,
+    1965).  For each singular triplet (sigma, u, v) of B, w = (u, v) in the
+    (even, odd) slots over sqrt 2 is an eigenvector for d0 + sigma and
+    (u, -v) one for d0 - sigma; odd n adds d0, with B's left null vector in
+    the even slots.  Flipping the odd slots negates every w_j w_{j+1}, so
+    the -sigma point is 2a minus the +sigma point and the middle point of
+    odd n is a itself.  All angles share one batched SVD of B.
+
+    Angles whose realified pencil has an exact zero off-diagonal are then
+    solved again by eig_all, which solves the decoupled blocks separately
+    and so keeps each eigenvector inside one block: the canonical tangent
+    points where two blocks share an eigenvalue.
     """
-    n = M.n
+    n, k = M.n, M.n // 2
+    d0 = np.real(np.exp(1j * theta) * M.a)[:, None]
+    if n == 1:  # nothing to pair: the eigenvalue is d0 and the point a
+        return d0, np.full((len(theta), 1), M.a, dtype=complex)
     e = realified_offdiag(M, theta)
-    lam = np.empty((len(theta), n))
-    w = np.empty((len(theta), n, n))
-    split = np.any(e == 0.0, axis=1)
-    whole = ~split
-    if whole.any():
-        T = np.zeros((int(whole.sum()), n, n))
-        i = np.arange(n)
-        T[:, i, i] = np.real(np.exp(1j * theta[whole]) * M.a)[:, None]
-        T[:, i[:-1], i[1:]] = T[:, i[1:], i[:-1]] = e[whole]
-        vals, vecs = np.linalg.eigh(T)  # ascending
-        lam[whole], w[whole] = vals[:, ::-1], vecs[:, :, ::-1]
-    for t in np.flatnonzero(split):
-        spectrum = eig_all(realified_pencil(M, float(theta[t])), vectors=True)
-        # decoupled blocks can tie exactly; a stable order keeps ties in
-        # eig_all's order
-        order = np.argsort(-spectrum.values, kind="stable")
-        lam[t], w[t] = spectrum.values[order], spectrum.vectors[:, order]
     # <M v, v> for v = D w is a * sum w_j^2 + sum_j (b_j r_j + c_j conj(r_j))
     # w_j w_{j+1}, with the phase ratios r_j = d_{j+1} / d_j of D
     D = phase_diagonal(M, theta)
     r = D[:, 1:] * np.conj(D[:, :-1])
     g = np.asarray(M.b) * r + np.asarray(M.c) * np.conj(r)
-    pair = w[:, :-1, :] * w[:, 1:, :]
-    points = (M.a * np.einsum("tjk,tjk->tk", w, w)
-              + np.einsum("tj,tjk->tk", g.real, pair)
-              + 1j * np.einsum("tj,tjk->tk", g.imag, pair))
+    j = np.arange(n - 1)
+    B = np.zeros((len(theta), n - k, k))
+    B[:, (j + 1) // 2, j // 2] = e
+    U, sigma, Vt = np.linalg.svd(B, full_matrices=False)  # sigma descending
+    # w_j w_{j+1} for w = (u, v) unnormalised: the index pattern of B
+    pair = U[:, (j + 1) // 2, :] * Vt[:, :, j // 2].transpose(0, 2, 1)
+    top = M.a + 0.5 * (g[:, None, :] @ pair)[:, 0]
+    lam = np.empty((len(theta), n))
+    points = np.empty((len(theta), n), dtype=complex)
+    lam[:, :k], points[:, :k] = d0 + sigma, top
+    lam[:, n - k:], points[:, n - k:] = d0 - sigma[:, ::-1], 2 * M.a - top[:, ::-1]
+    if n % 2:
+        lam[:, k], points[:, k] = d0[:, 0], M.a
+    for t in np.flatnonzero(np.any(e == 0.0, axis=1)):
+        spectrum = eig_all(realified_pencil(M, float(theta[t])), vectors=True)
+        # decoupled blocks can tie exactly; a stable order keeps ties in
+        # eig_all's order
+        order = np.argsort(-spectrum.values, kind="stable")
+        w = spectrum.vectors[:, order]
+        lam[t] = spectrum.values[order]
+        points[t] = M.a * np.einsum("jk,jk->k", w, w) + g[t] @ (w[:-1] * w[1:])
     return lam, points
 
 
@@ -181,53 +198,41 @@ def _as_points(samples) -> np.ndarray:
     return np.asarray(samples, dtype=complex)
 
 
-def _max_radial_deviation(u, v, alpha, beta) -> float:
-    """Max |r - r_fit| over the points, both radii at the same polar angle,
-    for the ellipse alpha u^2 + beta v^2 = 1."""
-    r = np.hypot(u, v)
-    psi = np.arctan2(v, u)
-    r_fit = 1.0 / np.sqrt(alpha * np.cos(psi) ** 2 + beta * np.sin(psi) ** 2)
-    return float(np.max(np.abs(r - r_fit)))
-
-
 def fit_ellipse_axis_aligned(samples) -> FitResult:
     """Least-squares fit of u^2/p^2 + v^2/q^2 = 1 to one branch.
 
-    Linear in (1/p^2, 1/q^2); raises DegenerateBranch when the points have
-    no spread along one of the axes (segments, points).
+    Linear in (1/p^2, 1/q^2), and solved in the coordinates divided by
+    s = max |u|, |v|, so no square overflows or underflows: the semi-axes
+    and the deviation scale with s, the algebraic rms residual does not.
+    Raises DegenerateBranch when the points have no spread along one of the
+    axes, relative to s (segments, points).
     """
     pts = _as_points(samples)
     if pts.size < 8:
         raise ValueError("need at least 8 samples")
     u, v = pts.real, pts.imag
-    if u.max() - u.min() <= 1e-10 or v.max() - v.min() <= 1e-10:
+    umin, umax, vmin, vmax = u.min(), u.max(), v.min(), v.max()
+    s = float(max(-umin, umax, -vmin, vmax))
+    if umax - umin <= 1e-10 * s or vmax - vmin <= 1e-10 * s:
         raise DegenerateBranch("branch has no area; fit skipped")
+    u, v = u / s, v / s
     design = np.column_stack([u * u, v * v])
     coef, *_ = np.linalg.lstsq(design, np.ones_like(u), rcond=None)
     alpha, beta = coef
     if alpha <= 0 or beta <= 0:
         raise DegenerateBranch("degenerate conic: nonpositive axis coefficient")
-    resid = design @ coef - 1.0
-    rms = float(np.sqrt(np.mean(resid ** 2)))
-    semi_u = 1.0 / math.sqrt(alpha)
-    semi_v = 1.0 / math.sqrt(beta)
-    max_dev = _max_radial_deviation(u, v, alpha, beta)
+    q = design @ coef  # alpha u^2 + beta v^2
+    resid = q - 1.0
+    # max |r - r_fit| at a common polar angle: the ray through (u, v) meets
+    # the ellipse at r / sqrt(q); the origin takes polar angle 0
+    r = np.hypot(u, v)
+    r_fit = np.divide(r, np.sqrt(q), out=np.full_like(r, 1.0 / math.sqrt(alpha)),
+                      where=q > 0)
+    semi_u, semi_v = s / math.sqrt(alpha), s / math.sqrt(beta)
     return FitResult(semi_major=max(semi_u, semi_v), semi_minor=min(semi_u, semi_v),
-                     rms_residual=rms, max_radial_deviation=max_dev,
+                     rms_residual=math.sqrt(resid @ resid / resid.size),
+                     max_radial_deviation=s * float(np.max(np.abs(r - r_fit))),
                      semi_u=semi_u, semi_v=semi_v)
-
-
-def deviation_metric(samples, fit: FitResult) -> float:
-    """Max radial deviation of the samples from the fitted ellipse.
-
-    Measured in polar angle about the origin, which is the common center of
-    every component for the matrices considered here.
-    """
-    pts = _as_points(samples)
-    if pts.size == 0:
-        return 0.0
-    return _max_radial_deviation(pts.real, pts.imag, 1.0 / fit.semi_u ** 2,
-                                 1.0 / fit.semi_v ** 2)
 
 
 def symmetry_residual(samples: CurveSamples) -> float:

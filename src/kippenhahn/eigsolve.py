@@ -15,10 +15,6 @@ import numpy as np
 from .trimat import SymTridiagonal
 
 
-class IndexOutOfRange(IndexError, ValueError):
-    """Eigenpair index k must satisfy 1 <= k <= n."""
-
-
 @dataclass(frozen=True)
 class Spectrum:
     """Ascending eigenvalues, optionally paired with orthonormal eigenvectors."""
@@ -61,19 +57,3 @@ def eig_all(T: SymTridiagonal, vectors: bool = False) -> Spectrum:
     order = np.argsort(vals, kind="stable")
     return Spectrum(values=vals[order], vectors=vecs[:, order] if vectors else None)
 
-
-def eigpair(T: SymTridiagonal, k: int):
-    """k-th smallest eigenvalue (1-based) and a unit eigenvector."""
-    n = len(T.d)
-    if not 1 <= k <= n:
-        raise IndexOutOfRange(f"k={k} outside 1..{n}")
-    s = eig_all(T, vectors=True)
-    return float(s.values[k - 1]), s.vectors[:, k - 1]
-
-
-def min_gap(T: SymTridiagonal) -> float:
-    """Smallest gap between consecutive eigenvalues (positive iff all e_j > 0)."""
-    v = eig_all(T).values
-    if len(v) < 2:
-        return np.inf
-    return float(np.min(np.diff(v)))

@@ -219,7 +219,3 @@ def realified_pencil(M: TridiagonalMatrix, theta: float) -> SymTridiagonal:
     d0 = float(np.real(np.exp(1j * theta) * M.a))
     return SymTridiagonal(d=(d0,) * M.n, e=tuple(realified_offdiag(M, theta)))
 
-
-def is_normal_reciprocal(p: ReciprocalParams) -> bool:
-    """A reciprocal matrix is normal (in fact hermitian) iff all A_j = 1."""
-    return p.all_ones

@@ -169,6 +169,29 @@ def test_solve_warning_is_one_line_without_source_location():
                            "all-equal ray lies on the three-ellipse variety there\n")
 
 
+@pytest.mark.parametrize("b", ["1e200", "1e160,2", "1e-200,2"])
+def test_curve_fit_on_curves_near_the_float_range(tmp_path, b):
+    # a fresh interpreter, so LAPACK's own stderr lines (DLASCL) would show:
+    # squares of coordinates past ~1.3e154 used to overflow in the fit
+    env = {**os.environ, "PYTHONPATH": str(Path(kippenhahn.__file__).resolve().parents[1])}
+    code = "import sys; from kippenhahn.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run([sys.executable, "-c", code, "curve", "--b", b, "--m", "8", "--fit",
+                           "--out", str(tmp_path / "c")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.count("fit: semi-axes") == 2  # n = 3: the middle branch is a point
+
+
+def test_curve_fit_lines_keep_branch_numbers(tmp_path, capsys):
+    # n = 5: the middle branch 3 is the single point 0 and has no fit; the
+    # lines after it still name branches 4 and 5
+    code, out, _ = run(capsys, "curve", "--b", "1.5,2,2.5,3", "--m", "720", "--fit",
+                       "--out", str(tmp_path / "c5"), "--format", "csv")
+    assert code == 0
+    assert [line.split()[1] for line in out.splitlines()[1:]] == ["1", "2", "4", "5"]
+
+
 def test_poly_report(capsys):
     code, out, _ = run(capsys, "poly", "--A", "2,3")
     assert code == 0

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from kippenhahn import (CurveSample, CurveSamples, DegenerateBranch,
                         ReciprocalParams, a_params, branch_points,
-                        build_reciprocal, classify5, deviation_metric, eig_all,
+                        build_reciprocal, classify5, eig_all,
                         fit_ellipse_axis_aligned, params_to_matrix,
                         realified_pencil, sample_curve, symmetry_residual)
 from kippenhahn import curve
@@ -70,7 +70,37 @@ def test_fit_recovers_synthetic_ellipse():
     assert abs(fit.semi_major - 2.0) <= 1e-10
     assert abs(fit.semi_minor - 1.0) <= 1e-10
     assert fit.rms_residual <= 1e-10
-    assert deviation_metric(pts, fit) <= 1e-10
+    assert fit.max_radial_deviation <= 1e-10
+
+
+@given(st.floats(min_value=0.5, max_value=3.0), st.floats(min_value=0.5, max_value=3.0),
+       st.floats(min_value=0.0, max_value=0.2), st.floats(min_value=-200.0, max_value=200.0))
+@settings(max_examples=60, deadline=None)
+def test_fit_is_homogeneous(p, q, wobble, exponent):
+    # the fit runs in coordinates divided by max |u|, |v|: no square of a
+    # coordinate overflows or underflows anywhere in the float range
+    t = np.linspace(0, 2 * np.pi, 90, endpoint=False)
+    pts = (1.0 + wobble * np.cos(4 * t)) * (p * np.cos(t) + 1j * q * np.sin(t))
+    s = 10.0 ** exponent
+    want, got = fit_ellipse_axis_aligned(pts), fit_ellipse_axis_aligned(s * pts)
+    for name in ("semi_major", "semi_minor", "semi_u", "semi_v"):
+        assert abs(getattr(got, name) - s * getattr(want, name)) <= 1e-12 * getattr(got, name)
+    assert abs(got.max_radial_deviation - s * want.max_radial_deviation) <= 1e-12 * got.semi_major
+    assert abs(got.rms_residual - want.rms_residual) <= 1e-12  # dimensionless
+
+
+def test_fit_radial_deviation_matches_polar_formula():
+    # r_fit = r / sqrt(alpha u^2 + beta v^2) is the polar-angle radius
+    # 1 / sqrt(alpha cos^2 psi + beta sin^2 psi), with psi = 0 at the origin
+    samples = sample_curve(build_reciprocal([1.5, 2, 2, 3]), m=720)
+    for pts in (branch_points(samples, 1), branch_points(samples, 2),
+                np.append(branch_points(samples, 1), 0.0)):
+        fit = fit_ellipse_axis_aligned(pts)
+        alpha, beta = fit.semi_u ** -2, fit.semi_v ** -2
+        psi = np.arctan2(pts.imag, pts.real)
+        r_fit = 1.0 / np.sqrt(alpha * np.cos(psi) ** 2 + beta * np.sin(psi) ** 2)
+        want = np.max(np.abs(np.abs(pts) - r_fit))
+        assert abs(fit.max_radial_deviation - want) <= 1e-12 * fit.semi_major
 
 
 def test_fit_degenerate_segment():
@@ -187,8 +217,8 @@ phases = st.floats(min_value=0.0, max_value=2 * math.pi)
 
 
 @st.composite
-def matrices(draw):
-    n = draw(st.integers(min_value=2, max_value=8))
+def matrices(draw, min_n=2, max_n=8):
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     kind = draw(st.sampled_from(["reciprocal", "split", "general"]))
     # real entries take the theta -> -theta mirror in sample_curve
     real = draw(st.booleans())
@@ -224,6 +254,50 @@ def test_sampler_matches_per_angle_reference(case, quarter, odd):
     # odd m, so no angle has a half-turn partner; most m are not multiples
     # of the 64-angle block
     _assert_matches_reference(M, 4 * quarter if kind == "split" else 4 * quarter + odd)
+
+
+@given(matrices(min_n=9, max_n=20), st.integers(min_value=8, max_value=100))
+@settings(max_examples=25, deadline=None)
+def test_sampler_matches_reference_at_larger_sizes(case, m):
+    # n = 9-20: B has up to 10 singular values; real and complex, every kind
+    M, kind = case
+    _assert_matches_reference(M, 4 * (m // 4) if kind == "split" else m)
+
+
+def _non_split(case):
+    return case[1] != "split"
+
+
+@given(matrices(max_n=20).filter(_non_split), st.integers(min_value=8, max_value=150))
+@settings(max_examples=30, deadline=None)
+def test_minus_sigma_points_pair_with_plus_sigma_points(case, m):
+    # the eigenvector of d0 - sigma is that of d0 + sigma with its odd slots
+    # negated, which negates every w_j w_{j+1}: at every solved angle its
+    # point is 2a minus the other's, bit for bit
+    M, _ = case
+    k = M.n // 2
+    theta = 2.0 * np.pi * np.arange(m) / m
+    lam, points = curve._sample_block(M, theta)
+    np.testing.assert_array_equal(points[:, M.n - k:], 2 * M.a - points[:, k - 1::-1])
+    # and the eigenvalues pair as d0 +- sigma
+    d0 = np.real(np.exp(1j * theta) * M.a)[:, None]
+    scale = max(1.0, float(np.max(np.abs(lam))))
+    assert np.max(np.abs(lam[:, :k] + lam[:, ::-1][:, :k] - 2 * d0)) <= 1e-15 * scale
+
+
+@given(matrices(max_n=19).filter(lambda case: _non_split(case) and case[0].n % 2),
+       st.integers(min_value=8, max_value=150))
+@settings(max_examples=30, deadline=None)
+def test_odd_middle_branch_is_the_diagonal(case, m):
+    # odd n: the middle eigenvector is B's left null vector in the even
+    # slots, so every w_j w_{j+1} vanishes: the point is a and lam is d0
+    M, _ = case
+    k = M.n // 2
+    samples = sample_curve(M, m=m)
+    np.testing.assert_array_equal(samples.points[:, k], M.a)  # mirrors included
+    lam, points = curve._sample_block(M, samples.theta)
+    np.testing.assert_array_equal(lam[:, k], np.real(np.exp(1j * samples.theta) * M.a))
+    np.testing.assert_array_equal(points[:, k], M.a)
 
 
 @pytest.mark.parametrize("m", [63, 64, 65, 200])

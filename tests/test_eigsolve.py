@@ -1,9 +1,8 @@
 import math
 
 import numpy as np
-import pytest
 
-from kippenhahn import IndexOutOfRange, SymTridiagonal, eig_all, eigpair, min_gap
+from kippenhahn import SymTridiagonal, eig_all
 
 
 def test_zero_matrix():
@@ -40,15 +39,15 @@ def test_random_matches_charpoly_oracle():
 
 
 def test_eigpair_scalar():
-    lam, vec = eigpair(SymTridiagonal(d=(5,), e=()), 1)
-    assert lam == 5.0
-    assert np.allclose(vec, [1.0])
+    spec = eig_all(SymTridiagonal(d=(5,), e=()), vectors=True)
+    assert spec.values.tolist() == [5.0]
+    assert np.allclose(spec.vectors[:, 0], [1.0])
 
 
 def test_eigpair_two_by_two():
-    lam, vec = eigpair(SymTridiagonal(d=(0, 0), e=(1,)), 2)
-    assert abs(lam - 1.0) < 1e-14
-    assert np.allclose(np.abs(vec), [1 / math.sqrt(2)] * 2, atol=1e-12)
+    spec = eig_all(SymTridiagonal(d=(0, 0), e=(1,)), vectors=True)
+    assert abs(spec.values[1] - 1.0) < 1e-14
+    assert np.allclose(np.abs(spec.vectors[:, 1]), [1 / math.sqrt(2)] * 2, atol=1e-12)
 
 
 def test_eigpair_residuals_random():
@@ -56,18 +55,10 @@ def test_eigpair_residuals_random():
     T = SymTridiagonal(d=tuple(rng.uniform(-1, 1, 6)), e=tuple(rng.uniform(0.2, 2, 5)))
     dense = T.dense()
     norm = np.abs(dense).sum(axis=1).max()
-    for k in range(1, 7):
-        lam, vec = eigpair(T, k)
+    spec = eig_all(T, vectors=True)
+    for lam, vec in zip(spec.values, spec.vectors.T):
         assert np.linalg.norm(dense @ vec - lam * vec) <= 1e-9 * max(1.0, norm)
         assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
-
-
-def test_eigpair_out_of_range():
-    T = SymTridiagonal(d=(0, 0), e=(1,))
-    with pytest.raises(IndexOutOfRange):
-        eigpair(T, 0)
-    with pytest.raises(IndexOutOfRange):
-        eigpair(T, 3)
 
 
 def test_trace_identity():
@@ -95,7 +86,7 @@ def test_cauchy_interlacing():
 def test_simple_eigenvalues_positive_gap():
     rng = np.random.default_rng(21)
     T = SymTridiagonal(d=tuple(rng.uniform(-1, 1, 7)), e=tuple(rng.uniform(0.3, 2, 6)))
-    assert min_gap(T) > 0
+    assert np.diff(eig_all(T).values).min() > 0
 
 
 def test_block_splitting_at_zero_offdiagonal():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from kippenhahn import (InvalidParam, NotReciprocal, ReciprocalParams,
                         ZeroSuperdiagonal, a_params, build_reciprocal,
-                        eig_all, is_normal_reciprocal, params_to_matrix,
+                        eig_all, params_to_matrix,
                         realified_pencil)
 from kippenhahn.trimat import TridiagonalMatrix, phase_diagonal
 
@@ -149,8 +149,12 @@ def test_pencil_spectrum_symmetric_about_zero():
 
 
 def test_is_normal_reciprocal():
-    assert is_normal_reciprocal(ReciprocalParams(A=(1, 1, 1, 1)))
-    assert not is_normal_reciprocal(ReciprocalParams(A=(1, 1, 2)))
+    # a reciprocal matrix is normal (in fact hermitian) iff all A_j = 1
+    for A, normal in (((1, 1, 1, 1), True), ((1, 1, 2), False)):
+        p = ReciprocalParams(A=A)
+        M = params_to_matrix(p).dense()
+        assert p.all_ones is normal
+        assert np.allclose(M @ M.conj().T, M.conj().T @ M) is normal
 
 
 def test_normal_case_spectrum_cosines():
