@@ -281,20 +281,14 @@ def _three_ellipses(p: ReciprocalParams, residuals, tol: float) -> Classificatio
 def ellipse_centers_z(p: ReciprocalParams):
     """Factor constants z_j for the three-ellipse case, ascending-x order.
 
-    Solves the 3x3 linear system tying the z_j to the parameters via the
-    Lagrange form z_j = f(x_j) / ((x_j - x_i)(x_j - x_k)) with
-    f(t) = s1 t^2 - s2 t + s3.
+    z_j = -q10 / q11 at the root x_j, where q11 z + q10 is the tau^1
+    coefficient of P6(x tau + z, tau), the same z ``contains_ellipse6`` pins.
     """
     _require_size(p, 6)
-    A1, A2, A3, A4, A5 = p.A
-    s1 = (A1 + A2 + A3 + A4 + A5) / 2.0
-    s2 = 0.75 * (A1 + A5) + 0.5 * (A2 + A3 + A4)
-    s3 = (A1 + A3 + A5) / 8.0
-    roots = cubic_roots()
     out = []
-    for j, xj in enumerate(roots):
-        xi, xk = (roots[m] for m in range(3) if m != j)
-        out.append(((s1 * xj - s2) * xj + s3) / ((xj - xi) * (xj - xk)))
+    for xr in cubic_roots():
+        (q11, q10), _, _ = _q_polys(p.A, xr)
+        out.append(-q10 / q11)
     return tuple(out)
 
 

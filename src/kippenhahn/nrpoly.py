@@ -3,9 +3,12 @@
 The generating polynomial of a reciprocal n-by-n matrix, written in
 zeta = lambda^2 and tau = cos(2 theta), is monic in zeta of degree
 floor(n/2) with coefficients that are polynomials in the A_j parameters.
-Everything in this module runs in exact rational arithmetic (fractions
-convert floats losslessly); floating point enters only at root finding
-and in the numeric determinant used as an independent oracle.
+The n = 6 factor test substitutes zeta = x tau + z, eliminates z against
+the tau^1-coefficient, which is linear in z (so the resultant is a
+substitution), and reduces the result modulo the slope cubic by rewriting
+x^3.  Everything in this module runs in exact rational arithmetic
+(fractions convert floats losslessly); floating point enters only at root
+finding and in the numeric determinant used as an independent oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ CUBIC_COEFFS = (Fraction(-1), Fraction(12), Fraction(-20), Fraction(8))
 
 
 class DegenerateInput(ValueError):
-    """Resultant input with both leading coefficients identically zero."""
+    """Resultant input that is the zero polynomial."""
 
 
 def _to_exact(v):
@@ -135,28 +138,6 @@ class UniPoly:
 
     def __repr__(self):
         return f"UniPoly({self.var!r}, {list(self.coeffs)!r})"
-
-
-def unipoly_divmod(f: UniPoly, g: UniPoly):
-    """Euclidean division over the rationals; g's leading coefficient must be invertible."""
-    if g.is_zero:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if f.var != g.var:
-        raise ValueError("variable mismatch")
-    lead = g.coeffs[-1]
-    rem = list(f.coeffs)
-    dq = len(rem) - len(g.coeffs)
-    if dq < 0:
-        return UniPoly(f.var, []), f
-    quo = [Fraction(0)] * (dq + 1)
-    for k in range(dq, -1, -1):
-        if len(rem) < len(g.coeffs) + k:
-            continue
-        c = rem[len(g.coeffs) - 1 + k] / lead
-        quo[k] = c
-        for i, gi in enumerate(g.coeffs):
-            rem[i + k] = rem[i + k] - c * gi
-    return UniPoly(f.var, quo), UniPoly(f.var, rem)
 
 
 @dataclass(frozen=True)
@@ -310,58 +291,44 @@ def substitution_tau_coeffs(P: BivariatePoly):
 
 
 def resultant_in_z(f: UniPoly, g: UniPoly) -> UniPoly:
-    """Sylvester resultant with respect to z, f-rows first.
+    """Resultant with respect to z of a linear f = f1 z + f0 and any g.
 
     Coefficients of f and g are polynomials in x (or rationals); the
-    result is a UniPoly in x.  For monic linear f = z - a this equals g(a).
+    result is the UniPoly in x sum_k g_k (-f0)^k f1^(n-k), n = deg g: the
+    Sylvester determinant with the f-rows first, which for monic
+    f = z - a is g(a).  The n = 6 pipeline eliminates z only against the
+    tau^1-coefficient, which is linear in z.
     """
-    m, n = f.degree, g.degree
-    if m < 0 or n < 0:
+    if f.is_zero or g.is_zero:
         raise DegenerateInput("resultant of the zero polynomial")
+    if f.degree != 1:
+        raise ValueError(f"resultant_in_z needs f linear in z, got degree {f.degree}")
 
     def as_x(c):
         return c if isinstance(c, UniPoly) else UniPoly.const("x", _to_exact(c))
 
-    fc = [as_x(f.coeff(k)) for k in range(m, -1, -1)]  # descending
-    gc = [as_x(g.coeff(k)) for k in range(n, -1, -1)]
-    if fc[0].is_zero and gc[0].is_zero:
-        raise DegenerateInput("both leading coefficients vanish identically")
-    size = m + n
-    zero = UniPoly("x", [])
-    rows = []
-    for i in range(n):
-        rows.append([zero] * i + fc + [zero] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([zero] * i + gc + [zero] * (size - n - 1 - i))
-    return _det(rows)
-
-
-def _det(rows):
-    """Cofactor-expansion determinant over a commutative ring; tiny matrices only."""
-    size = len(rows)
-    if size == 1:
-        return rows[0][0]
-    total = None
-    for j in range(size):
-        a = rows[0][j]
-        if _is_zero(a):
-            continue
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = a * _det(minor)
-        if j % 2 == 1:
-            term = -term
-        total = term if total is None else total + term
-    if total is None:
-        return UniPoly("x", [])
-    return total
+    f0, f1 = map(as_x, f.coeffs)
+    out, f1_power = as_x(g.coeffs[-1]), UniPoly.const("x", Fraction(1))
+    for c in reversed(g.coeffs[:-1]):  # Horner in -f0, homogenised by f1
+        f1_power = f1_power * f1
+        out = out * -f0 + as_x(c) * f1_power
+    return out
 
 
 def reduce_mod_cubic(f: UniPoly) -> UniPoly:
-    """Remainder of f modulo 8x^3 - 20x^2 + 12x - 1, exact arithmetic."""
-    cubic = UniPoly("x", CUBIC_COEFFS)
-    fe = f.map_coeffs(_to_exact)
-    _, rem = unipoly_divmod(fe, cubic)
-    return rem
+    """Remainder of f in x modulo 8x^3 - 20x^2 + 12x - 1, exact arithmetic.
+
+    Rewrites x^3 = (20x^2 - 12x + 1)/8 from the top degree down.
+    """
+    if f.var != "x":
+        raise ValueError(f"reduce_mod_cubic takes a polynomial in x, got {f.var!r}")
+    *low, lead = CUBIC_COEFFS
+    cs = [_to_exact(c) for c in f.coeffs]
+    for k in range(len(cs) - 1, 2, -1):
+        top = cs[k] / lead
+        for i, ci in enumerate(low):
+            cs[k - 3 + i] -= top * ci
+    return UniPoly("x", cs[:3])
 
 
 # The roots of CUBIC_COEFFS ascending: np.roots polished by three Newton

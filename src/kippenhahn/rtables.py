@@ -510,11 +510,10 @@ R1_PIPELINE_SCALE = Fraction(128)
 R2_PIPELINE_SCALE = Fraction(512)
 
 
-def resultant_quadratics(A, printed=False):
+def resultant_quadratics(A):
     """Coefficient triples (x^2, x^1, x^0) of both reduced resultants at A."""
-    t1, t2 = (R1_TABLES_PRINTED, R2_TABLES_PRINTED) if printed else (R1_TABLES, R2_TABLES)
-    return (tuple(eval_table(t, A) for t in t1),
-            tuple(eval_table(t, A) for t in t2))
+    return (tuple(eval_table(t, A) for t in R1_TABLES),
+            tuple(eval_table(t, A) for t in R2_TABLES))
 
 
 def eval_resultants_at(A, x):

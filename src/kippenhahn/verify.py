@@ -60,7 +60,7 @@ def _pipeline_quadratics(A):
 
 
 def check_resultants(rng, n_max, trials):
-    """The Sylvester pipeline against the corrected R1/R2 tables, exactly."""
+    """The resultant pipeline against the corrected R1/R2 tables, exactly."""
     ok, msg = True, "pipeline == corrected tables (exact)"
     for _ in range(max(trials // 10, 3)):
         A = tuple(Fraction(rng.randint(1, 40), rng.randint(1, 8)) + 1 for _ in range(5))
@@ -146,6 +146,11 @@ CHECKS = {
 
 def run(names=None, n_max=DEFAULT_N_MAX, trials=DEFAULT_TRIALS):
     """The named checks (default: all), in order, from one generator seeded
-    with ``SEED``; n_max >= 3 and trials >= 1 make each check something."""
+    with ``SEED``.  Raises ValueError unless n_max >= 3 and trials >= 1, the
+    least that makes each check check something."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if n_max < 3:
+        raise ValueError(f"n_max must be at least 3, got {n_max}")
     rng = random.Random(SEED)
     return [CHECKS[name](rng, n_max, trials) for name in names or CHECKS]

@@ -4,7 +4,9 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from xml.etree import ElementTree
 
+import numpy as np
 import pytest
 
 import kippenhahn
@@ -190,6 +192,34 @@ def test_curve_fit_lines_keep_branch_numbers(tmp_path, capsys):
                        "--out", str(tmp_path / "c5"), "--format", "csv")
     assert code == 0
     assert [line.split()[1] for line in out.splitlines()[1:]] == ["1", "2", "4", "5"]
+
+
+def test_svg_size_does_not_grow_with_scale(tmp_path, capsys):
+    sizes = []
+    for b in ("1e200,2", "2"):
+        stem = str(tmp_path / b.replace(",", "_"))
+        code, _, _ = run(capsys, "curve", "--b", b, "--m", "8", "--fit", "--format", "svg",
+                         "--out", stem)
+        assert code == 0
+        ElementTree.parse(stem + ".svg")
+        sizes.append(os.path.getsize(stem + ".svg"))
+    assert sizes[0] <= 2 * sizes[1]
+
+
+def test_svg_points_are_csv_points_over_the_scale(tmp_path, capsys):
+    stem = str(tmp_path / "c5")
+    code, _, _ = run(capsys, "curve", "--b", "1.5,2,2.5,3", "--m", "720", "--out", stem)
+    assert code == 0
+    rows = [line.split(",") for line in (tmp_path / "c5.csv").read_text().splitlines()[1:]]
+    csv_pts = np.array([complex(float(u), float(v)) for _, _, u, v, _ in rows]).reshape(720, 5)
+    s = max(np.abs(csv_pts.real).max(), np.abs(csv_pts.imag).max())
+    ns = {"svg": "http://www.w3.org/2000/svg"}
+    lines = ElementTree.parse(stem + ".svg").getroot().findall(".//svg:polyline", ns)
+    assert len(lines) == 5
+    for k, line in enumerate(lines):
+        pts = [complex(*map(float, pair.split(","))) for pair in line.get("points").split()]
+        assert len(pts) == 721  # closed: the first point again at the end
+        assert np.abs(s * np.array(pts[:-1]) - csv_pts[:, k]).max() <= 1e-6 * s
 
 
 def test_poly_report(capsys):

@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 
 from kippenhahn import (DegenerateInput, ReciprocalParams, UniPoly, a_params,
                         build_reciprocal, cubic_roots, divide_by_linear,
-                        eval_residual, generating_poly, params_to_matrix,
-                        reduce_mod_cubic, resultant_in_z)
+                        ellipse_centers_z, eval_residual, generating_poly,
+                        params_to_matrix, reduce_mod_cubic, resultant_in_z)
 from kippenhahn import rtables
 from kippenhahn.nrpoly import substitution_tau_coeffs
 
@@ -308,3 +309,90 @@ def test_eval_residual_small_for_n_up_to_12(case):
     A, theta, lam = case
     p = ReciprocalParams(A=tuple(A))
     assert eval_residual(generating_poly(p), params_to_matrix(p), theta, lam) <= 1e-9
+
+
+rationals = st.builds(F, st.integers(-20, 20), st.integers(1, 9))
+x_polys = st.lists(rationals, max_size=4).map(lambda cs: UniPoly("x", cs))
+
+
+def _sylvester_det(f, g):
+    """Sylvester determinant, f-rows first, of descending coefficient lists,
+    by Fraction Gaussian elimination."""
+    m, n = len(f) - 1, len(g) - 1
+    size = m + n
+    rows = ([[F(0)] * i + f + [F(0)] * (size - m - 1 - i) for i in range(n)]
+            + [[F(0)] * i + g + [F(0)] * (size - n - 1 - i) for i in range(m)])
+    det = F(1)
+    for c in range(size):
+        pivot = next((r for r in range(c, size) if rows[r][c] != 0), None)
+        if pivot is None:
+            return F(0)
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for r in range(c + 1, size):
+            t = rows[r][c] / rows[c][c]
+            rows[r] = [a - t * b for a, b in zip(rows[r], rows[c])]
+    return det
+
+
+@given(x_polys.filter(lambda p: not p.is_zero), x_polys,
+       st.lists(x_polys, min_size=1, max_size=5).filter(lambda cs: not cs[-1].is_zero),
+       st.lists(rationals, min_size=3, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_resultant_is_the_sylvester_determinant(f1, f0, g_coeffs, xs):
+    f, g = UniPoly("z", [f0, f1]), UniPoly("z", g_coeffs)
+    res = resultant_in_z(f, g)
+    for x0 in xs:
+        # the determinant of the formal-degree matrix commutes with x -> x0
+        want = _sylvester_det([F(c(x0)) for c in reversed(f.coeffs)],
+                              [F(c(x0)) for c in reversed(g.coeffs)])
+        assert res(x0) == want
+
+
+@pytest.mark.parametrize("f", [UniPoly("z", [F(3)]), UniPoly("z", [F(1), F(2), F(1)])])
+def test_resultant_needs_f_linear_in_z(f):
+    g = UniPoly("z", [F(1), F(1)])
+    with pytest.raises(ValueError, match=f"degree {f.degree}"):
+        resultant_in_z(f, g)
+
+
+CUBIC = UniPoly("x", [F(-1), F(12), F(-20), F(8)])
+
+
+@given(st.lists(rationals, max_size=9).map(lambda cs: UniPoly("x", cs)), x_polys)
+@settings(max_examples=80, deadline=None)
+def test_reduce_mod_cubic_is_the_remainder(f, g):
+    r = reduce_mod_cubic(f)
+    assert r.degree <= 2
+    assert reduce_mod_cubic(f + g * CUBIC) == r
+    if f.degree <= 2:
+        assert r == f
+
+
+@given(st.lists(st.floats(1.0, 50.0), min_size=5, max_size=5))
+@settings(max_examples=100, deadline=None)
+def test_ellipse_centers_z_against_high_precision(A):
+    # reference: the Lagrange form f(x_j) / ((x_j - x_i)(x_j - x_k)),
+    # f(t) = s1 t^2 - s2 t + s3, at 50-digit roots of the slope cubic
+    with localcontext() as ctx:
+        ctx.prec = 50
+        roots = []
+        for r in cubic_roots():
+            x = Decimal(r)
+            for _ in range(6):
+                x -= (((8 * x - 20) * x + 12) * x - 1) / ((24 * x - 40) * x + 12)
+            roots.append(x)
+        A1, A2, A3, A4, A5 = (Decimal(a) for a in A)
+        s1 = (A1 + A2 + A3 + A4 + A5) / 2
+        s2 = (3 * (A1 + A5) + 2 * (A2 + A3 + A4)) / 4
+        s3 = (A1 + A3 + A5) / 8
+        want = []
+        for j, xj in enumerate(roots):
+            xi, xk = (roots[m] for m in range(3) if m != j)
+            want.append(float(((s1 * xj - s2) * xj + s3) / ((xj - xi) * (xj - xk))))
+    got = ellipse_centers_z(ReciprocalParams(A=tuple(A)))
+    for z, w in zip(got, want):
+        # relative, floored at 1: z_1 crosses 0 inside the domain
+        assert abs(z - w) <= 1e-12 * max(1.0, abs(w))

@@ -1,5 +1,7 @@
 import argparse
 
+import pytest
+
 from kippenhahn import rtables, verify
 from kippenhahn.cli import build_parser, main
 
@@ -40,3 +42,11 @@ def test_unexpected_printed_mismatch_fails_with_its_monomials(monkeypatch, capsy
     assert result.lines[-1].endswith("-> FAIL")
     assert main(["verify", "--check", "r-coefficients"]) == 1
     assert capsys.readouterr().out == "\n".join(result.lines) + "\n"
+
+
+@pytest.mark.parametrize("kwargs", [dict(trials=0), dict(trials=-4), dict(n_max=2),
+                                    dict(names=["determinant"], n_max=2),
+                                    dict(names=["z-centers"], trials=0)])
+def test_run_rejects_inputs_that_check_nothing(kwargs):
+    with pytest.raises(ValueError, match="must be at least"):
+        verify.run(**kwargs)
