@@ -7,24 +7,32 @@ descending eigenvalue order.  This is Johnson's eigen-sweep (SIAM J. Numer.
 Anal. 15, 1978), run on blocks of angles at once.  Since the main diagonal
 is constant, the realified pencil is a shift of the Golub-Kahan form of a
 bidiagonal matrix: one batched SVD of half the size gives the eigenvalues
-in +- pairs, and each pair's tangent points sum to 2a.  The dense
-eigensolver runs only at angles where the pencil splits into blocks.
+in +- pairs, and each pair's tangent points sum to 2a.  A block holds as
+many angles as fit in BLOCK_ENTRIES entries of those bidiagonals, which at
+n <= 20 is a whole curve.  The dense eigensolver runs only at angles where
+the pencil splits into blocks.  Branches are fitted by the closed-form
+least-squares ellipse u^2/p^2 + v^2/q^2 = 1.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .eigsolve import eig_all
-from .trimat import (TridiagonalMatrix, phase_diagonal, realified_offdiag,
-                     realified_pencil)
+from .trimat import (TridiagonalMatrix, hermitian_offdiag, realified_pencil,
+                     snap_offdiag)
+# unused here since _sample_block takes the phase ratios from h directly;
+# kept importable because the benchmark's tracer patches curve.phase_diagonal
+from .trimat import phase_diagonal  # noqa: F401
 
-# angles per batched eigensolve; keeps peak memory bounded for any grid size
-BLOCK = 64
+# entries of the (n - k) x k bidiagonals B in one batched SVD, k = n // 2:
+# bounds peak memory in n and m alike
+BLOCK_ENTRIES = 2 ** 16
 
 
 class DegenerateBranch(ValueError):
@@ -83,9 +91,10 @@ class FitResult:
 def sample_curve(M: TridiagonalMatrix, m: int = 720) -> CurveSamples:
     """Sample all n branches on a uniform theta grid over [0, 2 pi).
 
-    The angles are solved BLOCK at a time, so peak memory does not grow
-    with m, and two exact identities of H(theta) = Re(e^{i theta} M) skip
-    most of the grid:
+    The angles are solved in blocks of max(1, BLOCK_ENTRIES // (k (n - k)))
+    with k = n // 2, so peak memory grows with neither m nor n (up to
+    n = 20 an m = 720 grid is one block), and two exact identities of
+    H(theta) = Re(e^{i theta} M) skip most of the grid:
 
     - half-turn, every M: H(theta + pi) = -H(theta), so for even m the
       angle theta + pi has the same eigenvectors, hence the same tangent
@@ -96,8 +105,13 @@ def sample_curve(M: TridiagonalMatrix, m: int = 720) -> CurveSamples:
 
     A real M solves theta in [0, pi/2] for even m (pi - theta follows from
     the mirror and the half-turn) and [0, pi] for odd m; a non-real M
-    solves [0, pi) for even m and every angle for odd m.
+    solves [0, pi) for even m and every angle for odd m.  m must be an
+    integer (operator.index), at least 8.
     """
+    try:
+        m = operator.index(m)
+    except TypeError:
+        raise TypeError(f"grid size m must be an integer, got {m!r}") from None
     if m < 8:
         raise ValueError("grid size m >= 8 required")
     theta = 2.0 * np.pi * np.arange(m) / m
@@ -107,8 +121,10 @@ def sample_curve(M: TridiagonalMatrix, m: int = 720) -> CurveSamples:
     h = m // 2 if m % 2 == 0 else m  # rows [h, m) come from the half-turn
     # rows [0, solved) are eigensolved, the rest mirrored
     solved = (m // 4 if m % 2 == 0 else m // 2) + 1 if real else h
-    for lo in range(0, solved, BLOCK):
-        block = slice(lo, min(lo + BLOCK, solved))
+    k = M.n // 2
+    step = max(1, BLOCK_ENTRIES // max(1, k * (M.n - k)))
+    for lo in range(0, solved, step):
+        block = slice(lo, min(lo + step, solved))
         lam[block], points[block] = _sample_block(M, theta[block])
     if real and m % 2:
         # row i is the angle -theta_{m - i}
@@ -144,7 +160,11 @@ def _sample_block(M: TridiagonalMatrix, theta: np.ndarray):
     (u, -v) one for d0 - sigma; odd n adds d0, with B's left null vector in
     the even slots.  Flipping the odd slots negates every w_j w_{j+1}, so
     the -sigma point is 2a minus the +sigma point and the middle point of
-    odd n is a itself.  All angles share one batched SVD of B.
+    odd n is a itself.  All angles share one batched SVD of B.  The
+    Hermitian off-diagonal h is computed once: B takes e = |h|, snapped by
+    trimat.snap_offdiag, and the tangent points take the phase ratios
+    r_j = conj(h_j) / |h_j| of the diagonal similarity that makes the
+    pencil real (1 where h_j = 0).
 
     Angles whose realified pencil has an exact zero off-diagonal are then
     solved again by eig_all, which solves the decoupled blocks separately
@@ -155,19 +175,22 @@ def _sample_block(M: TridiagonalMatrix, theta: np.ndarray):
     d0 = np.real(np.exp(1j * theta) * M.a)[:, None]
     if n == 1:  # nothing to pair: the eigenvalue is d0 and the point a
         return d0, np.full((len(theta), 1), M.a, dtype=complex)
-    e = realified_offdiag(M, theta)
+    h = hermitian_offdiag(M, theta)
+    mod = np.abs(h)
+    e = snap_offdiag(M, mod)
     # <M v, v> for v = D w is a * sum w_j^2 + sum_j (b_j r_j + c_j conj(r_j))
     # w_j w_{j+1}, with the phase ratios r_j = d_{j+1} / d_j of D
-    D = phase_diagonal(M, theta)
-    r = D[:, 1:] * np.conj(D[:, :-1])
+    r = np.divide(np.conj(h), mod, out=np.ones_like(h), where=mod > 0)
     g = np.asarray(M.b) * r + np.asarray(M.c) * np.conj(r)
     j = np.arange(n - 1)
     B = np.zeros((len(theta), n - k, k))
     B[:, (j + 1) // 2, j // 2] = e
     U, sigma, Vt = np.linalg.svd(B, full_matrices=False)  # sigma descending
-    # w_j w_{j+1} for w = (u, v) unnormalised: the index pattern of B
-    pair = U[:, (j + 1) // 2, :] * Vt[:, :, j // 2].transpose(0, 2, 1)
-    top = M.a + 0.5 * (g[:, None, :] @ pair)[:, 0]
+    # w_j w_{j+1} for w = (u, v) unnormalised, as (angle, k, j): the index
+    # pattern of B
+    pair = U[:, (j + 1) // 2, :].transpose(0, 2, 1) * Vt[:, :, j // 2]
+    # pair is real: one real product with the (real, imag) columns of g
+    top = M.a + 0.5 * (pair @ g.view(float).reshape(*g.shape, 2)).view(complex)[..., 0]
     lam = np.empty((len(theta), n))
     points = np.empty((len(theta), n), dtype=complex)
     lam[:, :k], points[:, :k] = d0 + sigma, top
@@ -195,37 +218,49 @@ def branch_points(samples: CurveSamples, k: int) -> np.ndarray:
 def _as_points(samples) -> np.ndarray:
     if isinstance(samples, CurveSamples):
         return samples.points.ravel()
-    return np.asarray(samples, dtype=complex)
+    return np.asarray(samples, dtype=complex).ravel()
 
 
 def fit_ellipse_axis_aligned(samples) -> FitResult:
     """Least-squares fit of u^2/p^2 + v^2/q^2 = 1 to one branch.
 
-    Linear in (1/p^2, 1/q^2), and solved in the coordinates divided by
-    s = max |u|, |v|, so no square overflows or underflows: the semi-axes
-    and the deviation scale with s, the algebraic rms residual does not.
-    Raises DegenerateBranch when the points have no spread along one of the
-    axes, relative to s (segments, points).
+    Linear in (alpha, beta) = (1/p^2, 1/q^2): in the coordinates divided by
+    s = max |u|, |v| the 2 x 2 normal equations of the columns (u^2, v^2)
+    against 1 are solved by Cramer's rule.  Scaling first means no square
+    overflows or underflows: the semi-axes and the deviation scale with s,
+    the algebraic rms residual does not.  Thin ellipses keep their minor
+    axis: scaling the v^2 column by c scales the determinant and both
+    numerators by powers of c, so their rounding does not depend on the
+    axis ratio.  Raises ValueError on non-finite samples, and
+    DegenerateBranch when the points have no spread along one of the axes,
+    relative to s (segments, points).
     """
     pts = _as_points(samples)
     if pts.size < 8:
         raise ValueError("need at least 8 samples")
     u, v = pts.real, pts.imag
     umin, umax, vmin, vmax = u.min(), u.max(), v.min(), v.max()
+    if not np.isfinite((umin, umax, vmin, vmax)).all():  # NaN and inf reach these
+        i = np.flatnonzero(~np.isfinite(pts))[0]
+        raise ValueError(f"sample {i} is not finite: {pts[i]}")
     s = float(max(-umin, umax, -vmin, vmax))
     if umax - umin <= 1e-10 * s or vmax - vmin <= 1e-10 * s:
         raise DegenerateBranch("branch has no area; fit skipped")
     u, v = u / s, v / s
-    design = np.column_stack([u * u, v * v])
-    coef, *_ = np.linalg.lstsq(design, np.ones_like(u), rcond=None)
-    alpha, beta = coef
+    x, y = u * u, v * v
+    xx, xy, yy = x @ x, x @ y, y @ y
+    sx, sy = x.sum(), y.sum()
+    det = xx * yy - xy * xy
+    if det <= 0:  # u^2 proportional to v^2: the points lie on two lines
+        raise DegenerateBranch("degenerate conic: points on two lines through 0")
+    alpha, beta = (sx * yy - sy * xy) / det, (xx * sy - xy * sx) / det
     if alpha <= 0 or beta <= 0:
         raise DegenerateBranch("degenerate conic: nonpositive axis coefficient")
-    q = design @ coef  # alpha u^2 + beta v^2
+    q = alpha * x + beta * y
     resid = q - 1.0
     # max |r - r_fit| at a common polar angle: the ray through (u, v) meets
     # the ellipse at r / sqrt(q); the origin takes polar angle 0
-    r = np.hypot(u, v)
+    r = np.sqrt(x + y)
     r_fit = np.divide(r, np.sqrt(q), out=np.full_like(r, 1.0 / math.sqrt(alpha)),
                       where=q > 0)
     semi_u, semi_v = s / math.sqrt(alpha), s / math.sqrt(beta)

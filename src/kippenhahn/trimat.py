@@ -197,16 +197,21 @@ def phase_diagonal(M: TridiagonalMatrix, theta) -> np.ndarray:
     return np.concatenate([first, np.cumprod(ratio, axis=-1)], axis=-1)
 
 
-def realified_offdiag(M: TridiagonalMatrix, theta) -> np.ndarray:
-    """Off-diagonal |h_j| of the realified pencil, for one angle or an array.
+def snap_offdiag(M: TridiagonalMatrix, mod: np.ndarray) -> np.ndarray:
+    """The moduli |h_j| with rounding noise snapped to exact zeros.
 
-    Rounding noise at hermitian-degenerate angles is snapped to exact zeros,
-    so the eigensolver sees genuinely decoupled blocks.
+    An entry at or below 8e-16 max(1, |b_j| + |c_j|) is zero in exact
+    arithmetic at a hermitian-degenerate angle, so the eigensolver sees
+    genuinely decoupled blocks.  Returns a new array.
     """
-    e = np.abs(hermitian_offdiag(M, theta))
     scale = np.abs(np.asarray(M.b)) + np.abs(np.asarray(M.c))
-    e[e <= 8e-16 * np.maximum(1.0, scale)] = 0.0
-    return e
+    return np.where(mod <= 8e-16 * np.maximum(1.0, scale), 0.0, mod)
+
+
+def realified_offdiag(M: TridiagonalMatrix, theta) -> np.ndarray:
+    """Off-diagonal |h_j| of the realified pencil, for one angle or an array,
+    snapped by snap_offdiag."""
+    return snap_offdiag(M, np.abs(hermitian_offdiag(M, theta)))
 
 
 def realified_pencil(M: TridiagonalMatrix, theta: float) -> SymTridiagonal:

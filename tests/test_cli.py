@@ -185,6 +185,21 @@ def test_curve_fit_on_curves_near_the_float_range(tmp_path, b):
     assert proc.stdout.count("fit: semi-axes") == 2  # n = 3: the middle branch is a point
 
 
+def test_curve_fit_of_a_thin_ellipse(tmp_path, capsys):
+    # n = 2: the curve is the ellipse with semi-axes (b + 1/b)/2 and
+    # (b - 1/b)/2, here 1e-7 in units of the other
+    code, out, _ = run(capsys, "curve", "--b", "1.0000001", "--m", "720", "--fit",
+                       "--out", str(tmp_path / "thin"), "--format", "csv")
+    assert code == 0
+    b = Fraction(1.0000001)
+    want = float((b - 1 / b) / 2)
+    lines = [line for line in out.splitlines() if "fit: semi-axes" in line]
+    assert len(lines) == 2
+    for line in lines:
+        minor = min(map(float, line.split("semi-axes ")[1].split()[0].split("/")))
+        assert abs(minor - want) <= 1e-9 * want
+
+
 def test_curve_fit_lines_keep_branch_numbers(tmp_path, capsys):
     # n = 5: the middle branch 3 is the single point 0 and has no fit; the
     # lines after it still name branches 4 and 5

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -89,6 +90,48 @@ def test_fit_is_homogeneous(p, q, wobble, exponent):
     assert abs(got.rms_residual - want.rms_residual) <= 1e-12  # dimensionless
 
 
+def _exact_axis_coefficients(pts):
+    """(alpha, beta) of the least-squares fit alpha u^2 + beta v^2 = 1, from
+    the normal equations in exact rational arithmetic."""
+    x = [Fraction(float(p.real)) ** 2 for p in pts]
+    y = [Fraction(float(p.imag)) ** 2 for p in pts]
+    xx, xy, yy = (sum(a * b for a, b in zip(f, g)) for f, g in ((x, x), (x, y), (y, y)))
+    sx, sy, det = sum(x), sum(y), xx * yy - xy * xy
+    return (sx * yy - sy * xy) / det, (xx * sy - xy * sx) / det
+
+
+@given(st.floats(min_value=-9.0, max_value=0.0), st.floats(min_value=0.5, max_value=3.0),
+       st.floats(min_value=0.0, max_value=0.2), st.floats(min_value=-200.0, max_value=200.0))
+@settings(max_examples=40, deadline=None)
+def test_fit_of_thin_ellipses_matches_exact_solution(log_ratio, p, wobble, exponent):
+    # axis ratio 1e-9..1 at scales 1e-200..1e200: the v^2 column is up to
+    # 1e-18 of the u^2 column and must still count in the fit
+    t = np.linspace(0, 2 * np.pi, 90, endpoint=False)
+    ratio, s = 10.0 ** log_ratio, 10.0 ** exponent
+    pts = s * (1.0 + wobble * np.cos(4 * t)) * (p * np.cos(t) + 1j * ratio * p * np.sin(t))
+    fit = fit_ellipse_axis_aligned(pts)
+    for semi, coef in zip((fit.semi_u, fit.semi_v), _exact_axis_coefficients(pts)):
+        # semi = 1 / sqrt(coef): compare semi^2 coef with 1 exactly
+        assert abs(math.sqrt(float(Fraction(semi) ** 2 * coef)) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf), complex(np.nan, 1.0)])
+def test_fit_rejects_non_finite_samples(bad):
+    t = np.linspace(0, 2 * np.pi, 40, endpoint=False)
+    pts = 2.0 * np.cos(t) + 1j * np.sin(t)
+    pts[5] = bad
+    with pytest.raises(ValueError, match="sample 5 is not finite") as info:
+        fit_ellipse_axis_aligned(pts)
+    assert not isinstance(info.value, DegenerateBranch)
+
+
+def test_fit_flattens_two_dimensional_input():
+    t = np.linspace(0, 2 * np.pi, 40, endpoint=False)
+    pts = 2.0 * np.cos(t) + 1j * np.sin(t)
+    assert fit_ellipse_axis_aligned(pts.reshape(8, 5)) == fit_ellipse_axis_aligned(pts)
+    assert sample_diameter(pts.reshape(5, 8)) == sample_diameter(pts)
+
+
 def test_fit_radial_deviation_matches_polar_formula():
     # r_fit = r / sqrt(alpha u^2 + beta v^2) is the polar-angle radius
     # 1 / sqrt(alpha cos^2 psi + beta sin^2 psi), with psi = 0 at the origin
@@ -108,6 +151,14 @@ def test_fit_degenerate_segment():
     samples = sample_curve(M, m=64)
     with pytest.raises(DegenerateBranch):
         fit_ellipse_axis_aligned(branch_points(samples, 1))
+
+
+def test_fit_of_points_on_two_lines_is_degenerate():
+    # u^2 = v^2 at every point: the normal equations are singular, and no
+    # conic alpha u^2 + beta v^2 = 1 is determined
+    pts = np.array([1, 2, 3, 4]) * np.array([[1 + 1j], [1 - 1j], [-1 + 1j], [-1 - 1j]])
+    with pytest.raises(DegenerateBranch, match="two lines"):
+        fit_ellipse_axis_aligned(pts)
 
 
 def test_fit_needs_enough_samples():
@@ -179,6 +230,19 @@ def test_symmetry_residual_empty():
 def test_minimum_grid_size():
     with pytest.raises(ValueError):
         sample_curve(build_reciprocal([1]), m=4)
+
+
+@pytest.mark.parametrize("m", [720.0, "16", None])
+def test_grid_size_must_be_an_integer(m):
+    with pytest.raises(TypeError, match="grid size m must be an integer"):
+        sample_curve(build_reciprocal([1.5, 2.0]), m=m)
+
+
+def test_grid_size_takes_numpy_integers():
+    M = build_reciprocal([1.5, 2.0])
+    got, want = sample_curve(M, m=np.int64(16)), sample_curve(M, m=16)
+    np.testing.assert_array_equal(got.lam, want.lam)
+    np.testing.assert_array_equal(got.points, want.points)
 
 
 def _tangent_points(M, theta, T):
@@ -454,6 +518,53 @@ def test_angles_solved(monkeypatch, M, solved):
         blocks.clear()
         sample_curve(M, m=m)
         np.testing.assert_array_equal(np.concatenate(blocks), 2.0 * np.pi * np.arange(count) / m)
+
+
+def _record_blocks(monkeypatch):
+    """Wrap curve._sample_block; returns the list of angle blocks it gets."""
+    blocks = []
+    solve = curve._sample_block
+    monkeypatch.setattr(curve, "_sample_block",
+                        lambda M, theta: blocks.append(theta) or solve(M, theta))
+    return blocks
+
+
+@pytest.mark.parametrize("M,m", [
+    *[(TridiagonalMatrix(n=4, a=0.5 + 1j, b=(2.0, 1.5j, -3.0), c=(0.5, 0.25, 1j)), m)
+      for m in (30, 32, 34, 62, 64, 66)],  # solves m / 2 angles
+    *[(REAL_MATRICES[1], m) for m in (56, 60, 64)],  # solves m // 4 + 1
+    *[(REAL_MATRICES[0], m) for m in (29, 31, 33)],  # solves m // 2 + 1
+])
+def test_sampler_at_block_budget_edges(monkeypatch, M, m):
+    # a budget of 16 angles per block: the solved angles end one short of,
+    # on, or one past a block edge
+    k = M.n // 2
+    monkeypatch.setattr(curve, "BLOCK_ENTRIES", 16 * k * (M.n - k))
+    blocks = _record_blocks(monkeypatch)
+    _assert_matches_reference(M, m)
+    assert [len(t) for t in blocks[:-1]] == [16] * (len(blocks) - 1)
+    assert 1 <= len(blocks[-1]) <= 16
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 20, 21, 77, 119, 120])
+def test_blocks_stay_within_the_entry_budget(monkeypatch, n):
+    blocks = _record_blocks(monkeypatch)
+    k = n // 2
+    for M in (params_to_matrix(ReciprocalParams(A=tuple(np.linspace(1.5, 4.0, n - 1)))),
+              build_reciprocal(np.linspace(1.5, 4.0, n - 1) * 1j)):
+        blocks.clear()
+        sample_curve(M, m=720)
+        assert max(len(t) for t in blocks) * k * (n - k) <= curve.BLOCK_ENTRIES
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_small_curves_are_one_block(monkeypatch, n):
+    blocks = _record_blocks(monkeypatch)
+    for M in (params_to_matrix(ReciprocalParams(A=(2.0,) * (n - 1))),
+              build_reciprocal([1.5j] * (n - 1))):
+        blocks.clear()
+        sample_curve(M, m=720)
+        assert len(blocks) == 1
 
 
 @pytest.mark.parametrize("m", [16, 720])
