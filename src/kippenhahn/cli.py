@@ -281,7 +281,10 @@ def cmd_solve(args) -> int:
     fixed = {}
     for item in args.fix or []:
         name, _, val = item.partition("=")
-        fixed[name.strip()] = float(val)
+        try:
+            fixed[name.strip()] = float(val)
+        except ValueError:  # float('') too: the item has no '='
+            raise ValueError(f"--fix takes NAME=VALUE, got {item!r}") from None
     sols = manifold.solve_m6(fixed)
     if args.format == "json":
         print(json.dumps([{"A": list(s.A), "residuals": list(s.residuals),

@@ -10,8 +10,10 @@ bidiagonal matrix: one batched SVD of half the size gives the eigenvalues
 in +- pairs, and each pair's tangent points sum to 2a.  A block holds as
 many angles as fit in BLOCK_ENTRIES entries of those bidiagonals, which at
 n <= 20 is a whole curve.  The dense eigensolver runs only at angles where
-the pencil splits into blocks.  Branches are fitted by the closed-form
-least-squares ellipse u^2/p^2 + v^2/q^2 = 1.
+the pencil splits into blocks.  trimat.pencil reduces the pencil for a
+whole block of angles in one call, and an angle's reduction does not depend
+on the block it is in, so neither do the samples.  Branches are fitted by
+the closed-form least-squares ellipse u^2/p^2 + v^2/q^2 = 1.
 """
 
 from __future__ import annotations
@@ -24,9 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigsolve import eig_all
-from .trimat import (TridiagonalMatrix, hermitian_offdiag, realified_pencil,
-                     snap_offdiag)
-# unused here since _sample_block takes the phase ratios from h directly;
+from .trimat import TridiagonalMatrix, pencil, realified_pencil
+# unused here since _sample_block takes the phase ratios from pencil;
 # kept importable because the benchmark's tracer patches curve.phase_diagonal
 from .trimat import phase_diagonal  # noqa: F401
 
@@ -103,10 +104,12 @@ def sample_curve(M: TridiagonalMatrix, m: int = 720) -> CurveSamples:
       entrywise conjugate of H(theta), so the angle -theta has the same
       eigenvalues and conjugate tangent points.
 
-    A real M solves theta in [0, pi/2] for even m (pi - theta follows from
-    the mirror and the half-turn) and [0, pi] for odd m; a non-real M
-    solves [0, pi) for even m and every angle for odd m.  m must be an
-    integer (operator.index), at least 8.
+    A real M solves theta in [0, pi/2] for even m and [0, pi] for odd m; a
+    non-real M solves [0, pi) for even m and every angle for odd m.  Two
+    passes fill the rest: the half-turn copies the solved rows to theta +
+    pi, then for a real M the mirror fills every row still empty from a
+    solved or half-turned one (pi - theta is the mirror of the half-turn).
+    m must be an integer (operator.index), at least 8.
     """
     try:
         m = operator.index(m)
@@ -118,30 +121,26 @@ def sample_curve(M: TridiagonalMatrix, m: int = 720) -> CurveSamples:
     lam = np.empty((m, M.n))
     points = np.empty((m, M.n), dtype=complex)
     real = not np.imag([M.a, *M.b, *M.c]).any()
-    h = m // 2 if m % 2 == 0 else m  # rows [h, m) come from the half-turn
-    # rows [0, solved) are eigensolved, the rest mirrored
+    h = m // 2 if m % 2 == 0 else m  # rows [h, m) are half-turns
+    # rows [0, solved) are eigensolved, the rest copied
     solved = (m // 4 if m % 2 == 0 else m // 2) + 1 if real else h
     k = M.n // 2
     step = max(1, BLOCK_ENTRIES // max(1, k * (M.n - k)))
     for lo in range(0, solved, step):
         block = slice(lo, min(lo + step, solved))
         lam[block], points[block] = _sample_block(M, theta[block])
-    if real and m % 2:
-        # row i is the angle -theta_{m - i}
-        lam[solved:] = lam[m - solved:0:-1]
-        points[solved:] = np.conj(points[m - solved:0:-1])
-    elif real:
-        # row i is pi - theta_{m/2 - i}: the half-turn of the mirror image
-        src = slice(h - solved, 0, -1)
-        order = np.argsort(lam[src], axis=1, kind="stable")
-        lam[solved:h] = -np.take_along_axis(lam[src], order, axis=1)
-        points[solved:h] = np.conj(np.take_along_axis(points[src], order, axis=1))
-    if h < m:
-        # a stable ascending sort reverses each row but keeps exact ties
-        # (split angles) in the order a direct solve at theta + pi gives
-        order = np.argsort(lam[:h], axis=1, kind="stable")
-        lam[h:] = -np.take_along_axis(lam[:h], order, axis=1)
-        points[h:] = np.take_along_axis(points[:h], order, axis=1)
+    # half-turn: row h + i is theta_i + pi.  A stable ascending sort reverses
+    # each row but keeps exact ties (split angles) in the order a direct
+    # solve at theta + pi gives
+    turned = min(h + solved, m)
+    order = np.argsort(lam[:turned - h], axis=1, kind="stable")
+    lam[h:turned] = -np.take_along_axis(lam[:turned - h], order, axis=1)
+    points[h:turned] = np.take_along_axis(points[:turned - h], order, axis=1)
+    if real:
+        # mirror: row i is the angle -theta_{m - i}, solved or half-turned
+        for lo, hi in ((solved, h), (turned, m)):
+            lam[lo:hi] = lam[m - lo:m - hi:-1]
+            points[lo:hi] = np.conj(points[m - lo:m - hi:-1])
     gap = np.min(lam[:, :-1] - lam[:, 1:], axis=1, initial=np.inf)
     for a in (theta, lam, points, gap):
         a.flags.writeable = False  # frozen, and branch_points hands out views
@@ -160,28 +159,27 @@ def _sample_block(M: TridiagonalMatrix, theta: np.ndarray):
     (u, -v) one for d0 - sigma; odd n adds d0, with B's left null vector in
     the even slots.  Flipping the odd slots negates every w_j w_{j+1}, so
     the -sigma point is 2a minus the +sigma point and the middle point of
-    odd n is a itself.  All angles share one batched SVD of B.  The
-    Hermitian off-diagonal h is computed once: B takes e = |h|, snapped by
-    trimat.snap_offdiag, and the tangent points take the phase ratios
-    r_j = conj(h_j) / |h_j| of the diagonal similarity that makes the
-    pencil real (1 where h_j = 0).
+    odd n is a itself.  All angles share one batched SVD of B.  d0, the
+    snapped moduli e and the phase ratios r_j of the diagonal similarity
+    that makes the pencil real all come from one trimat.pencil call.
 
-    Angles whose realified pencil has an exact zero off-diagonal are then
-    solved again by eig_all, which solves the decoupled blocks separately
-    and so keeps each eigenvector inside one block: the canonical tangent
-    points where two blocks share an eigenvalue.
+    Angles whose e has an exact zero are then solved again by eig_all,
+    which solves the decoupled blocks separately and so keeps each
+    eigenvector inside one block: the canonical tangent points where two
+    blocks share an eigenvalue.  realified_pencil at such an angle has
+    the block's e row bit for bit, since pencil's entries do not depend on
+    the batch.
     """
     n, k = M.n, M.n // 2
-    d0 = np.real(np.exp(1j * theta) * M.a)[:, None]
+    d0, e, r = pencil(M, theta)
     if n == 1:  # nothing to pair: the eigenvalue is d0 and the point a
-        return d0, np.full((len(theta), 1), M.a, dtype=complex)
-    h = hermitian_offdiag(M, theta)
-    mod = np.abs(h)
-    e = snap_offdiag(M, mod)
-    # <M v, v> for v = D w is a * sum w_j^2 + sum_j (b_j r_j + c_j conj(r_j))
-    # w_j w_{j+1}, with the phase ratios r_j = d_{j+1} / d_j of D
-    r = np.divide(np.conj(h), mod, out=np.ones_like(h), where=mod > 0)
-    g = np.asarray(M.b) * r + np.asarray(M.c) * np.conj(r)
+        return d0[:, None], np.full((len(theta), 1), M.a, dtype=complex)
+    # <M v, v> for v = D w is a * sum w_j^2 + sum_j g_j w_j w_{j+1} with
+    # g_j = b_j r_j + c_j conj(r_j) = p_j Re r_j + i q_j Im r_j, as
+    # (real, imag) pairs from real products
+    p, q = np.asarray(M.b) + np.asarray(M.c), np.asarray(M.b) - np.asarray(M.c)
+    g = np.stack([p.real * r.real - q.imag * r.imag,
+                  p.imag * r.real + q.real * r.imag], axis=-1)
     j = np.arange(n - 1)
     B = np.zeros((len(theta), n - k, k))
     B[:, (j + 1) // 2, j // 2] = e
@@ -189,14 +187,14 @@ def _sample_block(M: TridiagonalMatrix, theta: np.ndarray):
     # w_j w_{j+1} for w = (u, v) unnormalised, as (angle, k, j): the index
     # pattern of B
     pair = U[:, (j + 1) // 2, :].transpose(0, 2, 1) * Vt[:, :, j // 2]
-    # pair is real: one real product with the (real, imag) columns of g
-    top = M.a + 0.5 * (pair @ g.view(float).reshape(*g.shape, 2)).view(complex)[..., 0]
+    top = M.a + 0.5 * (pair @ g).view(complex)[..., 0]
     lam = np.empty((len(theta), n))
     points = np.empty((len(theta), n), dtype=complex)
-    lam[:, :k], points[:, :k] = d0 + sigma, top
-    lam[:, n - k:], points[:, n - k:] = d0 - sigma[:, ::-1], 2 * M.a - top[:, ::-1]
+    lam[:, :k], points[:, :k] = d0[:, None] + sigma, top
+    lam[:, n - k:] = d0[:, None] - sigma[:, ::-1]
+    points[:, n - k:] = 2 * M.a - top[:, ::-1]
     if n % 2:
-        lam[:, k], points[:, k] = d0[:, 0], M.a
+        lam[:, k], points[:, k] = d0, M.a
     for t in np.flatnonzero(np.any(e == 0.0, axis=1)):
         spectrum = eig_all(realified_pencil(M, float(theta[t])), vectors=True)
         # decoupled blocks can tie exactly; a stable order keeps ties in
@@ -204,7 +202,8 @@ def _sample_block(M: TridiagonalMatrix, theta: np.ndarray):
         order = np.argsort(-spectrum.values, kind="stable")
         w = spectrum.vectors[:, order]
         lam[t] = spectrum.values[order]
-        points[t] = M.a * np.einsum("jk,jk->k", w, w) + g[t] @ (w[:-1] * w[1:])
+        points[t] = (M.a * np.einsum("jk,jk->k", w, w)
+                     + ((w[:-1] * w[1:]).T @ g[t]).view(complex)[:, 0])
     return lam, points
 
 

@@ -102,7 +102,11 @@ def solve_m6(fixed: dict):
     realizable; one past ``rtables.N6_MAX_SCALE`` raises ValueError.
     """
     names = sorted(fixed)
-    if len(names) != 2 or any(nm not in ("A1", "A2", "A4", "A5") for nm in names):
+    for nm in names:
+        if nm not in ("A1", "A2", "A4", "A5"):
+            what = "cannot fix" if nm in PARAM_NAMES else "unknown parameter"
+            raise ValueError(f"{what} {nm!r}; fix two of A1, A2, A4, A5")
+    if len(names) != 2:
         raise ValueError("fix exactly two of A1, A2, A4, A5")
     (i, a), (j, b) = ((PARAM_NAMES.index(nm), float(fixed[nm])) for nm in names)
     if not (math.isfinite(a) and math.isfinite(b)):

@@ -8,17 +8,19 @@ the tau^1-coefficient, which is linear in z (so the resultant is a
 substitution), and reduces the result modulo the slope cubic by rewriting
 x^3.  Everything in this module runs in exact rational arithmetic
 (fractions convert floats losslessly); floating point enters only at root
-finding and in the numeric determinant used as an independent oracle.
+finding and in det_pencil, the numeric determinant used as an independent
+oracle, which works on the matrix entries rather than trimat's pencil.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .trimat import ReciprocalParams, TridiagonalMatrix, hermitian_offdiag
+from .trimat import ReciprocalParams, TridiagonalMatrix
 
 # 8 x^3 - 20 x^2 + 12 x - 1, ascending coefficients.  Its roots are the
 # tau-slopes of the candidate linear factors for n = 6; they coincide with
@@ -111,12 +113,6 @@ class UniPoly:
 
     def __rmul__(self, other):
         return UniPoly(self.var, [other * c for c in self.coeffs])
-
-    def __pow__(self, k):
-        out = UniPoly.const(self.var, Fraction(1))
-        for _ in range(k):
-            out = out * self
-        return out
 
     def __eq__(self, other):
         if isinstance(other, UniPoly):
@@ -214,13 +210,16 @@ def generating_poly(p: ReciprocalParams) -> BivariatePoly:
 
 
 def det_pencil(M: TridiagonalMatrix, theta: float, lam: float) -> float:
-    """det(Re(e^{i theta} M) - lambda I) by the tridiagonal three-term recursion."""
-    e2 = np.abs(hermitian_offdiag(M, theta)) ** 2
-    d = float(np.real(np.exp(1j * theta) * M.a)) - lam
+    """det(Re(e^{i theta} M) - lambda I) by the tridiagonal three-term recursion,
+    on M's own entries (2 h_j = w b_j + conj(w c_j), w = e^{i theta}) rather
+    than trimat.pencil, so the oracle stays independent of the sampler's."""
+    w = cmath.exp(1j * theta)
+    d = (w * M.a).real - lam
     dm2, dm1 = 1.0, d
-    for j in range(1, M.n):
-        dm2, dm1 = dm1, d * dm1 - e2[j - 1] * dm2
-    return dm1 if M.n >= 1 else 1.0
+    for bj, cj in zip(M.b, M.c):
+        h2 = w * bj + (w * cj).conjugate()
+        dm2, dm1 = dm1, d * dm1 - abs(h2) ** 2 / 4.0 * dm2
+    return dm1
 
 
 def eval_residual(P: BivariatePoly, M: TridiagonalMatrix, theta: float, lam: float) -> float:

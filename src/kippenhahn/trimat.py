@@ -4,7 +4,9 @@ A matrix here is determined by (n, a, b, c): size, the scalar main diagonal,
 and the super-/subdiagonal entry vectors.  "Reciprocal" means a = 0 and
 b_j * c_j = 1 for every j; that class is closed under the A_j parameters
 A_j = (|b_j|^2 + |c_j|^2) / 2, which are a complete unitary invariant for
-everything computed downstream.
+everything computed downstream.  pencil is the one reduction of
+Re(e^{i theta} M) to a real d0 I + tridiag(e); realified_pencil and
+phase_diagonal read it.
 """
 
 from __future__ import annotations
@@ -162,25 +164,37 @@ def params_to_matrix(p: ReciprocalParams) -> TridiagonalMatrix:
     b = []
     for Aj in p.A:
         Aj = float(Aj)
-        if Aj < 1.0 - PARAM_TOL:
-            raise InvalidParam(f"A_j >= 1 required, got {Aj}")
         s = max(Aj * Aj - 1.0, 0.0)
         b.append(float(np.sqrt(Aj + np.sqrt(s))))
     return build_reciprocal(b)
 
 
-def hermitian_offdiag(M: TridiagonalMatrix, theta) -> np.ndarray:
-    """Superdiagonal h_j of Re(e^{i theta} M), a Hermitian tridiagonal matrix.
+def pencil(M: TridiagonalMatrix, theta):
+    """The reduction of Re(e^{i theta} M) to d0 I + tridiag(e), as (d0, e, r).
 
-    theta may be an array of angles; the result then has shape
-    theta.shape + (n - 1,).
+    d0 = Re(e^{i theta} a); e_j = |h_j| for the Hermitian superdiagonal
+    h_j = (e^{i theta} b_j + conj(e^{i theta} c_j)) / 2, snapped to 0 at or
+    below 8e-16 max(1, |b_j| + |c_j|) (zero in exact arithmetic at a
+    degenerate angle, so the eigensolver sees decoupled blocks); and
+    r_j = conj(h_j) / |h_j| (1 where h_j = 0), the ratios d_{j+1} / d_j of
+    the unit diagonal D that makes D* Re(e^{i theta} M) D real.  For an
+    array theta, d0 has its shape and e, r one more axis of n - 1.  h is
+    formed from real products with p = b + c and q = b - c, each correctly
+    rounded, so no angle's entries depend on the batch it is in.
     """
-    w = np.exp(1j * theta)
-    if np.ndim(w):  # one row of h per angle
-        w = w[..., None]
-    b = np.asarray(M.b)
-    c = np.asarray(M.c)
-    return (w * b + np.conj(w * c)) / 2.0
+    w = np.exp(1j * np.asarray(theta, dtype=float))
+    d0 = np.real(w * M.a)
+    b, c = np.asarray(M.b), np.asarray(M.c)
+    p, q = b + c, b - c
+    cos, sin = w.real[..., None], w.imag[..., None]
+    hr = (cos * p.real - sin * p.imag) / 2.0  # Re h
+    hi = (cos * q.imag + sin * q.real) / 2.0  # Im h
+    mod = np.hypot(hr, hi)
+    e = np.where(mod <= 8e-16 * np.maximum(1.0, np.abs(b) + np.abs(c)), 0.0, mod)
+    r = np.ones(mod.shape, dtype=complex)
+    np.divide(hr, mod, out=r.real, where=mod > 0)
+    np.divide(-hi, mod, out=r.imag, where=mod > 0)
+    return d0, e, r
 
 
 def phase_diagonal(M: TridiagonalMatrix, theta) -> np.ndarray:
@@ -189,38 +203,13 @@ def phase_diagonal(M: TridiagonalMatrix, theta) -> np.ndarray:
     Eigenvectors of the realified pencil map back through v = D w.  theta
     may be an array of angles; the result then has shape theta.shape + (n,).
     """
-    h = hermitian_offdiag(M, theta)
-    mod = np.abs(h)
-    # d_{j+1} / d_j = conj(h_j) / |h_j|, or 1 where h_j vanishes
-    ratio = np.divide(np.conj(h), mod, out=np.ones_like(h), where=mod > 0)
-    first = np.ones(h.shape[:-1] + (1,), dtype=complex)
-    return np.concatenate([first, np.cumprod(ratio, axis=-1)], axis=-1)
-
-
-def snap_offdiag(M: TridiagonalMatrix, mod: np.ndarray) -> np.ndarray:
-    """The moduli |h_j| with rounding noise snapped to exact zeros.
-
-    An entry at or below 8e-16 max(1, |b_j| + |c_j|) is zero in exact
-    arithmetic at a hermitian-degenerate angle, so the eigensolver sees
-    genuinely decoupled blocks.  Returns a new array.
-    """
-    scale = np.abs(np.asarray(M.b)) + np.abs(np.asarray(M.c))
-    return np.where(mod <= 8e-16 * np.maximum(1.0, scale), 0.0, mod)
-
-
-def realified_offdiag(M: TridiagonalMatrix, theta) -> np.ndarray:
-    """Off-diagonal |h_j| of the realified pencil, for one angle or an array,
-    snapped by snap_offdiag."""
-    return snap_offdiag(M, np.abs(hermitian_offdiag(M, theta)))
+    r = pencil(M, theta)[2]
+    first = np.ones(r.shape[:-1] + (1,), dtype=complex)
+    return np.concatenate([first, np.cumprod(r, axis=-1)], axis=-1)
 
 
 def realified_pencil(M: TridiagonalMatrix, theta: float) -> SymTridiagonal:
-    """Real symmetric tridiagonal matrix co-spectral with Re(e^{i theta} M).
-
-    Diagonal entries are Re(e^{i theta} a); off-diagonal entries are the
-    moduli |h_j| of the Hermitian pencil's superdiagonal, which a diagonal
-    phase similarity removes without touching the spectrum.
-    """
-    d0 = float(np.real(np.exp(1j * theta) * M.a))
-    return SymTridiagonal(d=(d0,) * M.n, e=tuple(realified_offdiag(M, theta)))
-
+    """Real symmetric tridiagonal matrix co-spectral with Re(e^{i theta} M):
+    the d0 I + tridiag(e) of pencil at one angle."""
+    d0, e, _ = pencil(M, theta)
+    return SymTridiagonal(d=(float(d0),) * M.n, e=tuple(e))

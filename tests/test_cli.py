@@ -447,6 +447,18 @@ def test_classify_rejects_inconsistent_input(capsys, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("A1",), "--fix takes NAME=VALUE, got 'A1'"),
+    (("A1=2", "A5=x"), "--fix takes NAME=VALUE, got 'A5=x'"),
+    (("a1=2", "A5=3"), "unknown parameter 'a1'; fix two of A1, A2, A4, A5"),
+    (("A3=2", "A5=3"), "cannot fix 'A3'; fix two of A1, A2, A4, A5"),
+])
+def test_solve_fix_errors_name_the_problem(capsys, argv, message):
+    code, out, err = run(capsys, "solve", "--fix", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_n_may_repeat_the_size_the_list_gives(capsys):
     assert run(capsys, "classify", "--A", "2,3", "--n", "3") == run(capsys, "classify", "--A", "2,3")
 

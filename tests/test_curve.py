@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kippenhahn import (CurveSample, CurveSamples, DegenerateBranch,
@@ -13,7 +13,8 @@ from kippenhahn import (CurveSample, CurveSamples, DegenerateBranch,
                         realified_pencil, sample_curve, symmetry_residual)
 from kippenhahn import curve
 from kippenhahn.curve import sample_diameter
-from kippenhahn.trimat import SymTridiagonal, TridiagonalMatrix, phase_diagonal
+from kippenhahn.trimat import (SymTridiagonal, TridiagonalMatrix, pencil,
+                              phase_diagonal)
 
 
 def test_hermitian_2x2_segment():
@@ -362,6 +363,29 @@ def test_odd_middle_branch_is_the_diagonal(case, m):
     lam, points = curve._sample_block(M, samples.theta)
     np.testing.assert_array_equal(lam[:, k], np.real(np.exp(1j * samples.theta) * M.a))
     np.testing.assert_array_equal(points[:, k], M.a)
+
+
+@given(matrices(max_n=20), st.sampled_from([130, 131, 720]))
+@example((build_reciprocal([1.5 + 2j]), "reciprocal"), 130)
+@settings(max_examples=60, deadline=None)
+def test_samples_do_not_depend_on_the_block_budget(case, m):
+    # one angle a block against the default budget (one block up to n = 20):
+    # the same bits, so an angle's samples do not depend on its batch.  The
+    # example has n = 2, where NumPy's complex product rounds differently on
+    # a one-element array
+    M, kind = case
+    want = sample_curve(M, m=m)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(curve, "BLOCK_ENTRIES", 1)
+        got = sample_curve(M, m=m)
+    np.testing.assert_array_equal(got.lam, want.lam)
+    np.testing.assert_array_equal(got.points, want.points)
+    # the split angles' eig_all solves read the block's e rows bit for bit
+    e = pencil(M, want.theta)[1]
+    split = np.flatnonzero(np.any(e == 0.0, axis=1))
+    assert len(split) == (2 if kind == "split" and m % 4 == 0 else 0)
+    for t in split:
+        assert realified_pencil(M, float(want.theta[t])).e == tuple(e[t])
 
 
 @pytest.mark.parametrize("m", [63, 64, 65, 200])

@@ -13,7 +13,8 @@ from kippenhahn import (DegenerateInput, ReciprocalParams, UniPoly, a_params,
                         ellipse_centers_z, eval_residual, generating_poly,
                         params_to_matrix, reduce_mod_cubic, resultant_in_z)
 from kippenhahn import rtables
-from kippenhahn.nrpoly import substitution_tau_coeffs
+from kippenhahn.nrpoly import det_pencil, substitution_tau_coeffs
+from kippenhahn.trimat import TridiagonalMatrix
 
 F = Fraction
 
@@ -309,6 +310,30 @@ def test_eval_residual_small_for_n_up_to_12(case):
     A, theta, lam = case
     p = ReciprocalParams(A=tuple(A))
     assert eval_residual(generating_poly(p), params_to_matrix(p), theta, lam) <= 1e-9
+
+
+entries = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def general_pencils(draw):
+    n = draw(st.integers(1, 12))
+    b = draw(st.lists(entries, min_size=n - 1, max_size=n - 1))
+    c = draw(st.lists(entries, min_size=n - 1, max_size=n - 1))
+    M = TridiagonalMatrix(n=n, a=draw(entries), b=tuple(b), c=tuple(c))
+    return M, draw(st.floats(0.0, 2 * math.pi)), draw(st.floats(-2.0, 2.0))
+
+
+@given(general_pencils())
+@settings(max_examples=200, deadline=None)
+def test_det_pencil_matches_dense_determinant(case):
+    # complex a, non-reciprocal b and c: the recursion against LU on the
+    # dense Hermitian Re(e^{i theta} M) - lambda I
+    M, theta, lam = case
+    H = np.exp(1j * theta) * M.dense()
+    H = (H + H.conj().T) / 2 - lam * np.eye(M.n)
+    want = np.linalg.det(H).real
+    assert abs(det_pencil(M, theta, lam) - want) <= 1e-10 * max(1.0, abs(want))
 
 
 rationals = st.builds(F, st.integers(-20, 20), st.integers(1, 9))
