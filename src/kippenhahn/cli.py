@@ -73,17 +73,27 @@ class JobConfig:
         return trimat.a_params(self.matrix())
 
 
+def _parse_number(tok):
+    """A decimal as a float, p/q as an exact Fraction, anything else complex.
+
+    Like a decimal, a p/q must lie in the float range.
+    """
+    try:
+        return float(tok)
+    except ValueError:
+        pass
+    try:
+        value = Fraction(tok) if "/" in tok else complex(tok)
+        float(abs(value))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"malformed number {tok!r}") from None
+    except OverflowError:
+        raise ValueError(f"number {tok!r} is outside the float range") from None
+    return value
+
+
 def _parse_numlist(text):
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        try:
-            out.append(float(tok))
-        except ValueError:
-            out.append(complex(tok))
-    return out
+    return [_parse_number(tok) for tok in map(str.strip, text.split(",")) if tok]
 
 
 # input key -> (converter, help).  Config-file values and flags share the
@@ -146,7 +156,7 @@ def _classification_dict(result: Classification) -> dict:
 def _plain(v):
     if isinstance(v, (tuple, list)):
         return [_plain(x) for x in v]
-    if isinstance(v, (np.floating, np.integer)):
+    if isinstance(v, (np.floating, np.integer, Fraction)):
         return float(v)
     return v
 
@@ -156,10 +166,10 @@ def cmd_classify(args) -> int:
     p = cfg.params()
     result = classify_params(p, tol=cfg.tol)
     if cfg.format == "json":
-        print(json.dumps({"A": list(p.A), **_classification_dict(result)},
+        print(json.dumps({"A": _plain(p.A), **_classification_dict(result)},
                          sort_keys=True))
         return 0
-    print(f"A parameters: ({', '.join(f'{a:.9g}' for a in p.A)})")
+    print(f"A parameters: ({', '.join(f'{float(a):.9g}' for a in p.A)})")
     if result.kind == "normal":
         lo, hi = result.diagnostics["spectrum_endpoints"]
         print(f"normal; spectrum endpoints {lo:+.6f} / {hi:+.6f}")

@@ -3,18 +3,23 @@
 The generating polynomial of a reciprocal n-by-n matrix, written in
 zeta = lambda^2 and tau = cos(2 theta), is monic in zeta of degree
 floor(n/2) with coefficients that are polynomials in the A_j parameters.
-The n = 6 factor test substitutes zeta = x tau + z, eliminates z against
-the tau^1-coefficient, which is linear in z (so the resultant is a
-substitution), and reduces the result modulo the slope cubic by rewriting
-x^3.  Everything in this module runs in exact rational arithmetic
-(fractions convert floats losslessly); floating point enters only at root
-finding and in det_pencil, the numeric determinant used as an independent
-oracle, which works on the matrix entries rather than trimat's pencil.
+generating_poly runs the determinant recursion on Python integers, with
+the A_j over the lcm L of their denominators, and divides each
+coefficient by its power of 2L once at the end.  The n = 6 factor test
+substitutes zeta = x tau + z (substitution_tau_coeffs, a binomial
+expansion), eliminates z against the tau^1-coefficient, which is linear
+in z (so the resultant is a substitution), and reduces the result modulo
+the slope cubic by rewriting x^3.  Everything in this module runs in
+exact rational arithmetic (fractions convert floats losslessly);
+floating point enters only at root finding and in det_pencil, the
+numeric determinant used as an independent oracle, which works on the
+matrix entries rather than trimat's pencil.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -26,6 +31,7 @@ from .trimat import ReciprocalParams, TridiagonalMatrix
 # tau-slopes of the candidate linear factors for n = 6; they coincide with
 # 1 + cos(2 j pi / 7) = 2 cos^2(j pi / 7), j = 3, 2, 1.
 CUBIC_COEFFS = (Fraction(-1), Fraction(12), Fraction(-20), Fraction(8))
+_ZERO = Fraction(0)
 
 
 class DegenerateInput(ValueError):
@@ -177,35 +183,41 @@ class BivariatePoly:
 def generating_poly(p: ReciprocalParams) -> BivariatePoly:
     """Generating polynomial of the reciprocal matrix with parameters p.
 
-    Runs the tridiagonal determinant recursion symbolically with the
-    squared off-diagonal (A_j + tau)/2, splitting off one factor of
+    Runs the tridiagonal determinant recursion with the squared
+    off-diagonal beta_j = (A_j + tau)/2, splitting off one factor of
     -lambda whenever the size is odd, so only even powers of lambda
-    (i.e. powers of zeta) ever appear.
+    (i.e. powers of zeta) ever appear.  The recursion runs on Python
+    integers: with L the lcm of the denominators of the A_j, it uses
+    2 L beta_j = L A_j + L tau in place of beta_j.  It is
+    weight-homogeneous (the zeta^i coefficient of the m-by-m section has
+    beta-degree floor(m/2) - i), so the integer zeta^i coefficient is
+    (2L)^(floor(n/2) - i) times the true one, and each output coefficient
+    is one Fraction over that power.
     """
     if p.n < 2:
         raise ValueError("n >= 2 required")
-    half = Fraction(1, 2)
-    beta = [UniPoly("tau", [_to_exact(Aj) * half, half]) for Aj in p.A]
-    one = UniPoly.const("tau", Fraction(1))
-    zero = UniPoly("tau", [])
-    # G[m] = list of tau-polys per zeta power; det of the m-by-m section is
-    # lambda^(m mod 2) * G[m](zeta, tau)
-    g_prev, g_cur = [one], [-one]
+    A = [_to_exact(Aj) for Aj in p.A]
+    L = math.lcm(*(a.denominator for a in A))
+    LA = [L // a.denominator * a.numerator for a in A]
+    # G[m] = -zeta^(1 - m mod 2) G[m-1] - (L A_j + L tau) G[m-2] as integer
+    # tau-coefficient lists per zeta power, the ith of degree floor(m/2) - i
+    g_prev, g_cur = [[1]], [[-1]]
     for m in range(2, p.n + 1):
-        if m % 2 == 0:
-            shifted = [zero] + [-c for c in g_cur]
-            g_next = shifted
-        else:
-            g_next = [-c for c in g_cur]
-        bm = beta[m - 2]
-        for i, c in enumerate(g_prev):
-            if i < len(g_next):
-                g_next[i] = g_next[i] - bm * c
-            else:
-                g_next.append(-(bm * c))
+        shifted = [[0] * (m // 2 + 1)] + g_cur if m % 2 == 0 else g_cur
+        la = LA[m - 2]
+        g_next = []
+        for i, q in enumerate(shifted):
+            out = [-c for c in q]
+            if i < len(g_prev):
+                for j, c in enumerate(g_prev[i]):
+                    out[j] -= la * c
+                    out[j + 1] -= L * c
+            g_next.append(out)
         g_prev, g_cur = g_cur, g_next
     sign = 1 if p.n % 2 == 0 else -1
-    coeffs = tuple(sign * c for c in g_cur)
+    k, two_l = p.n // 2, 2 * L
+    coeffs = tuple(UniPoly("tau", [Fraction(sign * c, two_l ** (k - i)) for c in q])
+                   for i, q in enumerate(g_cur))
     return BivariatePoly(zeta_coeffs=coeffs, origin_component=(p.n % 2 == 1), n=p.n)
 
 
@@ -261,32 +273,25 @@ def divide_by_linear(P: BivariatePoly, x, z):
 def substitution_tau_coeffs(P: BivariatePoly):
     """Coefficients of tau^k in P(x tau + z, tau) with x and z symbolic.
 
-    Returns a list indexed by tau power; each entry is a UniPoly in z whose
-    coefficients are UniPoly in x over the rationals.  This is the exact
-    front half of the resultant pipeline.
+    Returns a list indexed by tau power 0..deg_zeta + 1; each entry is a
+    UniPoly in z whose coefficients are UniPoly in x over the rationals.
+    By the binomial expansion of sum_ij p_ij tau^j (x tau + z)^i, the
+    coefficient of tau^k z^a x^l is C(a + l, l) p_{a+l, k-l}.  This is the
+    exact front half of the resultant pipeline.
     """
-    x_elem = UniPoly("x", [Fraction(0), Fraction(1)])
-    zero_x = UniPoly("x", [])
-    one_x = UniPoly.const("x", Fraction(1))
-    z_elem = UniPoly("z", [zero_x, one_x])
-    x_in_z = UniPoly.const("z", x_elem)
-    lin = UniPoly("tau", [z_elem, x_in_z])  # x*tau + z over Q[x][z]
-    acc = UniPoly("tau", [])
-    power = UniPoly.const("tau", UniPoly.const("z", one_x))
-    for p in P.zeta_coeffs:
-        acc = acc + p * power
-        power = power * lin
-    kmax = P.deg_zeta
-    out = []
-    for k in range(kmax + 2):
-        c = acc.coeff(k)
-        if not isinstance(c, UniPoly):
-            c = UniPoly.const("z", UniPoly.const("x", _to_exact(c)))
-        else:
-            c = c.map_coeffs(lambda ci: ci if isinstance(ci, UniPoly)
-                             else UniPoly.const("x", _to_exact(ci)))
-        out.append(c)
-    return out
+    rows = [q.coeffs for q in P.zeta_coeffs]
+    kmax = len(rows) - 1
+
+    def coeff(a, l, k):  # C(a + l, l) p_{a+l, k-l}, one Fraction
+        row, j = rows[a + l], k - l
+        if j >= len(row) or not row[j]:
+            return _ZERO
+        c, binom = row[j], math.comb(a + l, l)
+        return c if binom == 1 else Fraction(binom * c.numerator, c.denominator)
+
+    return [UniPoly("z", [UniPoly("x", [coeff(a, l, k) for l in range(min(k, kmax - a) + 1)])
+                          for a in range(kmax + 1)])
+            for k in range(kmax + 2)]
 
 
 def resultant_in_z(f: UniPoly, g: UniPoly) -> UniPoly:

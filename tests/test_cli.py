@@ -504,3 +504,53 @@ def test_parser_is_built_once_and_reused_without_carry_over(tmp_path, capsys):
     build_parser.cache_clear()
     assert [outcome(argv) for argv in sequence] == fresh
     assert build_parser() is build_parser()
+
+
+def test_poly_reads_p_over_q_exactly(capsys):
+    code, out, _ = run(capsys, "poly", "--A", "3/2,5/4", "--format", "json")
+    assert code == 0
+    P = generating_poly(ReciprocalParams(A=(Fraction(3, 2), Fraction(5, 4))))
+    doc = json.loads(out)
+    assert doc["coefficients"] == [[str(c) for c in row] for row in P.coeff_table()]
+    assert doc["coefficients"][0][0] == "-11/8"
+
+
+def test_p_over_q_in_a_config_file(tmp_path, capsys):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text("A = 3/2, 5/4\n")
+    assert run(capsys, "poly", "--config", str(cfg)) == run(capsys, "poly", "--A", "3/2,5/4")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_classify_takes_p_over_q(capsys, fmt):
+    # classify works in floats: 3/2 and 5/4 are dyadic, so the report is the decimal one
+    assert (run(capsys, "classify", "--A", "3/2,5/4", "--format", fmt)
+            == run(capsys, "classify", "--A", "1.5,1.25", "--format", fmt))
+
+
+def test_curve_takes_p_over_q_superdiagonal(tmp_path, capsys):
+    code, _, _ = run(capsys, "curve", "--b", "3/2,5/2", "--m", "8", "--out", str(tmp_path / "q"))
+    assert code == 0
+    code, _, _ = run(capsys, "curve", "--b", "1.5,2.5", "--m", "8", "--out", str(tmp_path / "d"))
+    assert code == 0
+    assert (tmp_path / "q.csv").read_text() == (tmp_path / "d.csv").read_text()
+
+
+@pytest.mark.parametrize("token,message", [
+    ("3/2x", "malformed number '3/2x'"),
+    ("3/0", "malformed number '3/0'"),
+    ("1//2", "malformed number '1//2'"),
+    ("abc", "malformed number 'abc'"),
+    ("1" + "0" * 400 + "/3", "is outside the float range"),
+])
+def test_malformed_number_names_the_token(capsys, token, message):
+    code, out, err = run(capsys, "poly", "--A", f"2,{token}")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and message in err
+
+
+def test_decimals_stay_floats():
+    from kippenhahn.cli import _parse_numlist
+    values = _parse_numlist("1.1, 3/2, 2, 1e3, 2j")
+    assert values == [1.1, Fraction(3, 2), 2.0, 1000.0, 2j]
+    assert [type(v) for v in values] == [float, Fraction, float, float, complex]

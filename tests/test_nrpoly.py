@@ -17,6 +17,7 @@ from kippenhahn.nrpoly import det_pencil, substitution_tau_coeffs
 from kippenhahn.trimat import TridiagonalMatrix
 
 F = Fraction
+rationals = st.builds(F, st.integers(-20, 20), st.integers(1, 9))
 
 
 def frac_params(n, rng):
@@ -281,19 +282,77 @@ def test_substitution_tau_coeffs_small_sizes():
             assert val == UniPoly("x", [(A[0] * A[2] + A[0] * A[3] + A[1] * A[3]) / 4])
 
 
-def test_substitution_matches_divide_remainder_numerically():
-    rng = np.random.default_rng(31)
-    for n in (4, 5, 6, 7):
-        p = ReciprocalParams(A=tuple(F(k) for k in rng.integers(1, 7, n - 1)))
-        P = generating_poly(p)
-        taus = substitution_tau_coeffs(P)
-        x0, z0 = F(5, 4), F(7, 3)
-        _, rem = divide_by_linear(P, x0, z0)
-        for k in range(len(taus)):
-            want = taus[k](z0)
-            if isinstance(want, UniPoly):
-                want = want(x0)
-            assert rem.coeff(k) == want
+def _reference_generating_poly(p):
+    """The determinant recursion over Fraction/UniPoly, with beta_j = (A_j + tau)/2."""
+    half = F(1, 2)
+    beta = [UniPoly("tau", [F(Aj) * half, half]) for Aj in p.A]
+    one = UniPoly.const("tau", F(1))
+    zero = UniPoly("tau", [])
+    g_prev, g_cur = [one], [-one]
+    for m in range(2, p.n + 1):
+        g_next = ([zero] if m % 2 == 0 else []) + [-c for c in g_cur]
+        bm = beta[m - 2]
+        for i, c in enumerate(g_prev):
+            g_next[i] = g_next[i] - bm * c
+        g_prev, g_cur = g_cur, g_next
+    sign = 1 if p.n % 2 == 0 else -1
+    return [sign * c for c in g_cur]
+
+
+# A_j >= 1 as Fractions, ints, dyadics and floats up to 1e200
+param_values = st.one_of(
+    st.builds(lambda num, den: F(num, den) + 1, st.integers(0, 10 ** 6), st.integers(1, 10 ** 4)),
+    st.integers(1, 10 ** 9),
+    st.builds(lambda num, e: F(num, 2 ** e) + 1, st.integers(0, 2 ** 40), st.integers(0, 60)),
+    st.floats(1.0, 1e200),
+)
+
+
+@st.composite
+def param_vectors(draw, n_min=2, n_max=14):
+    n = draw(st.integers(n_min, n_max))
+    return ReciprocalParams(A=tuple(draw(st.lists(param_values, min_size=n - 1,
+                                                  max_size=n - 1))))
+
+
+@given(param_vectors())
+@settings(max_examples=150, deadline=None)
+def test_generating_poly_matches_the_fraction_recursion(p):
+    P = generating_poly(p)
+    want = _reference_generating_poly(p)
+    assert P.n == p.n and P.origin_component == (p.n % 2 == 1)
+    assert P.zeta_coeffs == tuple(want)  # equal coefficient tables, same structure
+    assert all(type(c) is F for q in P.zeta_coeffs for c in q.coeffs)
+
+
+@given(param_vectors(n_max=12), st.integers(1, 10 ** 4), st.integers(1, 10 ** 4))
+@settings(max_examples=100, deadline=None)
+def test_generating_poly_is_weight_homogeneous(p, num, den):
+    # the zeta^i tau^j coefficient has degree floor(n/2) - i - j in the A_j
+    t = 1 + F(num, den)
+    P = generating_poly(p)
+    Pt = generating_poly(ReciprocalParams(A=tuple(t * F(a) for a in p.A)))
+    k = p.n // 2
+    assert (Pt.deg_zeta, Pt.deg_tau) == (P.deg_zeta, P.deg_tau)
+    for i in range(P.deg_zeta + 1):
+        for j in range(P.deg_tau + 1):
+            assert Pt.coeff(i, j) == t ** (k - i - j) * P.coeff(i, j)
+
+
+@given(param_vectors(n_max=12), rationals, rationals)
+@settings(max_examples=100, deadline=None)
+def test_substitution_matches_divide_remainder_numerically(p, x0, z0):
+    # exact: the tau-coefficients of P(x tau + z, tau) at (x0, z0) are the
+    # remainder of P on division by zeta - (x0 tau + z0)
+    P = generating_poly(p)
+    taus = substitution_tau_coeffs(P)
+    assert len(taus) == P.deg_zeta + 2
+    _, rem = divide_by_linear(P, x0, z0)
+    for k, tau_k in enumerate(taus):
+        want = tau_k(z0)
+        if isinstance(want, UniPoly):
+            want = want(x0)
+        assert rem.coeff(k) == want
 
 
 @st.composite
@@ -336,7 +395,6 @@ def test_det_pencil_matches_dense_determinant(case):
     assert abs(det_pencil(M, theta, lam) - want) <= 1e-10 * max(1.0, abs(want))
 
 
-rationals = st.builds(F, st.integers(-20, 20), st.integers(1, 9))
 x_polys = st.lists(rationals, max_size=4).map(lambda cs: UniPoly("x", cs))
 
 
