@@ -4,13 +4,16 @@ Every classifier consumes only the A_j parameters.  A linear factor
 zeta - (x tau + z) of the generating polynomial corresponds to the
 origin-centered axis-aligned ellipse with semi-axes sqrt(z +- x); all
 criteria below decide when such factors exist, in closed form for
-n = 3, 4, 5 and through the reduced-resultant tables for n = 6.
+n = 3, 4, 5 and through the reduced-resultant tables for n = 6, where one
+test per root of the slope cubic gives both the single- and the
+three-ellipse verdict.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from . import rtables
 from .nrpoly import cubic_roots
@@ -117,13 +120,13 @@ def classify3(p: ReciprocalParams, tol: float = DEFAULT_TOL) -> Classification:
 def classify4(p: ReciprocalParams, tol: float = DEFAULT_TOL) -> Classification:
     """n=4: elliptic iff A_2 lies on one of the two golden-ratio hyperplanes."""
     _require_size(p, 4)
+    if p.all_ones:
+        return _normal_classification(p)
     A1, A2, A3 = p.A
     scale = max(1.0, max(p.A))
     b1 = A2 - (GOLDEN * A1 - A3 / GOLDEN)
     b2 = A2 - (GOLDEN * A3 - A1 / GOLDEN)
     diag = {"branch_residuals": (b1, b2)}
-    if p.all_ones:
-        return _normal_classification(p)
     hit1 = abs(b1) <= tol * scale
     hit2 = abs(b2) <= tol * scale
     if not (hit1 or hit2):
@@ -147,13 +150,13 @@ def classify4(p: ReciprocalParams, tol: float = DEFAULT_TOL) -> Classification:
 def classify5(p: ReciprocalParams, tol: float = DEFAULT_TOL) -> Classification:
     """n=5: elliptic iff A_1 = A_4 or A_1 - A_4 = 2(A_3 - A_2)."""
     _require_size(p, 5)
+    if p.all_ones:
+        return _normal_classification(p)
     A1, A2, A3, A4 = p.A
     scale = max(1.0, max(p.A))
     b1 = A1 - A4
     b2 = (A1 - A4) - 2.0 * (A3 - A2)
     diag = {"branch_residuals": (b1, b2)}
-    if p.all_ones:
-        return _normal_classification(p)
     hit1 = abs(b1) <= tol * scale
     hit2 = abs(b2) <= tol * scale
     S = A1 + A2 + A3 + A4
@@ -176,120 +179,78 @@ def classify5(p: ReciprocalParams, tol: float = DEFAULT_TOL) -> Classification:
         diagnostics=diag)
 
 
-def _q_polys(A, x):
-    """Coefficients in z of the three tau-coefficients of P6(x tau + z, tau).
-
-    Returns (q11, q10), (q22, q21, q20), (q32, q31, q30); the cubic in z is
-    monic.  Works for any numeric type.
-    """
+def _center_z(A, x):
+    """-q10 / q11, the zero of the tau^2 coefficient q11 z + q10 of
+    P6(x tau + z, tau) (the one linear in z; tau^3 has s(x) / 8 alone), for
+    any numeric type."""
     A1, A2, A3, A4, A5 = A
     S = A1 + A2 + A3 + A4 + A5
     T = 3 * A1 + 2 * A2 + 2 * A3 + 2 * A4 + 3 * A5
-    S2a = A1 * A3 + A3 * A5 + A1 * A4 + A2 * A4 + A1 * A5 + A2 * A5
-    S2o = A1 * A3 + A3 * A5 + A1 * A5
     q11 = (3 * x - 5) * x + 1.5
     q10 = -S / 2 * x * x + T / 4 * x - (A1 + A3 + A5) / 8
-    q22 = 3 * x - 2.5
-    q21 = -S * x + T / 4
-    q20 = S2a / 4 * x - S2o / 8
-    q32 = -S / 2
-    q31 = S2a / 4
-    q30 = -A1 * A3 * A5 / 8
-    return (q11, q10), (q22, q21, q20), (q32, q31, q30)
+    return -q10 / q11
+
+
+def ellipse_centers_z(p: ReciprocalParams):
+    """Factor constants z_j at the roots x_j, ascending-x order.
+
+    z_j is the zero of the tau^2 coefficient of P6(x_j tau + z, tau), so the
+    only constant a factor zeta - (x_j tau + z) can have; that coefficient's
+    z-slope at the three roots is 1.034, -0.574 and 1.290, never near 0.
+    """
+    _require_size(p, 6)
+    return tuple(_center_z(p.A, xr) for xr in cubic_roots())
+
+
+# the n = 6 verdict by the number of roots that pass
+_N6_KINDS = ("non_elliptic", "boundary_ellipse_only", "boundary_ellipse_only",
+             "all_components_elliptic")
 
 
 def contains_ellipse6(p: ReciprocalParams, tol: float = DEFAULT_TOL) -> Classification:
-    """n=6: find roots of the slope cubic where both reduced resultants vanish.
+    """n=6: both verdicts from one test at each root x_t of the slope cubic.
 
-    At each such root the linear-in-z coefficient pins the factor constant
-    z; the factor is certified by direct substitution and the component is
-    emitted when z >= x (z = x degenerates to the doubleton of foci).
+    A root passes when both reduced resultants vanish there (relative to
+    max(1, S^2) and max(1, S^3), S = sum A_j) and the pinned factor constant
+    z_t satisfies z_t >= x_t (z = x degenerates to the doubleton of foci).
+    R1 and R2 are quadratics in x, so they vanish at all three roots iff
+    they vanish identically, which is the three-ellipse ideal: three passing
+    roots give all_components_elliptic, one or two boundary_ellipse_only.
     """
     _require_size(p, 6)
     if p.all_ones:
         return _normal_classification(p)
     rtables.check_n6_scale(p.A)
-    # one product gives every table this test and the three-ellipse test read
-    c12, c11, c10, c22, c21, c20, *ell3 = rtables.n6_values(p.A).tolist()
-    sumA = sum(p.A)
-    scale1 = tol * max(1.0, sumA ** 2)
-    scale2 = tol * max(1.0, sumA ** 3)
+    c12, c11, c10, c22, c21, c20 = rtables.n6_values(p.A).tolist()
+    S = sum(p.A)
     components = []
     root_hits = []
-    diag = {}
     for xr in cubic_roots():
         r1v = c12 * xr * xr + c11 * xr + c10
         r2v = c22 * xr * xr + c21 * xr + c20
         root_hits.append((xr, r1v, r2v))
-        if abs(r1v) > scale1 or abs(r2v) > scale2:
-            continue
-        # q11 at the three roots is 1.034, -0.574 and 1.290, never near 0
-        (q11, q10), (q22, q21, q20), (q32, q31, q30) = _q_polys(p.A, xr)
-        z = -q10 / q11
-        res2 = (q22 * z + q21) * z + q20
-        res3 = ((z + q32) * z + q31) * z + q30
-        if abs(res2) > scale2 or abs(res3) > scale2:
-            continue
-        if z < xr - tol * max(1.0, sumA):
-            continue  # factor exists but the conic has no real points
-        components.append(EllipseComponent(x=xr, z=z))
-    diag["resultant_values"] = root_hits
-    three = _three_ellipses(p, ell3, tol)
-    if three.elliptic:
-        return Classification(kind="all_components_elliptic",
-                              components=three.components,
-                              diagnostics={**diag, **three.diagnostics})
-    if components:
-        return Classification(kind="boundary_ellipse_only",
-                              components=tuple(components),
-                              diagnostics=diag)
-    return Classification(kind="non_elliptic", diagnostics=diag)
+        if abs(r1v) <= tol * max(1.0, S ** 2) and abs(r2v) <= tol * max(1.0, S ** 3):
+            z = _center_z(p.A, xr)
+            if z >= xr - tol * max(1.0, S):
+                components.append(EllipseComponent(x=xr, z=z))
+    diag = {"resultant_values": root_hits}
+    if len(components) == 3:
+        # |z gap| - |x gap| > 0: the component with the larger z has both
+        # semi-axes sqrt(z +- x) larger, so it strictly contains the other
+        diag["nesting_margins"] = tuple(abs(a.z - b.z) - abs(a.x - b.x)
+                                        for a, b in combinations(components, 2))
+    return Classification(kind=_N6_KINDS[len(components)],
+                          components=tuple(components), diagnostics=diag)
 
 
 def three_ellipses6(p: ReciprocalParams, tol: float = DEFAULT_TOL) -> Classification:
-    """n=6: the curve is three concentric ellipses iff the three closed-form
-    conditions vanish (homogeneity-aware scaling) and not all A_j equal 1."""
-    _require_size(p, 6)
-    if p.all_ones:
-        return _normal_classification(p)
-    rtables.check_n6_scale(p.A)
-    return _three_ellipses(p, rtables.n6_values(p.A)[6:].tolist(), tol)
-
-
-def _three_ellipses(p: ReciprocalParams, residuals, tol: float) -> Classification:
-    """three_ellipses6 on the four ELL3 residuals at p (not all A_j = 1)."""
-    qa, qb, cubic, qdiff = residuals
-    sumA = sum(p.A)
-    ok = (abs(qa) <= tol * sumA ** 2 and abs(qb) <= tol * sumA ** 2
-          and abs(cubic) <= tol * sumA ** 3)
-    diag = {"three_ellipse_residuals": (qa, qb, cubic, qdiff)}
-    if not ok:
-        return Classification(kind="non_elliptic", diagnostics=diag)
-    roots = cubic_roots()
-    zs = ellipse_centers_z(p)
-    comps = tuple(EllipseComponent(x=xr, z=zr) for xr, zr in zip(roots, zs))
-    gaps = []
-    for i in range(3):
-        for j in range(i + 1, 3):
-            hi, lo = (comps[i], comps[j]) if comps[i].z >= comps[j].z else (comps[j], comps[i])
-            gaps.append((hi.z - lo.z) - abs(hi.x - lo.x))
-    diag["nesting_margins"] = tuple(gaps)
-    return Classification(kind="all_components_elliptic", components=comps,
-                          diagnostics=diag)
-
-
-def ellipse_centers_z(p: ReciprocalParams):
-    """Factor constants z_j for the three-ellipse case, ascending-x order.
-
-    z_j = -q10 / q11 at the root x_j, where q11 z + q10 is the tau^1
-    coefficient of P6(x tau + z, tau), the same z ``contains_ellipse6`` pins.
-    """
-    _require_size(p, 6)
-    out = []
-    for xr in cubic_roots():
-        (q11, q10), _, _ = _q_polys(p.A, xr)
-        out.append(-q10 / q11)
-    return tuple(out)
+    """n=6: ``contains_ellipse6`` with boundary_ellipse_only read as
+    non_elliptic: the curve is three concentric ellipses iff all three roots
+    pass, and the A_j are not all 1."""
+    c = contains_ellipse6(p, tol)
+    if c.kind == "boundary_ellipse_only":
+        return Classification(kind="non_elliptic", diagnostics=c.diagnostics)
+    return c
 
 
 def toeplitz_components(p: ReciprocalParams, tol: float = DEFAULT_TOL) -> Classification:

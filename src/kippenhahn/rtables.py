@@ -19,7 +19,10 @@ Two parallel sets are shipped:
 The ``ELL3_*`` tables are the three-ellipse conditions (two quadratics and
 one cubic in the A_j, plus their difference); a reciprocal 6-by-6 matrix has
 a three-ellipse Kippenhahn curve iff all three vanish and the parameters are
-not all 1.
+not all 1.  They cut out the same set as R1 = R2 = 0 identically in x (the
+degree-3 parts of the two ideals agree, see the tests), so the classifier
+reads only the resultant tables and the ``ELL3_*`` tables certify the
+manifold solvers.
 
 The dict tables are the source of truth.  Tables of degree <= 3 are also
 compiled, at import, over the 56 monomials of degree <= 3:
@@ -27,9 +30,10 @@ compiled, at import, over the 56 monomials of degree <= 3:
 * for exact work into sparse integer rows (``compile_rows``);
   ``eval_exact`` gives their values at one point as Fractions from a single
   integer dot product per table, with no rational arithmetic per term;
-* for float work in bulk the ten tables the n = 6 classifier reads into one
-  coefficient matrix (``compile_tables``); ``n6_values`` then gives their
-  values at a whole batch of points from one product.
+* for float work in bulk the six resultant coefficient tables the n = 6
+  classifier reads into one coefficient matrix (``compile_tables``);
+  ``n6_values`` then gives their values at a whole batch of points from one
+  product.
 
 ``eval_table`` stays the generic evaluator for any arithmetic (floats,
 Fractions, polynomials) and any degree.
@@ -599,12 +603,13 @@ def ell3_residuals(A):
     return eval_exact(ELL3_ROWS, A)
 
 
-# what the n = 6 classifier reads: the six resultant coefficients, then the
-# four three-ellipse residuals
-N6_TABLES = R1_TABLES + R2_TABLES + ELL3_TABLES
+# what the n = 6 classifier reads: the six resultant coefficients
+N6_TABLES = R1_TABLES + R2_TABLES
 N6_VALUES = compile_tables(N6_TABLES)
 # each N6 value is at most its row's sum of |coefficients| times (1 + sum |A_j|)^3,
-# so below this 1 + sum |A_j| every value, and that cube, is a finite float
+# so below this 1 + sum |A_j| every value, and that cube, is a finite float.
+# The largest row sum, R2_X1's 1248, is above every ELL3 row's (at most 116),
+# so the bound also keeps the float ELL3 residuals of residuals_m6 finite.
 N6_MAX_SCALE = float(np.finfo(float).max / np.abs(N6_VALUES).sum(axis=1).max()) ** (1 / 3)
 
 
@@ -615,7 +620,7 @@ def check_n6_scale(A):
 
 
 def n6_values(A):
-    """Values of the ten ``N6_TABLES`` at each row of A, shape (..., 10).
+    """Values of the six ``N6_TABLES`` at each row of A, shape (..., 6).
 
     The floats agree with ``eval_table`` up to rounding; the dict tables stay
     the exact path.  The product is an einsum, not a matmul: BLAS picks

@@ -21,6 +21,7 @@ import numpy as np
 RECIPROCAL_TOL = 1e-12
 # slack in comparing A_j with the floor 1, with 1, and (relative) with each other
 PARAM_TOL = 1e-12
+FLOAT_MAX = float(np.finfo(float).max)
 
 
 class ZeroSuperdiagonal(ValueError):
@@ -88,6 +89,9 @@ class ReciprocalParams:
 
     A: tuple
     n: int = field(default=0)
+    # set where an exact A_j is above the largest float: generating_poly
+    # takes it exactly, the float paths raise ValueError
+    past_float_range = False
 
     def __post_init__(self):
         object.__setattr__(
@@ -98,16 +102,28 @@ class ReciprocalParams:
         if self.n != len(self.A) + 1:
             raise ValueError("n must equal len(A) + 1")
         # one pass rejects both A_j < 1 and non-finite entries (nan fails
-        # every comparison, inf fails the upper one)
-        if not all(1.0 - PARAM_TOL <= v < math.inf for v in self.A):
-            raise InvalidParam(f"finite A_j >= 1 required, got {self.A}")
+        # every comparison, inf the upper one); only an exact A_j passes the
+        # second test and fails the first
+        if not all(1.0 - PARAM_TOL <= v <= FLOAT_MAX for v in self.A):
+            if not all(1.0 - PARAM_TOL <= v < math.inf for v in self.A):
+                raise InvalidParam(f"finite A_j >= 1 required, got {self.A}")
+            object.__setattr__(self, "past_float_range", True)
+
+    def check_float_range(self):
+        """ValueError where an exact A_j is past the float range.  Every
+        float path calls it: params_to_matrix, and each classifier through
+        all_ones or all_equal."""
+        if self.past_float_range:
+            raise ValueError("an exact A_j is past the float range")
 
     @property
     def all_equal(self) -> bool:
+        self.check_float_range()
         return max(self.A) - min(self.A) <= PARAM_TOL * max(1.0, max(self.A))
 
     @property
     def all_ones(self) -> bool:
+        self.check_float_range()
         return all(abs(v - 1.0) <= PARAM_TOL for v in self.A)
 
 
@@ -161,6 +177,7 @@ def params_to_matrix(p: ReciprocalParams) -> TridiagonalMatrix:
     phase of b_j is immaterial for every classifier, so the real positive
     choice is fixed once and for all.
     """
+    p.check_float_range()
     b = []
     for Aj in p.A:
         Aj = float(Aj)

@@ -10,7 +10,8 @@ from kippenhahn import (NotToeplitzCase, ReciprocalParams, WrongSize,
                         a_params, build_reciprocal, classify, classify3,
                         classify4, classify5, contains_ellipse6, cubic_roots,
                         divide_by_linear, ellipse_centers_z, generating_poly,
-                        three_ellipses6, toeplitz_components)
+                        params_to_matrix, solve_m6, three_ellipses6,
+                        toeplitz_components)
 
 PHI = (math.sqrt(5) + 1) / 2
 F = Fraction
@@ -221,6 +222,82 @@ def test_ellipse_centers_solution_point():
     zs = ellipse_centers_z(ReciprocalParams(A=THREE_ELLIPSE_6))
     for z, x in zip(zs, cubic_roots()):
         assert z > x > 0
+
+
+# n = 6: one per-root test gives both verdicts
+
+# THREE_ELLIPSE_6 with A_1 moved by 1e-8 relative: R1 and R2 still pass the
+# per-root test at x1 and x2, not at x3
+NEAR_THREE_ELLIPSE_6 = (20.0000002,) + THREE_ELLIPSE_6[1:]
+
+
+def passing_roots(c, p, tol=1e-9):
+    """The roots whose resultant_values pass the per-root resultant test."""
+    S = sum(p.A)
+    return {xr for xr, r1, r2 in c.diagnostics["resultant_values"]
+            if abs(r1) <= tol * max(1.0, S ** 2) and abs(r2) <= tol * max(1.0, S ** 3)}
+
+
+def assert_components_pass(p, tol=1e-9):
+    for c in (contains_ellipse6(p, tol), three_ellipses6(p, tol)):
+        passed = passing_roots(c, p, tol)
+        assert {comp.x for comp in c.components} <= passed
+        if c.kind == "all_components_elliptic":
+            assert len(c.components) == 3
+
+
+def test_near_three_ellipse_point_is_boundary_only():
+    p = ReciprocalParams(A=NEAR_THREE_ELLIPSE_6)
+    x1, x2, _ = cubic_roots()
+    c = contains_ellipse6(p)
+    assert c.kind == "boundary_ellipse_only"
+    assert sorted(comp.x for comp in c.components) == [x1, x2]
+    assert three_ellipses6(p).kind == "non_elliptic"
+    assert_components_pass(p)
+
+
+names = st.sampled_from(["A1", "A2", "A4", "A5"])
+fixed_values = st.floats(min_value=1.0, max_value=50.0)
+
+
+@given(st.lists(names, min_size=2, max_size=2, unique=True), fixed_values, fixed_values,
+       st.floats(min_value=-1e-9, max_value=1e-9))
+@settings(max_examples=40, deadline=None)
+def test_plane_points_classify_three_ellipses(pair, a, b, eps):
+    # every realizable point of the three-ellipse variety passes at all
+    # three roots, with the centers ellipse_centers_z gives; moved off the
+    # variety into the tolerance band, every component still passes its own
+    # per-root test
+    assume(abs(a - b) > 1e-6)
+    for sol in solve_m6(dict(zip(pair, (a, b)))):
+        if min(sol.A) < 1.0:
+            continue
+        p = ReciprocalParams(A=sol.A)
+        c = contains_ellipse6(p)
+        assert c.kind == "all_components_elliptic"
+        want = sorted(zip(cubic_roots(), ellipse_centers_z(p)))
+        assert sorted((comp.x, comp.z) for comp in c.components) == want
+        assert three_ellipses6(p).components == c.components
+        moved = [A * (1 + eps * (-1) ** j) for j, A in enumerate(sol.A)]
+        assert_components_pass(ReciprocalParams(A=tuple(max(A, 1.0) for A in moved)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: classify(ReciprocalParams(A=(F(10**400), 2))),
+    lambda: classify(ReciprocalParams(A=(F(10**400), 2, 3, 4, 5))),
+    lambda: classify4(ReciprocalParams(A=(2, 3, F(10**400)))),
+    lambda: toeplitz_components(ReciprocalParams(A=(10**400,) * 3)),
+    lambda: params_to_matrix(ReciprocalParams(A=(F(10**400), 2))),
+], ids=["classify-n3", "classify-n6", "classify4", "toeplitz", "params_to_matrix"])
+def test_float_paths_reject_exact_params_past_float_range(call):
+    with pytest.raises(ValueError, match="past the float range"):
+        call()
+
+
+def test_exact_path_takes_params_past_float_range():
+    # the zeta^0 tau^0 coefficient of the n = 3 polynomial is -(A_1 + A_2) / 2
+    P = generating_poly(ReciprocalParams(A=(F(10**400), 2)))
+    assert P.zeta_coeffs[0].coeffs[0] == -(F(10**400) + 2) / 2
 
 
 def test_toeplitz_hermitian_segments():

@@ -144,22 +144,20 @@ def test_divide_by_linear_allequal_n4_float():
 
 
 def test_divide_by_linear_remainder_matches_q_forms():
-    # remainder of the n=6 polynomial at arbitrary (x, z) equals the closed-form
-    # tau-coefficients of the substitution
-    from kippenhahn.classify import _q_polys
+    # remainder of the n=6 polynomial at arbitrary (x, z): its tau^2 and
+    # tau^3 coefficients are the closed forms q11 (z - z0) and s(x) / 8, with
+    # z0 the center the classifier pins
+    from kippenhahn.classify import _center_z
     rng = np.random.default_rng(23)
     A = tuple(rng.uniform(1, 6, 5))
     P = generating_poly(ReciprocalParams(A=A))
     for _ in range(5):
         x, z = rng.uniform(-2, 2.5), rng.uniform(-3, 9)
         _, rem = divide_by_linear(P, float(x), float(z))
-        (q11, q10), (q22, q21, q20), (q32, q31, q30) = _q_polys(A, x)
+        q11 = (3 * x - 5) * x + 1.5
         cubic = ((8 * x - 20) * x + 12) * x - 1
-        want = [((z + q32) * z + q31) * z + q30,
-                (q22 * z + q21) * z + q20,
-                q11 * z + q10,
-                cubic / 8]
-        got = [float(rem.coeff(k)) for k in range(4)]
+        want = [q11 * (z - _center_z(A, x)), cubic / 8]
+        got = [float(rem.coeff(k)) for k in (2, 3)]
         assert np.allclose(got, want, atol=1e-9 * max(1.0, max(abs(w) for w in want)))
 
 

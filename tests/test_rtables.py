@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from kippenhahn import rtables, solve_m6
 from kippenhahn.manifold import residuals_m6
 
-TABLES = (rtables.R1_TABLES + rtables.R2_TABLES
-          + (rtables.ELL3_QUAD_A, rtables.ELL3_QUAD_B, rtables.ELL3_CUBIC,
-             rtables.ELL3_QUAD_DIFF))
+# the six resultant coefficient tables the n = 6 classifier reads
+TABLES = rtables.R1_TABLES + rtables.R2_TABLES
 
 points = st.lists(st.floats(min_value=1.0, max_value=100.0), min_size=5, max_size=5)
 
@@ -44,7 +43,7 @@ def test_compiled_matches_dict_tables(batch):
                 min_size=5, max_size=5))
 @settings(max_examples=30, deadline=None)
 def test_eval_table_exact_on_fractions(A):
-    for table in TABLES:
+    for table in TABLES + rtables.ELL3_TABLES:
         value = rtables.eval_table(table, A)
         assert isinstance(value, Fraction)
         assert value == sum(c * A[0] ** e[0] * A[1] ** e[1] * A[2] ** e[2]
@@ -126,3 +125,54 @@ def test_residuals_m6_bit_identical_to_fraction_eval_table(ref):
         want = [float(v).hex() for v in old]
         assert [v.hex() for v in residuals_m6(sol.A)] == want
         assert [v.hex() for v in sol.residuals] == want
+
+
+# --------------------------------------------- one ideal for both n = 6 verdicts
+
+def _combine(*terms):
+    """Sum of coef * table over (coef, table) pairs, zero terms dropped."""
+    out = {}
+    for coef, table in terms:
+        for expo, c in table.items():
+            out[expo] = out.get(expo, 0) + Fraction(coef) * c
+    return {expo: c for expo, c in out.items() if c}
+
+
+def _times_a(i, table):
+    """A_{i+1} times a table."""
+    return {expo[:i] + (expo[i] + 1,) + expo[i + 1:]: c for expo, c in table.items()}
+
+
+def _rank(tables):
+    """Rank over Q of tables viewed as vectors of monomial coefficients."""
+    expos = sorted({expo for t in tables for expo in t})
+    rows = [[Fraction(t.get(expo, 0)) for expo in expos] for t in tables]
+    rank = 0
+    for col in range(len(expos)):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col] / rows[rank][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_resultant_tables_span_the_three_ellipse_ideal():
+    # exact certificate that R1 = R2 = 0 identically in x, which is what
+    # three passing roots of the per-root test mean, is the three-ellipse
+    # condition: the two ideals agree in degrees 2 and 3
+    t = rtables
+    F = Fraction
+    assert _combine((5, t.R1_X1), (3, t.R1_X2), (6, t.R1_X0)) == {}
+    assert _combine((1, t.ELL3_QUAD_A), (F(-3, 20), t.R1_X2), (F(1, 5), t.R1_X0)) == {}
+    assert _combine((1, t.ELL3_QUAD_B), (F(-1, 20), t.R1_X2), (F(2, 5), t.R1_X0)) == {}
+    assert _combine((1, t.ELL3_QUAD_DIFF), (-1, t.ELL3_QUAD_A), (1, t.ELL3_QUAD_B)) == {}
+    quads = [_times_a(i, q) for q in (t.ELL3_QUAD_A, t.ELL3_QUAD_B) for i in range(5)]
+    assert _rank(quads) == 10
+    assert _rank(quads + list(t.R2_TABLES)) == 11
+    assert _rank(quads + [t.ELL3_CUBIC]) == 11
+    assert _rank(quads + list(t.R2_TABLES) + [t.ELL3_CUBIC]) == 11
