@@ -109,7 +109,8 @@ def classify3(p: ReciprocalParams, tol: float = DEFAULT_TOL) -> Classification:
     if p.all_ones:
         return _normal_classification(p)
     A1, A2 = p.A
-    comp = EllipseComponent(x=1.0, z=(A1 + A2) / 2.0)
+    # halves first: A1 + A2 can leave the float range
+    comp = EllipseComponent(x=1.0, z=float(A1) / 2 + float(A2) / 2)
     return Classification(
         kind="all_components_elliptic",
         components=(comp,),
@@ -221,7 +222,7 @@ def contains_ellipse6(p: ReciprocalParams, tol: float = DEFAULT_TOL) -> Classifi
     if p.all_ones:
         return _normal_classification(p)
     rtables.check_n6_scale(p.A)
-    c12, c11, c10, c22, c21, c20 = rtables.n6_values(p.A).tolist()
+    c12, c11, c10, c22, c21, c20 = rtables.n6_values(p.A)
     S = sum(p.A)
     components = []
     root_hits = []

@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .trimat import ReciprocalParams, TridiagonalMatrix
 
 # 8 x^3 - 20 x^2 + 12 x - 1, ascending coefficients.  Its roots are the
@@ -239,7 +237,7 @@ def eval_residual(P: BivariatePoly, M: TridiagonalMatrix, theta: float, lam: flo
 
     For odd n the polynomial is premultiplied by -lambda before comparison.
     """
-    tau = float(np.cos(2 * theta))
+    tau = math.cos(2 * theta)
     pval = float(P.eval(float(lam) ** 2, tau))
     if P.origin_component:
         pval *= -lam

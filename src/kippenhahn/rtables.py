@@ -25,27 +25,26 @@ reads only the resultant tables and the ``ELL3_*`` tables certify the
 manifold solvers.
 
 The dict tables are the source of truth.  Tables of degree <= 3 are also
-compiled, at import, over the 56 monomials of degree <= 3:
+compiled, at import, into sparse integer rows over the 56 monomials of
+degree <= 3 (``compile_rows``), and one loop evaluates those rows in the
+arithmetic of its input:
 
-* for exact work into sparse integer rows (``compile_rows``);
-  ``eval_exact`` gives their values at one point as Fractions from a single
-  integer dot product per table, with no rational arithmetic per term;
-* for float work in bulk the six resultant coefficient tables the n = 6
-  classifier reads into one coefficient matrix (``compile_tables``);
-  ``n6_values`` then gives their values at a whole batch of points from one
-  product.
+* ``eval_exact`` gives their values at one point as Fractions from a single
+  integer dot product per row, with no rational arithmetic per term;
+* ``n6_values`` gives the six resultant coefficients the n = 6 classifier
+  reads (``N6_ROWS``) at one point as floats.
 
-``eval_table`` stays the generic evaluator for any arithmetic (floats,
-Fractions, polynomials) and any degree.
+``eval_table`` and ``grad_table`` stay the generic evaluators for any
+arithmetic (floats, Fractions, polynomials) and any degree; the tests use
+them as the reference the compiled rows are checked against.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
-
-import numpy as np
 
 R1_X2 = {
     (2, 0, 0, 0, 0): -8,
@@ -474,7 +473,11 @@ def z_quadratic_coeffs_printed(A):
 
 
 def eval_table(table, A):
-    """Evaluate a monomial table at A = (A_1, ..., A_5)."""
+    """Evaluate a monomial table at A = (A_1, ..., A_5), in A's arithmetic.
+
+    The reference evaluator: the tests check the compiled rows against it,
+    and perfbench/tracing.py looks it up by name.
+    """
     total = 0
     for expo, coef in table.items():
         term = coef
@@ -486,7 +489,11 @@ def eval_table(table, A):
 
 
 def grad_table(table, A):
-    """Gradient of a monomial table at A, same arithmetic as the input."""
+    """Gradient of a monomial table at A, same arithmetic as the input.
+
+    Kept, like ``eval_table``, as a reference that perfbench/tracing.py
+    looks up by name.
+    """
     grads = []
     for k in range(5):
         total = 0
@@ -515,13 +522,14 @@ R2_PIPELINE_SCALE = Fraction(512)
 
 
 def resultant_quadratics(A):
-    """Coefficient triples (x^2, x^1, x^0) of both reduced resultants at A."""
-    return (tuple(eval_table(t, A) for t in R1_TABLES),
-            tuple(eval_table(t, A) for t in R2_TABLES))
+    """Coefficient triples (x^2, x^1, x^0) of both reduced resultants at A,
+    as exact Fractions (floats convert losslessly)."""
+    values = eval_exact(N6_ROWS, A)
+    return values[:3], values[3:]
 
 
 def eval_resultants_at(A, x):
-    """(R1(x), R2(x)) from the corrected tables, any numeric type."""
+    """(R1(x), R2(x)) from the corrected tables, in the arithmetic of x."""
     (c12, c11, c10), (c22, c21, c20) = resultant_quadratics(A)
     return (c12 * x * x + c11 * x + c10, c22 * x * x + c21 * x + c20)
 
@@ -531,21 +539,8 @@ def eval_resultants_at(A, x):
 # A monomial of degree <= 3 in A_1..A_5 is a product X_i X_j X_k over
 # X = (1, A_1, ..., A_5) with i <= j <= k: 56 index triples, one per monomial.
 _TRIPLE_LIST = tuple(combinations_with_replacement(range(6), 3))
-_TRIPLES = np.array(_TRIPLE_LIST).T
-MONOMIALS = tuple(tuple(int((t == v).sum()) for v in range(1, 6)) for t in _TRIPLES.T)
+MONOMIALS = tuple(tuple(t.count(v) for v in range(1, 6)) for t in _TRIPLE_LIST)
 _MONOMIAL_POS = {expo: m for m, expo in enumerate(MONOMIALS)}
-
-
-def monomials(A):
-    """Every monomial of degree <= 3 at each row of A, shape (..., 56).
-
-    C-contiguous: on the strided layout that fancy indexing returns, einsum
-    sums a one-row batch in a different order than a many-row batch.
-    """
-    A = np.asarray(A, dtype=float)
-    X = np.concatenate([np.ones(A.shape[:-1] + (1,)), A], axis=-1)
-    i, j, k = _TRIPLES
-    return np.ascontiguousarray(X[..., i] * X[..., j] * X[..., k])
 
 
 def compile_rows(tables):
@@ -563,16 +558,16 @@ def compile_rows(tables):
                  for table in tables)
 
 
-def compile_tables(tables):
-    """Coefficient matrix of shape (T, 56) for T tables of degree <= 3.
-
-    Row t holds table t's coefficient of each monomial in ``MONOMIALS``.
-    """
-    dense = np.zeros((len(tables), len(MONOMIALS)))
-    for t, row in enumerate(compile_rows(tables)):
-        for m, coef in row:
-            dense[t, m] = coef
-    return dense
+def _dots(rows, X):
+    """Each row's dot product with the monomials X_i X_j X_k, in X's arithmetic."""
+    mono = [X[i] * X[j] * X[k] for i, j, k in _TRIPLE_LIST]
+    out = []
+    for row in rows:
+        total = 0
+        for m, c in row:
+            total += c * mono[m]
+        out.append(total)
+    return out
 
 
 def eval_exact(rows, A):
@@ -589,9 +584,8 @@ def eval_exact(rows, A):
     A = [Fraction(a) for a in A]
     L = math.lcm(*(int(a.denominator) for a in A))
     X = [L] + [int(a.numerator) * (L // int(a.denominator)) for a in A]
-    mono = [X[i] * X[j] * X[k] for i, j, k in _TRIPLE_LIST]
     L3 = L * L * L
-    return tuple(Fraction(sum(c * mono[m] for m, c in row), L3) for row in rows)
+    return tuple(Fraction(v, L3) for v in _dots(rows, X))
 
 
 ELL3_TABLES = (ELL3_QUAD_A, ELL3_QUAD_B, ELL3_CUBIC, ELL3_QUAD_DIFF)
@@ -605,12 +599,14 @@ def ell3_residuals(A):
 
 # what the n = 6 classifier reads: the six resultant coefficients
 N6_TABLES = R1_TABLES + R2_TABLES
-N6_VALUES = compile_tables(N6_TABLES)
+N6_ROWS = compile_rows(N6_TABLES)
 # each N6 value is at most its row's sum of |coefficients| times (1 + sum |A_j|)^3,
-# so below this 1 + sum |A_j| every value, and that cube, is a finite float.
+# and so is every partial sum of the loop in _dots, so below this 1 + sum |A_j|
+# every value, and that cube, is a finite float.
 # The largest row sum, R2_X1's 1248, is above every ELL3 row's (at most 116),
 # so the bound also keeps the float ELL3 residuals of residuals_m6 finite.
-N6_MAX_SCALE = float(np.finfo(float).max / np.abs(N6_VALUES).sum(axis=1).max()) ** (1 / 3)
+N6_MAX_SCALE = (sys.float_info.max
+                / max(sum(abs(c) for _, c in row) for row in N6_ROWS)) ** (1 / 3)
 
 
 def check_n6_scale(A):
@@ -620,11 +616,10 @@ def check_n6_scale(A):
 
 
 def n6_values(A):
-    """Values of the six ``N6_TABLES`` at each row of A, shape (..., 6).
+    """Values of the six ``N6_TABLES`` at one point A, as floats.
 
-    The floats agree with ``eval_table`` up to rounding; the dict tables stay
-    the exact path.  The product is an einsum, not a matmul: BLAS picks
-    kernels by batch shape, which would give a point different last digits
-    in different batches, while einsum sums each point in one order.
+    A is converted to float first, so exact input takes the float path too;
+    the values agree with ``eval_table`` up to rounding, and
+    ``resultant_quadratics`` is the exact path.
     """
-    return np.einsum("...m,rm->...r", monomials(A), N6_VALUES)
+    return tuple(_dots(N6_ROWS, (1.0, *map(float, A))))

@@ -173,7 +173,9 @@ def a_params(M: TridiagonalMatrix) -> ReciprocalParams:
 def params_to_matrix(p: ReciprocalParams) -> TridiagonalMatrix:
     """Canonical positive-real representative with the given A_j parameters.
 
-    b_j = sqrt(A_j + sqrt(A_j^2 - 1)) gives |b_j|^2 + |b_j|^-2 = 2 A_j; the
+    b_j = sqrt((A_j + 1)/2) + sqrt((A_j - 1)/2), whose square is
+    A_j + sqrt(A_j^2 - 1), gives |b_j|^2 + |b_j|^-2 = 2 A_j without forming
+    A_j^2, which overflows past about 1.3e154 and loses digits near 1; the
     phase of b_j is immaterial for every classifier, so the real positive
     choice is fixed once and for all.
     """
@@ -181,8 +183,7 @@ def params_to_matrix(p: ReciprocalParams) -> TridiagonalMatrix:
     b = []
     for Aj in p.A:
         Aj = float(Aj)
-        s = max(Aj * Aj - 1.0, 0.0)
-        b.append(float(np.sqrt(Aj + np.sqrt(s))))
+        b.append(math.sqrt((Aj + 1.0) / 2) + math.sqrt(max(Aj - 1.0, 0.0) / 2))
     return build_reciprocal(b)
 
 

@@ -54,6 +54,15 @@ def test_classify3_asymmetric():
     assert comp.x == 1.0 and comp.z == 2.0
 
 
+@pytest.mark.parametrize("A", [(1.7e308, 1.6e308), (F(17 * 10**307), F(16 * 10**307))])
+def test_classify3_near_float_max(A):
+    # A1 + A2 is past the float range, the halves are not
+    c = classify3(ReciprocalParams(A=A))
+    (comp,) = c.components
+    assert math.isclose(comp.z, 1.65e308, rel_tol=1e-15)
+    assert classify(ReciprocalParams(A=A)).components == c.components
+
+
 def test_classify3_wrong_size():
     with pytest.raises(WrongSize):
         classify3(ReciprocalParams(A=(1, 1, 1)))

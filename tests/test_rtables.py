@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,24 +20,25 @@ points = st.lists(st.floats(min_value=1.0, max_value=100.0), min_size=5, max_siz
 def test_monomial_basis():
     assert len(rtables.MONOMIALS) == len(set(rtables.MONOMIALS)) == 56
     assert all(sum(e) <= 3 for e in rtables.MONOMIALS)
-    A = (2.0, 3.0, 5.0, 7.0, 11.0)
-    want = [float(np.prod([a ** e for a, e in zip(A, expo)])) for expo in rtables.MONOMIALS]
-    assert rtables.monomials(A).tolist() == want
+    A = (2, 3, 5, 7, 11)
+    want = [math.prod(a ** e for a, e in zip(A, expo)) for expo in rtables.MONOMIALS]
+    unit_rows = rtables.compile_rows([{expo: 1} for expo in rtables.MONOMIALS])
+    assert list(rtables.eval_exact(unit_rows, A)) == want
 
 
-@given(st.lists(points, min_size=1, max_size=4))
+@given(points)
 @settings(max_examples=60, deadline=None)
-def test_compiled_matches_dict_tables(batch):
+def test_compiled_matches_dict_tables(A):
     # error relative to the sum of the absolute values of the terms, the
     # scale of the rounding in any evaluation order (A > 0 here)
     assert rtables.N6_TABLES == TABLES
-    values = rtables.n6_values(batch)
-    assert values.shape == (len(batch), len(TABLES))
-    for A, row in zip(batch, values):
-        for table, got in zip(TABLES, row):
-            absolute = {expo: abs(c) for expo, c in table.items()}
-            value, size = rtables.eval_table(table, A), rtables.eval_table(absolute, A)
-            assert abs(got - value) <= 1e-12 * size
+    values = rtables.n6_values(A)
+    assert len(values) == len(TABLES)
+    for table, got in zip(TABLES, values):
+        assert type(got) is float
+        absolute = {expo: abs(c) for expo, c in table.items()}
+        value, size = rtables.eval_table(table, A), rtables.eval_table(absolute, A)
+        assert abs(got - value) <= 1e-12 * size
 
 
 @given(st.lists(st.fractions(min_value=1, max_value=100, max_denominator=50),
@@ -49,16 +51,6 @@ def test_eval_table_exact_on_fractions(A):
         assert value == sum(c * A[0] ** e[0] * A[1] ** e[1] * A[2] ** e[2]
                             * A[3] ** e[3] * A[4] ** e[4] for e, c in table.items())
         assert all(isinstance(g, Fraction) for g in rtables.grad_table(table, A))
-
-
-@given(st.lists(st.lists(st.floats(min_value=-100.0, max_value=100.0), min_size=5, max_size=5),
-                min_size=2, max_size=8))
-@settings(max_examples=60, deadline=None)
-def test_compiled_batch_matches_rows_alone(batch):
-    # bit for bit: a point's values do not depend on the batch it comes in
-    out = rtables.n6_values(batch)
-    for A, got in zip(batch, out):
-        assert got.tobytes() == rtables.n6_values([A])[0].tobytes()
 
 
 # every dict table the module ships, and those of degree <= 3
@@ -95,8 +87,22 @@ def test_eval_exact_equals_fraction_eval_table(A):
 def test_compile_rows_rejects_degree_above_3():
     with pytest.raises(ValueError, match="degree 6"):
         rtables.compile_rows([rtables.R2_X1_PRINTED])
-    with pytest.raises(ValueError, match="degree 6"):
-        rtables.compile_tables([rtables.R2_X1_PRINTED])
+
+
+@given(st.lists(exact_inputs, min_size=5, max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_resultant_quadratics_exact_for_every_input(A):
+    got = rtables.resultant_quadratics(A)
+    want = [rtables.eval_table(t, [Fraction(a) for a in A]) for t in TABLES]
+    assert all(type(v) is Fraction for v in got[0] + got[1])
+    assert list(got[0] + got[1]) == want
+
+
+@given(st.lists(st.fractions(min_value=1, max_value=10**6, max_denominator=10**6),
+                min_size=5, max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_n6_values_on_fractions_is_the_float_path(A):
+    assert rtables.n6_values(A) == rtables.n6_values([float(a) for a in A])
 
 
 def test_eval_exact_needs_five_parameters():

@@ -65,6 +65,13 @@ def test_params_roundtrip_forward_oracle():
     assert abs(M.b[0] - 2.0) < 1e-12
 
 
+@pytest.mark.parametrize("A", [1 + 1e-9, 2.0, 1e200, 1e300])
+def test_params_matrix_roundtrip_relative(A):
+    # b_j is formed without A_j^2, which overflows past about 1.3e154
+    (got,) = a_params(params_to_matrix(ReciprocalParams(A=(A,)))).A
+    assert abs(got - A) <= 1e-15 * A
+
+
 def test_params_below_floor():
     with pytest.raises(InvalidParam):
         ReciprocalParams(A=(0.5,))
