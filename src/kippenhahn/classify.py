@@ -72,12 +72,19 @@ class Classification:
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}")
         comps = tuple(sorted(self.components, key=lambda c: -c.z))
+        if comps and not math.isfinite(comps[0].z):
+            raise ValueError("a component's z is past the float range")
         object.__setattr__(self, "components", comps)
 
     @property
     def elliptic(self) -> bool:
         return self.kind in ("all_components_elliptic", "boundary_ellipse_only",
                              "toeplitz_case")
+
+
+def _check_tol(tol):
+    if not 0 < tol < math.inf:  # nan fails every comparison
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
 
 
 def _require_size(p: ReciprocalParams, n: int):
@@ -93,18 +100,9 @@ def _normal_classification(p: ReciprocalParams) -> Classification:
         diagnostics={"spectrum_endpoints": (-endpoint, endpoint)})
 
 
-def _discriminant(p: ReciprocalParams, S, prod):
-    """S^2 - 4 prod clipped at 0; ValueError where the float range overflows,
-    as it does for A_j near 1e154 and above."""
-    disc = S * S - 4.0 * prod
-    if not math.isfinite(disc):
-        raise ValueError(f"A = {p.A} is past the float range of the n = {p.n} "
-                         "discriminant")
-    return max(disc, 0.0)
-
-
 def classify3(p: ReciprocalParams, tol: float = DEFAULT_TOL) -> Classification:
     """n=3: the curve is always the origin plus one origin-centered ellipse."""
+    _check_tol(tol)
     _require_size(p, 3)
     if p.all_ones:
         return _normal_classification(p)
@@ -120,27 +118,31 @@ def classify3(p: ReciprocalParams, tol: float = DEFAULT_TOL) -> Classification:
 
 def classify4(p: ReciprocalParams, tol: float = DEFAULT_TOL) -> Classification:
     """n=4: elliptic iff A_2 lies on one of the two golden-ratio hyperplanes."""
+    _check_tol(tol)
     _require_size(p, 4)
     if p.all_ones:
         return _normal_classification(p)
+    # at a_j = A_j / 4 (exact) only a z past the float range overflows
     A1, A2, A3 = p.A
-    scale = max(1.0, max(p.A))
-    b1 = A2 - (GOLDEN * A1 - A3 / GOLDEN)
-    b2 = A2 - (GOLDEN * A3 - A1 / GOLDEN)
-    diag = {"branch_residuals": (b1, b2)}
-    hit1 = abs(b1) <= tol * scale
-    hit2 = abs(b2) <= tol * scale
+    a1, a2, a3 = 0.25 * A1, 0.25 * A2, 0.25 * A3
+    scale = max(0.25, a1, a2, a3)
+    r1 = (a2 - (GOLDEN * a1 - a3 / GOLDEN)) / scale
+    r2 = (a2 - (GOLDEN * a3 - a1 / GOLDEN)) / scale
+    diag = {"branch_residuals": (r1, r2)}  # relative to max(1, A_j)
+    hit1, hit2 = abs(r1) <= tol, abs(r2) <= tol
     if not (hit1 or hit2):
         return Classification(kind="non_elliptic", diagnostics=diag)
-    S = A1 + A2 + A3
-    root = math.sqrt(_discriminant(p, S, A1 * A3))
-    # the same discriminant must match sqrt(5)/5 (A1 + 3 A2 + A3) on-manifold
-    diag["consistency_identity"] = (root, math.sqrt(5.0) / 5.0 * (A1 + 3.0 * A2 + A3))
+    # sqrt(S^2 - 4 A1 A3) / 4 = |(a1 + a2 - a3, 2 sqrt(a2 a3))|: no square is formed
+    root = math.hypot(a1 + a2 - a3, 2 * math.sqrt(a2) * math.sqrt(a3))
+    # the same root must match sqrt(5)/5 (A1 + 3 A2 + A3) on-manifold
+    diag["consistency_identity"] = (
+        root / scale, math.sqrt(0.2) * (a1 / scale + 3.0 * a2 / scale + a3 / scale))
     diag["branches_hit"] = (hit1, hit2)
     x_out = (3.0 + math.sqrt(5.0)) / 4.0
-    z_out = 0.25 * (S + root)
+    z_out = a1 + a2 + a3 + root
+    # z_in = A1 A3 / (4 z_out) by Vieta; (S - root) / 4 would cancel
     outer = EllipseComponent(x=x_out, z=z_out)
-    inner = EllipseComponent(x=1.5 - x_out, z=0.5 * S - z_out)
+    inner = EllipseComponent(x=1.5 - x_out, z=a1 * (4 * a3 / z_out))
     return Classification(
         kind="all_components_elliptic",
         components=(outer, inner),
@@ -150,29 +152,32 @@ def classify4(p: ReciprocalParams, tol: float = DEFAULT_TOL) -> Classification:
 
 def classify5(p: ReciprocalParams, tol: float = DEFAULT_TOL) -> Classification:
     """n=5: elliptic iff A_1 = A_4 or A_1 - A_4 = 2(A_3 - A_2)."""
+    _check_tol(tol)
     _require_size(p, 5)
     if p.all_ones:
         return _normal_classification(p)
     A1, A2, A3, A4 = p.A
-    scale = max(1.0, max(p.A))
-    b1 = A1 - A4
-    b2 = (A1 - A4) - 2.0 * (A3 - A2)
-    diag = {"branch_residuals": (b1, b2)}
-    hit1 = abs(b1) <= tol * scale
-    hit2 = abs(b2) <= tol * scale
-    S = A1 + A2 + A3 + A4
-    disc = _discriminant(p, S, A1 * A3 + A1 * A4 + A2 * A4)
-    diag["nested_gap"] = (math.sqrt(disc), A2 + A3)  # equal on-manifold
-    diag["branches_hit"] = (hit1, hit2)
+    # at a_j = A_j / 4 (exact) no difference, root or sum overflows unless a z
+    # does; the diagnostics are relative to max(1, A_j)
+    a1, a2, a3, a4 = 0.25 * A1, 0.25 * A2, 0.25 * A3, 0.25 * A4
+    scale = max(0.25, a1, a2, a3, a4)
+    r1 = (a1 - a4) / scale
+    r2 = (a1 - a4 - 2.0 * (a3 - a2)) / scale
+    hit1, hit2 = abs(r1) <= tol, abs(r2) <= tol
+    # sqrt(S^2 - 4 (A1 A3 + A1 A4 + A2 A4)) = |(A1 - A4 + A2 - A3, 2 sqrt(A2 A3))|
+    root = math.hypot(a1 - a4 + (a2 - a3), 2 * math.sqrt(a2) * math.sqrt(a3))
+    diag = {"branch_residuals": (r1, r2),
+            "nested_gap": (root / scale, (a2 + a3) / scale),  # equal on-manifold
+            "branches_hit": (hit1, hit2)}
     if not (hit1 or hit2):
         return Classification(kind="non_elliptic", origin_component=True,
                               diagnostics=diag)
     if hit1:
-        outer = EllipseComponent(x=1.5, z=0.5 * (A1 + A2 + A3))
-        inner = EllipseComponent(x=0.5, z=0.5 * A1)
+        outer = EllipseComponent(x=1.5, z=2 * (a1 + a2 + a3))
+        inner = EllipseComponent(x=0.5, z=2 * a1)
     else:
-        outer = EllipseComponent(x=1.5, z=0.5 * (2.0 * A3 + A4))
-        inner = EllipseComponent(x=0.5, z=0.5 * (A3 + A4 - A2))
+        outer = EllipseComponent(x=1.5, z=2 * (2 * a3 + a4))
+        inner = EllipseComponent(x=0.5, z=2 * (a3 + a4 - a2))
     return Classification(
         kind="all_components_elliptic",
         components=(outer, inner),
@@ -192,6 +197,12 @@ def _center_z(A, x):
     return -q10 / q11
 
 
+def _unit_scaled(A):
+    """(A u, u), u = 2^k with max A u in [1, 2): exact; no n = 6 form overflows."""
+    u = math.ldexp(1.0, 1 - math.frexp(max(A))[1])
+    return [a * u for a in A], u
+
+
 def ellipse_centers_z(p: ReciprocalParams):
     """Factor constants z_j at the roots x_j, ascending-x order.
 
@@ -200,7 +211,9 @@ def ellipse_centers_z(p: ReciprocalParams):
     z-slope at the three roots is 1.034, -0.574 and 1.290, never near 0.
     """
     _require_size(p, 6)
-    return tuple(_center_z(p.A, xr) for xr in cubic_roots())
+    p.check_float_range()
+    A, u = _unit_scaled(p.A)
+    return tuple(_center_z(A, xr) / u for xr in cubic_roots())
 
 
 # the n = 6 verdict by the number of roots that pass
@@ -211,28 +224,31 @@ _N6_KINDS = ("non_elliptic", "boundary_ellipse_only", "boundary_ellipse_only",
 def contains_ellipse6(p: ReciprocalParams, tol: float = DEFAULT_TOL) -> Classification:
     """n=6: both verdicts from one test at each root x_t of the slope cubic.
 
-    A root passes when both reduced resultants vanish there (relative to
-    max(1, S^2) and max(1, S^3), S = sum A_j) and the pinned factor constant
-    z_t satisfies z_t >= x_t (z = x degenerates to the doubleton of foci).
+    A root passes when both reduced resultants there, over S^2 and S^3
+    (S = sum A_j; the ``resultant_values``), are at most tol in size, and the
+    pinned factor constant z_t satisfies z_t >= x_t (z = x degenerates to the
+    doubleton of foci).  All of it is evaluated at ``_unit_scaled`` A.
     R1 and R2 are quadratics in x, so they vanish at all three roots iff
     they vanish identically, which is the three-ellipse ideal: three passing
     roots give all_components_elliptic, one or two boundary_ellipse_only.
     """
+    _check_tol(tol)
     _require_size(p, 6)
     if p.all_ones:
         return _normal_classification(p)
-    rtables.check_n6_scale(p.A)
-    c12, c11, c10, c22, c21, c20 = rtables.n6_values(p.A)
-    S = sum(p.A)
+    A, u = _unit_scaled(p.A)
+    c12, c11, c10, c22, c21, c20 = rtables.n6_values(A)
+    S = sum(A)
+    S2, S3 = S ** 2, S ** 3
     components = []
     root_hits = []
     for xr in cubic_roots():
-        r1v = c12 * xr * xr + c11 * xr + c10
-        r2v = c22 * xr * xr + c21 * xr + c20
-        root_hits.append((xr, r1v, r2v))
-        if abs(r1v) <= tol * max(1.0, S ** 2) and abs(r2v) <= tol * max(1.0, S ** 3):
-            z = _center_z(p.A, xr)
-            if z >= xr - tol * max(1.0, S):
+        r1 = (c12 * xr * xr + c11 * xr + c10) / S2
+        r2 = (c22 * xr * xr + c21 * xr + c20) / S3
+        root_hits.append((xr, r1, r2))
+        if abs(r1) <= tol and abs(r2) <= tol:
+            z = _center_z(A, xr) / u
+            if z >= xr - tol * S / u:
                 components.append(EllipseComponent(x=xr, z=z))
     diag = {"resultant_values": root_hits}
     if len(components) == 3:
@@ -261,6 +277,7 @@ def toeplitz_components(p: ReciprocalParams, tol: float = DEFAULT_TOL) -> Classi
     sigma_j sqrt(2(A_0 +- 1)) and foci +-2 sigma_j; for odd n the last
     component is the origin.
     """
+    _check_tol(tol)
     if not p.all_equal:
         raise NotToeplitzCase("all A_j must be equal")
     A0 = p.A[0]
@@ -285,11 +302,10 @@ def toeplitz_components(p: ReciprocalParams, tol: float = DEFAULT_TOL) -> Classi
 def classify(p: ReciprocalParams, tol: float = DEFAULT_TOL) -> Classification:
     """Dispatch on size; all-equal parameter vectors of any size are accepted.
 
-    Raises ValueError unless 0 < tol < inf, and at n = 6 past N6_MAX_SCALE.
+    Raises ValueError unless 0 < tol < inf, and where a z is past the float range.
     """
-    if not 0 < tol < math.inf:  # nan fails every comparison
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     if p.all_ones:
+        _check_tol(tol)
         return _normal_classification(p)
     if p.all_equal:
         return toeplitz_components(p, tol)

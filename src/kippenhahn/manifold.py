@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import rtables
 from .nrpoly import cubic_roots
@@ -66,11 +67,19 @@ class M6Solution:
         return all(a >= 1.0 - REALIZABLE_SLACK for a in self.A)
 
     def scaled_norm(self) -> float:
-        """Residuals over their degree's power of sum |A_j|, which, unlike
-        sum A_j, cannot vanish away from the origin."""
-        s = sum(abs(a) for a in self.A)
+        """Residuals divided by sum |A_j| (unlike sum A_j, 0 only at the origin,
+        where they are 0) as often as their degree, forming no power."""
+        s = sum(abs(a) for a in self.A) or 1.0
         qa, qb, cu, _ = self.residuals
-        return max(abs(qa) / s ** 2, abs(qb) / s ** 2, abs(cu) / s ** 3)
+        return max(abs(qa) / s / s, abs(qb) / s / s, abs(cu) / s / s / s)
+
+
+def _rounded(values, A):
+    """Exact values at A rounded to floats; ValueError past the float range."""
+    try:
+        return tuple(float(v) for v in values)
+    except OverflowError:
+        raise ValueError(f"a residual at A = {tuple(A)} is past the float range") from None
 
 
 def residuals_m6(A, exact: bool = False):
@@ -79,13 +88,10 @@ def residuals_m6(A, exact: bool = False):
     Evaluation is exact (floats convert losslessly to rationals), so the
     identity quad_a - quad_b = quad_diff holds with no rounding; results
     come back as Fractions with exact=True, else as their correctly rounded
-    floats.  The float results raise ValueError for A past
-    ``rtables.N6_MAX_SCALE``, where they would overflow.
+    floats, which raise ValueError where one is past the float range.
     """
-    if exact:
-        return rtables.ell3_residuals(A)
-    rtables.check_n6_scale(A)
-    return tuple(float(v) for v in rtables.ell3_residuals(A))
+    values = rtables.ell3_residuals(A)
+    return values if exact else _rounded(values, A)
 
 
 def _solution(A, branch):
@@ -99,7 +105,7 @@ def solve_m6(fixed: dict):
     a != b each of the twelve planes gives one point, so exactly twelve
     solutions come back, sorted; for a == b the only one is the all-equal
     point.  Solutions with any A_j < 1 are returned but flagged not
-    realizable; one past ``rtables.N6_MAX_SCALE`` raises ValueError.
+    realizable; residuals past the float range raise ValueError.
     """
     names = sorted(fixed)
     for nm in names:
@@ -142,8 +148,7 @@ class UVSolveResult:
 
     def residuals(self, u, v):
         A = (u, v, 1.0, v, u)
-        r1, r2 = rtables.eval_resultants_at(A, self.root)
-        return float(r1), float(r2)
+        return _rounded(rtables.eval_resultants_at(A, Fraction(self.root)), A)
 
     def distance(self, u, v) -> float:
         """Distance from (u, v) to the locus."""

@@ -7,7 +7,7 @@ generating_poly runs the determinant recursion on Python integers, with
 the A_j over the lcm L of their denominators, and divides each
 coefficient by its power of 2L once at the end.  The n = 6 factor test
 substitutes zeta = x tau + z (substitution_tau_coeffs, a binomial
-expansion), eliminates z against the tau^1-coefficient, which is linear
+expansion), eliminates z against the tau^2-coefficient, which is linear
 in z (so the resultant is a substitution), and reduces the result modulo
 the slope cubic by rewriting x^3.  Everything in this module runs in
 exact rational arithmetic (fractions convert floats losslessly);
@@ -133,9 +133,6 @@ class UniPoly:
             result = result * value + c
         return result
 
-    def map_coeffs(self, f):
-        return UniPoly(self.var, [f(c) for c in self.coeffs])
-
     def __repr__(self):
         return f"UniPoly({self.var!r}, {list(self.coeffs)!r})"
 
@@ -249,15 +246,10 @@ def divide_by_linear(P: BivariatePoly, x, z):
     """Synthetic division of P by zeta - (x tau + z).
 
     Returns (quotient, remainder); the remainder is P(x tau + z, tau) as a
-    polynomial in tau.  Exact when x and z are rational; float otherwise.
+    polynomial in tau, exact for every input (floats convert losslessly).
     """
-    if isinstance(x, float) or isinstance(z, float):
-        lin = UniPoly("tau", [float(z), float(x)])
-        conv = lambda q: q.map_coeffs(float)
-    else:
-        lin = UniPoly("tau", [_to_exact(z), _to_exact(x)])
-        conv = lambda q: q
-    ps = [conv(q) for q in P.zeta_coeffs]
+    lin = UniPoly("tau", [_to_exact(z), _to_exact(x)])
+    ps = P.zeta_coeffs
     k = len(ps) - 1
     quo = [None] * k
     carry = ps[k]
@@ -299,7 +291,7 @@ def resultant_in_z(f: UniPoly, g: UniPoly) -> UniPoly:
     result is the UniPoly in x sum_k g_k (-f0)^k f1^(n-k), n = deg g: the
     Sylvester determinant with the f-rows first, which for monic
     f = z - a is g(a).  The n = 6 pipeline eliminates z only against the
-    tau^1-coefficient, which is linear in z.
+    tau^2-coefficient q11 z + q10, which is linear in z.
     """
     if f.is_zero or g.is_zero:
         raise DegenerateInput("resultant of the zero polynomial")

@@ -42,7 +42,6 @@ them as the reference the compiled rows are checked against.
 from __future__ import annotations
 
 import math
-import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -600,19 +599,6 @@ def ell3_residuals(A):
 # what the n = 6 classifier reads: the six resultant coefficients
 N6_TABLES = R1_TABLES + R2_TABLES
 N6_ROWS = compile_rows(N6_TABLES)
-# each N6 value is at most its row's sum of |coefficients| times (1 + sum |A_j|)^3,
-# and so is every partial sum of the loop in _dots, so below this 1 + sum |A_j|
-# every value, and that cube, is a finite float.
-# The largest row sum, R2_X1's 1248, is above every ELL3 row's (at most 116),
-# so the bound also keeps the float ELL3 residuals of residuals_m6 finite.
-N6_MAX_SCALE = (sys.float_info.max
-                / max(sum(abs(c) for _, c in row) for row in N6_ROWS)) ** (1 / 3)
-
-
-def check_n6_scale(A):
-    """Raise ValueError unless 1 + sum |A_j| is at most ``N6_MAX_SCALE``."""
-    if 1 + sum(abs(a) for a in A) > N6_MAX_SCALE:
-        raise ValueError(f"A = {tuple(A)} is past the float range of the n = 6 tables")
 
 
 def n6_values(A):

@@ -82,7 +82,8 @@ def test_classify4_golden_example():
     assert c.kind == "all_components_elliptic"
     lhs, rhs = c.diagnostics["consistency_identity"]
     assert abs(lhs - rhs) <= 1e-10
-    assert abs(lhs - 4.85410) <= 1e-5
+    # both sides are relative to max(1, A_j)
+    assert abs(lhs * max(p.A) - 4.85410) <= 1e-5
     for comp in c.components:
         assert_factor_divides(p, comp)
 
@@ -181,6 +182,21 @@ def test_classify_rejects_tol_outside_positive_finite(tol):
         classify(ReciprocalParams(A=(2.0, 3.0, 4.0, 5.0, 6.0)), tol=tol)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("classifier,A", [
+    (classify3, (2.0, 3.0)),
+    (classify4, (2.0, 3.0, 4.0)),
+    (classify5, (2.0, 3.0, 4.0, 5.0)),
+    (contains_ellipse6, (2.0, 3.0, 4.0, 5.0, 6.0)),
+    (three_ellipses6, (2.0, 3.0, 4.0, 5.0, 6.0)),
+    (toeplitz_components, (2.0,) * 5),
+], ids=["classify3", "classify4", "classify5", "contains_ellipse6",
+        "three_ellipses6", "toeplitz_components"])
+def test_every_classifier_rejects_tol_outside_positive_finite(classifier, A, tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        classifier(ReciprocalParams(A=A), tol=tol)
+
+
 def test_three_ellipses6_all_equal():
     c = three_ellipses6(ReciprocalParams(A=(2.0,) * 5))
     assert c.kind == "all_components_elliptic"
@@ -240,16 +256,16 @@ def test_ellipse_centers_solution_point():
 NEAR_THREE_ELLIPSE_6 = (20.0000002,) + THREE_ELLIPSE_6[1:]
 
 
-def passing_roots(c, p, tol=1e-9):
-    """The roots whose resultant_values pass the per-root resultant test."""
-    S = sum(p.A)
+def passing_roots(c, tol=1e-9):
+    """The roots whose resultant_values, R1/S^2 and R2/S^3, pass the
+    per-root resultant test."""
     return {xr for xr, r1, r2 in c.diagnostics["resultant_values"]
-            if abs(r1) <= tol * max(1.0, S ** 2) and abs(r2) <= tol * max(1.0, S ** 3)}
+            if abs(r1) <= tol and abs(r2) <= tol}
 
 
 def assert_components_pass(p, tol=1e-9):
     for c in (contains_ellipse6(p, tol), three_ellipses6(p, tol)):
-        passed = passing_roots(c, p, tol)
+        passed = passing_roots(c, tol)
         assert {comp.x for comp in c.components} <= passed
         if c.kind == "all_components_elliptic":
             assert len(c.components) == 3
@@ -297,10 +313,77 @@ def test_plane_points_classify_three_ellipses(pair, a, b, eps):
     lambda: classify4(ReciprocalParams(A=(2, 3, F(10**400)))),
     lambda: toeplitz_components(ReciprocalParams(A=(10**400,) * 3)),
     lambda: params_to_matrix(ReciprocalParams(A=(F(10**400), 2))),
-], ids=["classify-n3", "classify-n6", "classify4", "toeplitz", "params_to_matrix"])
+    lambda: ellipse_centers_z(ReciprocalParams(A=(F(10**400), 2, 3, 4, 5))),
+], ids=["classify-n3", "classify-n6", "classify4", "toeplitz", "params_to_matrix",
+        "ellipse_centers_z"])
 def test_float_paths_reject_exact_params_past_float_range(call):
     with pytest.raises(ValueError, match="past the float range"):
         call()
+
+
+def test_all_equal_z_past_the_float_range_raises():
+    # z_1 = 2 cos^2(pi / 7) A_0 is about 2.76e308
+    with pytest.raises(ValueError, match="past the float range"):
+        classify(ReciprocalParams(A=(1.7e308,) * 5))
+
+
+@pytest.mark.parametrize("A", [
+    (1.0, 1.0, 1.7e308), (1.7e308, 1.0, 1.0),
+    (1e308, PHI * 1e308 - 0.5e308 / PHI, 0.5e308),
+    (1.0, 1.0, 1.7e308, 1.0), (1.0, 1.5e308, 1.5e308, 2.0), (1.7e308, 1.0, 1.0, 1.0),
+])
+def test_small_n_diagnostics_stay_finite_near_the_float_maximum(A):
+    # the branch residuals, consistency identity and nested gap are relative
+    # to max(1, A_j), so they are finite wherever the components are
+    c = classify(ReciprocalParams(A=A))
+    values = [v for value in c.diagnostics.values()
+              for v in (value if isinstance(value, tuple) else (value,))]
+    assert all(math.isfinite(v) for v in values), c.diagnostics
+
+
+entries = st.floats(min_value=1.0, max_value=20.0)
+
+
+@st.composite
+def homogeneity_points(draw):
+    """Generic points for n = 3..6, points on the n = 4 planes, the n = 5
+    hyperplanes and the n = 6 reference points, and all-equal points of
+    size 2..12, all with entries in [1, 20]."""
+    n = draw(st.integers(3, 6))
+    A = draw(st.lists(entries, min_size=n - 1, max_size=n - 1))
+    shape = draw(st.sampled_from(["generic", "manifold", "all-equal"]))
+    if shape == "all-equal":
+        return (A[0],) * draw(st.integers(1, 11))
+    if shape == "manifold" and n == 4:
+        A[1] = PHI * A[2] - A[0] / PHI if draw(st.booleans()) else PHI * A[0] - A[2] / PHI
+    if shape == "manifold" and n == 5:
+        A[0] = A[3] if draw(st.booleans()) else A[3] + 2 * (A[2] - A[1])
+    if shape == "manifold" and n == 6:
+        A = list(draw(st.sampled_from([SINGLE_ELLIPSE_6, THREE_ELLIPSE_6])))
+    assume(min(A) >= 1.0)
+    return tuple(A)
+
+
+@given(homogeneity_points())
+@settings(max_examples=60, deadline=None)
+def test_classify_is_homogeneous_under_powers_of_four(A):
+    # classify(4^i A) has the kind and the x of classify(A), and z times 4^i
+    # bit for bit, for every i that keeps 4^i max A finite; where some
+    # z 4^i is past the float range it raises ValueError instead
+    p = ReciprocalParams(A=A)
+    assume(not p.all_ones)
+    base = classify(p)
+    # max A = f 2^e with f in [1/2, 1), so 4^i max A is finite iff e + 2i <= 1024
+    for i in range(1, (1024 - math.frexp(max(A))[1]) // 2 + 1):
+        want = tuple((c.x, c.z * 4.0 ** i) for c in base.components)
+        scaled = ReciprocalParams(A=tuple(a * 4.0 ** i for a in A))
+        if all(math.isfinite(z) for _, z in want):
+            c = classify(scaled)
+            assert (c.kind, c.origin_component) == (base.kind, base.origin_component)
+            assert tuple((comp.x, comp.z) for comp in c.components) == want
+        else:
+            with pytest.raises(ValueError, match="past the float range"):
+                classify(scaled)
 
 
 def test_exact_path_takes_params_past_float_range():

@@ -387,22 +387,48 @@ def test_solve_uv_defaults_to_root_3(capsys):
     assert default["root_index"] == 3
 
 
-@pytest.mark.parametrize("argv", [("solve", "--fix", "A1=1e200", "A5=3e200"),
-                                  ("classify", "--A", "1e160,2e160,3e160,4e160,5e160")])
+@pytest.mark.parametrize("argv", [("solve", "--fix", "A1=1e200", "A5=3e200")])
 def test_out_of_float_range_is_an_input_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "float range" in err
 
 
-@pytest.mark.parametrize("A,n", [("1e200,2.6180339887498949e200,2e200", 4),
-                                 ("1e200,2e200,3e200,1e200", 5)])
-def test_small_n_discriminant_past_float_range_is_an_input_error(capsys, A, n):
-    # both points lie on an elliptic manifold, where the n = 4 and n = 5
-    # components need S^2 with S the sum of the A_j
-    code, out, err = run(capsys, "classify", "--A", A)
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and f"float range of the n = {n}" in err
+def test_solve_residuals_near_1e103_print_their_scaled_norm(capsys):
+    # the residuals are finite while sum |A_j| cubed is past the float range
+    code, out, _ = run(capsys, "solve", "--fix", "A1=1e103", "A5=3e103")
+    assert code == 0
+    norms = [float(line.split()[3]) for line in out.splitlines()
+             if "scaled residual norm" in line]
+    assert len(norms) == 12 and max(norms) <= 1e-9
+
+
+def test_classify_json_near_the_float_maximum_is_strict_json(capsys):
+    # an n = 5 point on the first hyperplane with A3 = 1.7e308: the
+    # diagnostics are relative, so none prints as Infinity
+    code, out, _ = run(capsys, "classify", "--A", "1,1,1.7e308,1", "--format", "json")
+    assert code == 0
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    got = json.loads(out, parse_constant=reject)
+    assert got["kind"] == "all_components_elliptic"
+
+
+@pytest.mark.parametrize("A", ["1e200,2.6180339887498949e200,2e200",
+                               "1e200,2e200,3e200,1e200"], ids=["n4", "n5"])
+def test_small_n_manifold_points_near_1e200_classify(capsys, A):
+    # both points lie on an elliptic manifold, and S^2 (S the sum of the
+    # A_j) is past the float range; the components are those of the point
+    # divided by 2^600, times 2^600
+    code, out, _ = run(capsys, "classify", "--A", A, "--format", "json")
+    assert code == 0
+    got = json.loads(out)
+    assert got["kind"] == "all_components_elliptic"
+    small = classify(ReciprocalParams(A=tuple(float(a) / 2.0 ** 600 for a in A.split(","))))
+    assert [(c["x"], c["z"]) for c in got["components"]] == [
+        (c.x, c.z * 2.0 ** 600) for c in small.components]
 
 
 @pytest.mark.parametrize("A", ["1e150,2.6180339887498949e150,2e150", "2,2,2,2,2"])

@@ -75,6 +75,12 @@ def test_float_residuals_past_the_float_range_raise_value_error():
     assert len(residuals_m6(A, exact=True)) == 4
 
 
+def test_uv_residuals_past_the_float_range_raise_value_error():
+    # R2 at (u, v) = (1e120, 3e110) is near 1e360
+    with pytest.raises(ValueError, match="float range"):
+        solve_uv(cubic_roots()[2]).residuals(1e120, 3e110)
+
+
 def test_residuals_generic_point_large():
     r = residuals_m6((1, 2, 3, 4, 5))
     s = 15.0
