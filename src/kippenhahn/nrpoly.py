@@ -10,10 +10,13 @@ substitutes zeta = x tau + z (substitution_tau_coeffs, a binomial
 expansion), eliminates z against the tau^2-coefficient, which is linear
 in z (so the resultant is a substitution), and reduces the result modulo
 the slope cubic by rewriting x^3.  Everything in this module runs in
-exact rational arithmetic (fractions convert floats losslessly);
-floating point enters only at root finding and in det_pencil, the
-numeric determinant used as an independent oracle, which works on the
-matrix entries rather than trimat's pencil.
+exact rational arithmetic (fractions convert floats losslessly), most of
+it on Python integers over one common denominator.  A value at float
+inputs is the exact value at their binary values, rounded once to the
+nearest float (BivariatePoly.eval, eval_residual).  Floating-point
+arithmetic enters only at root finding and in det_pencil, the numeric
+determinant used as an independent oracle, which works on the matrix
+entries rather than trimat's pencil.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .trimat import ReciprocalParams, TridiagonalMatrix
 
@@ -46,6 +50,26 @@ def _to_exact(v):
     raise TypeError(f"cannot convert {type(v).__name__} to exact rational")
 
 
+def _ratio(v):
+    """(numerator, denominator) of v: exact for Fraction and int, and for
+    anything else that of float(v), which must be finite."""
+    if isinstance(v, (Fraction, int)):
+        return v.numerator, v.denominator
+    v = float(v)
+    if not math.isfinite(v):
+        raise ValueError(f"cannot evaluate at the non-finite value {v}")
+    return v.as_integer_ratio()
+
+
+def _rounded(num, den):
+    """num / den rounded once to the nearest float (den > 0); a value past
+    the float range rounds to a signed infinity, as in float arithmetic."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
 def _is_zero(c):
     if isinstance(c, UniPoly):
         return c.is_zero
@@ -64,10 +88,6 @@ class UniPoly:
             cs.pop()
         self.var = var
         self.coeffs = tuple(cs)
-
-    @classmethod
-    def const(cls, var, value):
-        return cls(var, [value])
 
     @property
     def is_zero(self):
@@ -168,11 +188,49 @@ class BivariatePoly:
         return [[self.coeff(i, j) for j in range(self.deg_tau + 1)]
                 for i in range(self.deg_zeta + 1)]
 
+    @cached_property
+    def _integer_rows(self):
+        """(D, rows, m): the zeta^i tau^j coefficient is rows[i][j] / D, and
+        m bounds the tau-degree of every row."""
+        rows = [q.coeffs for q in self.zeta_coeffs]
+        D = math.lcm(*(c.denominator for row in rows for c in row))
+        ints = tuple(tuple(D // c.denominator * c.numerator for c in row) for row in rows)
+        return D, ints, max([1, *map(len, rows)]) - 1
+
+    def _value_ratio(self, zn, zd, tn, td):
+        """Integers (N, E), E > 0, with P(zn / zd, tn / td) = N / E.
+
+        Homogeneous Horner: each row gives sum_j c_ij tn^j td^(m-j), m the
+        tau-degree bound, and the rows combine as sum_i H_i zn^i zd^(k-i).
+        """
+        D, rows, m = self._integer_rows
+        k = len(rows) - 1
+        tpow = [1]
+        for _ in range(m):
+            tpow.append(tpow[-1] * td)
+        zpow = [1]
+        for _ in range(k):
+            zpow.append(zpow[-1] * zd)
+        total = 0
+        for i in range(k, -1, -1):
+            row, h = rows[i], 0
+            for j in range(len(row) - 1, -1, -1):
+                h = h * tn + row[j] * tpow[m - j]
+            total = total * zn + h * zpow[k - i]
+        return total, D * tpow[m] * zpow[k]
+
     def eval(self, zeta, tau):
-        result = 0.0 if isinstance(zeta, float) or isinstance(tau, float) else Fraction(0)
-        for p in reversed(self.zeta_coeffs):
-            result = result * zeta + p(tau)
-        return result
+        """P(zeta, tau), exact at the inputs.
+
+        A Fraction for exact inputs (Fraction or int); otherwise the inputs
+        are floats (NumPy scalars included), taken at their exact binary
+        values, and the result is the exact value rounded once to the
+        nearest float.  A non-finite float raises ValueError.
+        """
+        num, den = self._value_ratio(*_ratio(zeta), *_ratio(tau))
+        if isinstance(zeta, (Fraction, int)) and isinstance(tau, (Fraction, int)):
+            return Fraction(num, den)
+        return _rounded(num, den)
 
 
 def generating_poly(p: ReciprocalParams) -> BivariatePoly:
@@ -232,12 +290,15 @@ def det_pencil(M: TridiagonalMatrix, theta: float, lam: float) -> float:
 def eval_residual(P: BivariatePoly, M: TridiagonalMatrix, theta: float, lam: float) -> float:
     """Relative gap between the polynomial and the numeric pencil determinant.
 
-    For odd n the polynomial is premultiplied by -lambda before comparison.
+    The polynomial is evaluated exactly at zeta = lambda^2 and
+    tau = cos(2 theta), premultiplied by -lambda for odd n, and rounded
+    once; only det_pencil's recursion and the final difference are float.
     """
-    tau = math.cos(2 * theta)
-    pval = float(P.eval(float(lam) ** 2, tau))
+    ln, ld = _ratio(lam)
+    num, den = P._value_ratio(ln * ln, ld * ld, *_ratio(math.cos(2 * theta)))
     if P.origin_component:
-        pval *= -lam
+        num, den = -ln * num, ld * den
+    pval = _rounded(num, den)
     dval = det_pencil(M, theta, lam)
     return abs(pval - dval) / max(1.0, abs(pval), abs(dval))
 
@@ -291,22 +352,52 @@ def resultant_in_z(f: UniPoly, g: UniPoly) -> UniPoly:
     result is the UniPoly in x sum_k g_k (-f0)^k f1^(n-k), n = deg g: the
     Sylvester determinant with the f-rows first, which for monic
     f = z - a is g(a).  The n = 6 pipeline eliminates z only against the
-    tau^2-coefficient q11 z + q10, which is linear in z.
+    tau^2-coefficient q11 z + q10, which is linear in z.  The sum runs on
+    integer coefficient lists, f's and g's each over their own common
+    denominator, and ends in one Fraction per coefficient.
     """
     if f.is_zero or g.is_zero:
         raise DegenerateInput("resultant of the zero polynomial")
     if f.degree != 1:
         raise ValueError(f"resultant_in_z needs f linear in z, got degree {f.degree}")
 
-    def as_x(c):
-        return c if isinstance(c, UniPoly) else UniPoly.const("x", _to_exact(c))
+    (F0, F1), df = _integer_x_polys(f.coeffs)
+    G, dg = _integer_x_polys(g.coeffs)
+    neg_f0 = [-c for c in F0]
+    out, f1_power = G[-1], [1]
+    for c in reversed(G[:-1]):  # Horner in -f0, homogenised by f1
+        f1_power = _int_mul(f1_power, F1)
+        out = _int_add(_int_mul(out, neg_f0), _int_mul(c, f1_power))
+    den = dg * df ** (len(G) - 1)
+    return UniPoly("x", [Fraction(c, den) for c in out])
 
-    f0, f1 = map(as_x, f.coeffs)
-    out, f1_power = as_x(g.coeffs[-1]), UniPoly.const("x", Fraction(1))
-    for c in reversed(g.coeffs[:-1]):  # Horner in -f0, homogenised by f1
-        f1_power = f1_power * f1
-        out = out * -f0 + as_x(c) * f1_power
+
+def _integer_x_polys(coeffs):
+    """Integer coefficient lists of x-polynomials (or rationals) over their
+    least common denominator d, as (lists, d)."""
+    polys = [[_to_exact(a) for a in (c.coeffs if isinstance(c, UniPoly) else (c,))]
+             for c in coeffs]
+    d = math.lcm(*(a.denominator for p in polys for a in p))
+    return [[d // a.denominator * a.numerator for a in p] for p in polys], d
+
+
+def _int_mul(a, b):
+    """Product of two integer coefficient lists, ascending."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
     return out
+
+
+def _int_add(a, b):
+    """Sum of two integer coefficient lists, ascending."""
+    if len(a) < len(b):
+        a, b = b, a
+    return [x + y for x, y in zip(a, b)] + a[len(b):]
 
 
 def reduce_mod_cubic(f: UniPoly) -> UniPoly:

@@ -24,6 +24,14 @@ PARAM_TOL = 1e-12
 FLOAT_MAX = float(np.finfo(float).max)
 
 
+# the bounds on A_j as exact integer ratios, for exact entries:
+# 1 - PARAM_TOL = _FLOOR_NUM / _FLOOR_DEN, FLOAT_MAX = _MAX_INT
+_FLOOR_NUM, _FLOOR_DEN = (1.0 - PARAM_TOL).as_integer_ratio()
+_MAX_INT = int(FLOAT_MAX)
+# accepted by float() but not real numbers; complex covers NumPy's
+_NOT_REAL = (str, bytes, bytearray, bool, np.bool_, complex)
+
+
 class ZeroSuperdiagonal(ValueError):
     """A reciprocal matrix needs every superdiagonal entry nonzero."""
 
@@ -84,7 +92,9 @@ class TridiagonalMatrix:
 class ReciprocalParams:
     """The vector A_j = (|b_j|^2 + |c_j|^2)/2 of a reciprocal matrix.
 
-    Exact rational entries are kept exact; everything else becomes float.
+    Fraction and int entries are kept exact; other real numbers (NumPy
+    scalars included) become float.  str, bytes, bool and complex entries
+    raise InvalidParam.
     """
 
     A: tuple
@@ -94,19 +104,21 @@ class ReciprocalParams:
     past_float_range = False
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "A",
-            tuple(v if isinstance(v, (Fraction, int)) else float(v) for v in self.A))
+        A = tuple(v if type(v) is float else _exact_or_float(j, v)
+                  for j, v in enumerate(self.A, start=1))
+        object.__setattr__(self, "A", A)
         if self.n == 0:
-            object.__setattr__(self, "n", len(self.A) + 1)
-        if self.n != len(self.A) + 1:
+            object.__setattr__(self, "n", len(A) + 1)
+        if self.n != len(A) + 1:
             raise ValueError("n must equal len(A) + 1")
-        # one pass rejects both A_j < 1 and non-finite entries (nan fails
-        # every comparison, inf the upper one); only an exact A_j passes the
-        # second test and fails the first
-        if not all(1.0 - PARAM_TOL <= v <= FLOAT_MAX for v in self.A):
-            if not all(1.0 - PARAM_TOL <= v < math.inf for v in self.A):
-                raise InvalidParam(f"finite A_j >= 1 required, got {self.A}")
+        # nan fails every comparison and inf the upper one; exact entries
+        # meet the bounds as exact rationals
+        if not all(1.0 - PARAM_TOL <= v <= FLOAT_MAX if type(v) is float
+                   else v.numerator * _FLOOR_DEN >= _FLOOR_NUM * v.denominator
+                   for v in A):
+            raise InvalidParam(f"finite A_j >= 1 required, got {A}")
+        if any(type(v) is not float and v.numerator > _MAX_INT * v.denominator
+               for v in A):
             object.__setattr__(self, "past_float_range", True)
 
     def check_float_range(self):
@@ -125,6 +137,16 @@ class ReciprocalParams:
     def all_ones(self) -> bool:
         self.check_float_range()
         return all(abs(v - 1.0) <= PARAM_TOL for v in self.A)
+
+
+def _exact_or_float(j, v):
+    """A_j as ReciprocalParams keeps it: Fraction and int stay exact, any
+    other real number becomes float."""
+    if isinstance(v, (Fraction, int)) and not isinstance(v, bool):
+        return v
+    if isinstance(v, _NOT_REAL):
+        raise InvalidParam(f"A_{j} = {v!r} is not a real number")
+    return float(v)
 
 
 @dataclass(frozen=True)

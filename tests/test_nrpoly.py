@@ -260,6 +260,48 @@ def test_bivariate_eval_exact_and_float():
     assert abs(P.eval(7.0, 0.5) - 4.0) <= 1e-15
 
 
+def _reference_eval(P, zeta, tau):
+    """P(zeta, tau) as a plain Fraction sum over the coefficient table."""
+    zeta, tau = F(zeta), F(tau)
+    return sum((P.coeff(i, j) * zeta ** i * tau ** j
+                for i in range(P.deg_zeta + 1) for j in range(P.deg_tau + 1)), F(0))
+
+
+eval_floats = st.floats(-50.0, 50.0) | st.floats(-1e-3, 1e-3)
+
+
+@given(st.integers(2, 14).flatmap(lambda n: st.lists(rationals.map(lambda a: abs(a) + 1),
+                                                     min_size=n - 1, max_size=n - 1)),
+       st.one_of(rationals, st.integers(-30, 30)), st.one_of(rationals, st.integers(-3, 3)),
+       eval_floats, eval_floats)
+@settings(max_examples=150, deadline=None)
+def test_eval_is_exact_and_rounds_once(A, zq, tq, zf, tf):
+    P = generating_poly(ReciprocalParams(A=tuple(A)))
+    got = P.eval(zq, tq)
+    assert type(got) is F and got == _reference_eval(P, zq, tq)
+    for zeta, tau in ((zf, tf), (zf, tq), (zq, tf),
+                      (np.float64(zf), np.float64(tf)), (np.float64(zf), tq)):
+        got = P.eval(zeta, tau)
+        assert type(got) is float
+        # the exact value at the binary inputs, correctly rounded
+        assert got == float(_reference_eval(P, zeta, tau))
+
+
+def test_eval_past_the_float_range_rounds_to_infinity():
+    # P = zeta^3 + ...: the exact value at -1e200 is about -1e600
+    P = generating_poly(ReciprocalParams(A=(F(2),) * 5))
+    assert P.eval(-1e200, 0.5) == -math.inf and P.eval(1e200, F(1)) == math.inf
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
+def test_eval_rejects_non_finite_inputs(bad):
+    P = generating_poly(ReciprocalParams(A=(F(2), F(3), F(5))))
+    with pytest.raises(ValueError):
+        P.eval(bad, 0.5)
+    with pytest.raises(ValueError):
+        P.eval(F(1), bad)
+
+
 def test_substitution_tau_coeffs_small_sizes():
     # the tau-coefficients of P(x tau + z, tau) are the classifier systems:
     # for n = 4 the leading one is x(x - 3/2) + 1/4, for n = 5 x(x - 2) + 3/4
@@ -284,7 +326,7 @@ def _reference_generating_poly(p):
     """The determinant recursion over Fraction/UniPoly, with beta_j = (A_j + tau)/2."""
     half = F(1, 2)
     beta = [UniPoly("tau", [F(Aj) * half, half]) for Aj in p.A]
-    one = UniPoly.const("tau", F(1))
+    one = UniPoly("tau", [F(1)])
     zero = UniPoly("tau", [])
     g_prev, g_cur = [one], [-one]
     for m in range(2, p.n + 1):
@@ -355,15 +397,18 @@ def test_substitution_matches_divide_remainder_numerically(p, x0, z0):
 
 @st.composite
 def pencil_points(draw):
-    n = draw(st.integers(3, 12))
+    n = draw(st.integers(3, 40))
     A = draw(st.lists(st.floats(1.0, 100.0), min_size=n - 1, max_size=n - 1))
     return A, draw(st.floats(0.0, 2 * math.pi)), draw(st.floats(-20.0, 20.0))
 
 
 @given(pencil_points())
+@example(([3.0] * 39, 2.0, 2.0))
 @settings(max_examples=100, deadline=None)
-def test_eval_residual_small_for_n_up_to_12(case):
-    # the library form of `verify`'s determinant check
+def test_eval_residual_small_for_n_up_to_40(case):
+    # the library form of `verify`'s determinant check; a float Horner on
+    # the coefficients failed the bound from about n = 20 (residual 4.3e-2
+    # at the example)
     A, theta, lam = case
     p = ReciprocalParams(A=tuple(A))
     assert eval_residual(generating_poly(p), params_to_matrix(p), theta, lam) <= 1e-9
@@ -433,6 +478,35 @@ def test_resultant_is_the_sylvester_determinant(f1, f0, g_coeffs, xs):
         want = _sylvester_det([F(c(x0)) for c in reversed(f.coeffs)],
                               [F(c(x0)) for c in reversed(g.coeffs)])
         assert res(x0) == want
+
+
+def _tower_resultant(f, g):
+    """resultant_in_z's former body: the same Horner, over UniPoly in x with
+    Fraction coefficients."""
+    def as_x(c):
+        return c if isinstance(c, UniPoly) else UniPoly("x", [F(c)])
+
+    f0, f1 = map(as_x, f.coeffs)
+    out, f1_power = as_x(g.coeffs[-1]), UniPoly("x", [F(1)])
+    for c in reversed(g.coeffs[:-1]):
+        f1_power = f1_power * f1
+        out = out * -f0 + as_x(c) * f1_power
+    return out
+
+
+# degree 0-4 in x, or a bare rational
+x_coeffs = st.one_of(rationals, st.integers(-9, 9),
+                     st.lists(rationals, max_size=5).map(lambda cs: UniPoly("x", cs)))
+
+
+@given(x_coeffs.filter(lambda c: c != 0), x_coeffs,
+       st.lists(x_coeffs, min_size=1, max_size=5).filter(lambda cs: cs[-1] != 0))
+@settings(max_examples=150, deadline=None)
+def test_resultant_matches_the_fraction_tower(f1, f0, g_coeffs):
+    f, g = UniPoly("z", [f0, f1]), UniPoly("z", g_coeffs)
+    res = resultant_in_z(f, g)
+    assert res == _tower_resultant(f, g)
+    assert res.var == "x" and all(type(c) is F for c in res.coeffs)
 
 
 @pytest.mark.parametrize("f", [UniPoly("z", [F(3)]), UniPoly("z", [F(1), F(2), F(1)])])

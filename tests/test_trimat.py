@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from kippenhahn import (InvalidParam, NotReciprocal, ReciprocalParams,
                         ZeroSuperdiagonal, a_params, build_reciprocal,
                         eig_all, params_to_matrix,
                         realified_pencil)
-from kippenhahn.trimat import TridiagonalMatrix, phase_diagonal
+from kippenhahn.trimat import FLOAT_MAX, PARAM_TOL, TridiagonalMatrix, phase_diagonal
 
 
 def test_build_reciprocal_unit():
@@ -83,6 +84,48 @@ def test_params_reject_non_finite(bad):
         ReciprocalParams(A=(2.0, bad, 3.0))
     with pytest.raises(InvalidParam):
         ReciprocalParams(A=(bad,) * 5)
+
+
+FLOOR = Fraction(1.0 - PARAM_TOL)
+
+
+@pytest.mark.parametrize("A, ok, past", [
+    (FLOOR, True, False),
+    (FLOOR - Fraction(1, 2 ** 80), False, False),
+    (Fraction(FLOAT_MAX), True, False),
+    (Fraction(FLOAT_MAX) + Fraction(1, 2 ** 80), True, True),
+    (Fraction(FLOAT_MAX) + 1, True, True),
+    (1, True, False),
+    (0, False, False),
+    (int(FLOAT_MAX), True, False),
+    (int(FLOAT_MAX) + 1, True, True),
+    (1.0 - PARAM_TOL, True, False),
+    (1.0 - 2e-12, False, False),
+    (FLOAT_MAX, True, False),
+])
+def test_params_bounds_are_exact(A, ok, past):
+    # exact entries meet 1 - PARAM_TOL and the largest float as exact
+    # rationals; past the latter they are kept for the exact layer
+    if not ok:
+        with pytest.raises(InvalidParam):
+            ReciprocalParams(A=(2.0, A))
+        return
+    p = ReciprocalParams(A=(2.0, A))
+    assert p.A[1] == A and type(p.A[1]) is type(A)
+    assert p.past_float_range is past
+
+
+@pytest.mark.parametrize("bad", ["2", b"2", bytearray(b"2"), True, np.bool_(True),
+                                 2 + 0j, np.complex128(2)])
+def test_params_reject_non_real_entries(bad):
+    with pytest.raises(InvalidParam, match="A_2"):
+        ReciprocalParams(A=(3, bad))
+
+
+@pytest.mark.parametrize("v", [np.float64(2.5), np.float32(2.5), np.int64(3), np.uint8(3)])
+def test_params_take_numpy_real_scalars_as_float(v):
+    (got,) = ReciprocalParams(A=(v,)).A
+    assert type(got) is float and got == float(v)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(1.0, math.nan)])
