@@ -4,9 +4,10 @@ Every classifier consumes only the A_j parameters.  A linear factor
 zeta - (x tau + z) of the generating polynomial corresponds to the
 origin-centered axis-aligned ellipse with semi-axes sqrt(z +- x); all
 criteria below decide when such factors exist, in closed form for
-n = 3, 4, 5 and through the reduced-resultant tables for n = 6, where one
-test per root of the slope cubic gives both the single- and the
-three-ellipse verdict.
+n = 3, 4, 5.  At n = 6 one test per root x_t of the slope cubic gives both
+the single- and the three-ellipse verdict: it evaluates the
+tau-coefficients of P6(x_t tau + z, tau) directly, closed forms in six
+sums of the A_j, and reads no table.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from . import rtables
 from .nrpoly import cubic_roots
 from .trimat import ReciprocalParams
 
@@ -185,16 +185,39 @@ def classify5(p: ReciprocalParams, tol: float = DEFAULT_TOL) -> Classification:
         diagnostics=diag)
 
 
-def _center_z(A, x):
-    """-q10 / q11, the zero of the tau^2 coefficient q11 z + q10 of
-    P6(x tau + z, tau) (the one linear in z; tau^3 has s(x) / 8 alone), for
-    any numeric type."""
+def _p6_sums(A):
+    """(S, T, E2, s1, s2, s3): with beta_j = (A_j + tau) / 2, P6 is
+    zeta^3 - (S + 5 tau)/2 zeta^2 + (E2 + T tau + 6 tau^2)/4 zeta
+    - (s3 + s2 tau + s1 tau^2 + tau^3)/8, where S = sum A_j, E2 and T sum
+    A_i A_j and A_i + A_j over the six pairs i + 1 < j, and s_k are the
+    elementary symmetric functions of (A1, A3, A5)."""
     A1, A2, A3, A4, A5 = A
-    S = A1 + A2 + A3 + A4 + A5
-    T = 3 * A1 + 2 * A2 + 2 * A3 + 2 * A4 + 3 * A5
-    q11 = (3 * x - 5) * x + 1.5
-    q10 = -S / 2 * x * x + T / 4 * x - (A1 + A3 + A5) / 8
-    return -q10 / q11
+    return (A1 + A2 + A3 + A4 + A5,
+            3 * A1 + 2 * A2 + 2 * A3 + 2 * A4 + 3 * A5,
+            A1 * (A3 + A4 + A5) + A2 * (A4 + A5) + A3 * A5,
+            A1 + A3 + A5, A1 * A3 + (A1 + A3) * A5, A1 * A3 * A5)
+
+
+def _q11(x):
+    """The z-slope of tau^2 in P6(x tau + z, tau): 1.034, -0.574, 1.290 at the roots."""
+    return ((6 * x - 10) * x + 3) / 2
+
+
+def _tau_coeffs(sums, x, z):
+    """Coefficients of tau^3, tau^2, tau^1 and tau^0 in P6(x tau + z, tau)
+    at numbers x and z, in their arithmetic (exact on Fractions)."""
+    S, T, E2, s1, s2, s3 = sums
+    return ((((8 * x - 20) * x + 12) * x - 1) / 8,
+            _q11(x) * z - S / 2 * x * x + T / 4 * x - s1 / 8,
+            ((6 * x - 5) / 2 * z + T / 4 - S * x) * z + E2 / 4 * x - s2 / 8,
+            ((z - S / 2) * z + E2 / 4) * z - s3 / 8)
+
+
+def _center_z(sums, x):
+    """The zero of the tau^2 coefficient of P6(x tau + z, tau), the one
+    linear in z (tau^3 has s(x) / 8 alone), for any numeric type."""
+    S, T, _, s1, _, _ = sums
+    return (S / 2 * x * x - T / 4 * x + s1 / 8) / _q11(x)
 
 
 def _unit_scaled(A):
@@ -204,16 +227,13 @@ def _unit_scaled(A):
 
 
 def ellipse_centers_z(p: ReciprocalParams):
-    """Factor constants z_j at the roots x_j, ascending-x order.
-
-    z_j is the zero of the tau^2 coefficient of P6(x_j tau + z, tau), so the
-    only constant a factor zeta - (x_j tau + z) can have; that coefficient's
-    z-slope at the three roots is 1.034, -0.574 and 1.290, never near 0.
-    """
+    """Factor constants z_j at the roots x_j, ascending-x order: by
+    ``_center_z``, the only constant a factor zeta - (x_j tau + z) can have."""
     _require_size(p, 6)
     p.check_float_range()
     A, u = _unit_scaled(p.A)
-    return tuple(_center_z(A, xr) / u for xr in cubic_roots())
+    sums = _p6_sums(A)
+    return tuple(_center_z(sums, xr) / u for xr in cubic_roots())
 
 
 # the n = 6 verdict by the number of roots that pass
@@ -224,32 +244,31 @@ _N6_KINDS = ("non_elliptic", "boundary_ellipse_only", "boundary_ellipse_only",
 def contains_ellipse6(p: ReciprocalParams, tol: float = DEFAULT_TOL) -> Classification:
     """n=6: both verdicts from one test at each root x_t of the slope cubic.
 
-    A root passes when both reduced resultants there, over S^2 and S^3
-    (S = sum A_j; the ``resultant_values``), are at most tol in size, and the
-    pinned factor constant z_t satisfies z_t >= x_t (z = x degenerates to the
-    doubleton of foci).  All of it is evaluated at ``_unit_scaled`` A.
-    R1 and R2 are quadratics in x, so they vanish at all three roots iff
-    they vanish identically, which is the three-ellipse ideal: three passing
-    roots give all_components_elliptic, one or two boundary_ellipse_only.
+    zeta - (x_t tau + z) divides P6 iff every ``_tau_coeffs`` value is 0:
+    tau^2 pins z to z_t = ``_center_z``, and tau^1, tau^0 give g2, g3 at z_t.
+    A root passes when r1 = 128 q11^2 g2 / S^2 and r2 = 512 q11^3 g3 / S^3
+    (the ``resultant_values``, equal to R1(x_t) / S^2 and R2(x_t) / S^3) are
+    at most tol in size, and z_t >= x_t (z = x degenerates to the doubleton
+    of foci), all in floats at ``_unit_scaled`` A.  R1 and R2 are quadratics
+    in x, so three passing roots mean R1 = R2 = 0, the three-ellipse ideal:
+    all_components_elliptic; one or two give boundary_ellipse_only.
     """
     _check_tol(tol)
     _require_size(p, 6)
     if p.all_ones:
         return _normal_classification(p)
     A, u = _unit_scaled(p.A)
-    c12, c11, c10, c22, c21, c20 = rtables.n6_values(A)
-    S = sum(A)
-    S2, S3 = S ** 2, S ** 3
-    components = []
-    root_hits = []
+    sums = _p6_sums(A)
+    S = sums[0]
+    components, root_hits = [], []
     for xr in cubic_roots():
-        r1 = (c12 * xr * xr + c11 * xr + c10) / S2
-        r2 = (c22 * xr * xr + c21 * xr + c20) / S3
+        z = _center_z(sums, xr)
+        _, _, g2, g3 = _tau_coeffs(sums, xr, z)
+        q = 4 * _q11(xr) / S
+        r1, r2 = 8 * q * q * g2, 8 * q * q * q * g3
         root_hits.append((xr, r1, r2))
-        if abs(r1) <= tol and abs(r2) <= tol:
-            z = _center_z(A, xr) / u
-            if z >= xr - tol * S / u:
-                components.append(EllipseComponent(x=xr, z=z))
+        if abs(r1) <= tol and abs(r2) <= tol and z / u >= xr - tol * S / u:
+            components.append(EllipseComponent(x=xr, z=z / u))
     diag = {"resultant_values": root_hits}
     if len(components) == 3:
         # |z gap| - |x gap| > 0: the component with the larger z has both

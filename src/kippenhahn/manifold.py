@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from . import rtables
 from .nrpoly import cubic_roots
-from .trimat import ReciprocalParams, TridiagonalMatrix, params_to_matrix
+from .trimat import ReciprocalParams, TridiagonalMatrix, _exact_or_float, params_to_matrix
 
 PARAM_NAMES = ("A1", "A2", "A3", "A4", "A5")
 
@@ -101,11 +101,12 @@ def _solution(A, branch):
 def solve_m6(fixed: dict):
     """Every point of the three-ellipse variety with two parameters fixed.
 
-    fixed maps two names among A1, A2, A4, A5 to finite values a and b.  For
-    a != b each of the twelve planes gives one point, so exactly twelve
-    solutions come back, sorted; for a == b the only one is the all-equal
-    point.  Solutions with any A_j < 1 are returned but flagged not
-    realizable; residuals past the float range raise ValueError.
+    fixed maps two names among A1, A2, A4, A5 to finite real values a and
+    b; str, bool and complex values raise ValueError.  For a != b each of
+    the twelve planes gives one point, so exactly twelve solutions come
+    back, sorted; for a == b the only one is the all-equal point.
+    Solutions with any A_j < 1 are returned but flagged not realizable;
+    residuals past the float range raise ValueError.
     """
     names = sorted(fixed)
     for nm in names:
@@ -114,7 +115,8 @@ def solve_m6(fixed: dict):
             raise ValueError(f"{what} {nm!r}; fix two of A1, A2, A4, A5")
     if len(names) != 2:
         raise ValueError("fix exactly two of A1, A2, A4, A5")
-    (i, a), (j, b) = ((PARAM_NAMES.index(nm), float(fixed[nm])) for nm in names)
+    (i, a), (j, b) = ((PARAM_NAMES.index(nm), float(_exact_or_float(nm[1], fixed[nm])))
+                      for nm in names)
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"fixed values must be finite, got {fixed}")
     if abs(a - b) <= EQUAL_PAIR_TOL:
@@ -168,7 +170,7 @@ def solve_uv(x_target: float):
     is the line u + (2 x_t - 1) v - 2 x_t = 0.
     """
     x_t = min(cubic_roots(), key=lambda r: abs(r - x_target))
-    if abs(x_t - x_target) > 1e-6:
+    if not abs(x_t - x_target) <= 1e-6:  # nan fails every comparison
         raise ValueError(f"x_target must be a root of the slope cubic, got {x_target}")
     slope = 2.0 * x_t - 1.0
     norm = math.hypot(1.0, slope)

@@ -20,19 +20,16 @@ The ``ELL3_*`` tables are the three-ellipse conditions (two quadratics and
 one cubic in the A_j, plus their difference); a reciprocal 6-by-6 matrix has
 a three-ellipse Kippenhahn curve iff all three vanish and the parameters are
 not all 1.  They cut out the same set as R1 = R2 = 0 identically in x (the
-degree-3 parts of the two ideals agree, see the tests), so the classifier
-reads only the resultant tables and the ``ELL3_*`` tables certify the
-manifold solvers.
+degree-3 parts of the two ideals agree, see the tests), which is what the
+n = 6 classifier's three passing roots mean; the ``ELL3_*`` tables certify
+the manifold solvers.
 
-The dict tables are the source of truth.  Tables of degree <= 3 are also
-compiled, at import, into sparse integer rows over the 56 monomials of
-degree <= 3 (``compile_rows``), and one loop evaluates those rows in the
-arithmetic of its input:
-
-* ``eval_exact`` gives their values at one point as Fractions from a single
-  integer dot product per row, with no rational arithmetic per term;
-* ``n6_values`` gives the six resultant coefficients the n = 6 classifier
-  reads (``N6_ROWS``) at one point as floats.
+The dict tables are the source of truth.  ``compile_rows`` compiles those
+of degree <= 3, at import, into sparse integer rows over the 56 monomials
+of degree <= 3, and ``eval_exact`` gives their values at one point as
+Fractions, one integer dot product per row, for ``resultant_quadratics``
+and ``ell3_residuals``.  No float path reads the tables: the n = 6
+classifier evaluates the tau-coefficients of the generating polynomial.
 
 ``eval_table`` and ``grad_table`` stay the generic evaluators for any
 arithmetic (floats, Fractions, polynomials) and any degree; the tests use
@@ -523,7 +520,7 @@ R2_PIPELINE_SCALE = Fraction(512)
 def resultant_quadratics(A):
     """Coefficient triples (x^2, x^1, x^0) of both reduced resultants at A,
     as exact Fractions (floats convert losslessly)."""
-    values = eval_exact(N6_ROWS, A)
+    values = eval_exact(_RESULTANT_ROWS, A)
     return values[:3], values[3:]
 
 
@@ -557,18 +554,6 @@ def compile_rows(tables):
                  for table in tables)
 
 
-def _dots(rows, X):
-    """Each row's dot product with the monomials X_i X_j X_k, in X's arithmetic."""
-    mono = [X[i] * X[j] * X[k] for i, j, k in _TRIPLE_LIST]
-    out = []
-    for row in rows:
-        total = 0
-        for m, c in row:
-            total += c * mono[m]
-        out.append(total)
-    return out
-
-
 def eval_exact(rows, A):
     """Exact values of compiled ``rows`` at A, one Fraction per row.
 
@@ -583,9 +568,17 @@ def eval_exact(rows, A):
     A = [Fraction(a) for a in A]
     L = math.lcm(*(int(a.denominator) for a in A))
     X = [L] + [int(a.numerator) * (L // int(a.denominator)) for a in A]
-    L3 = L * L * L
-    return tuple(Fraction(v, L3) for v in _dots(rows, X))
+    mono = [X[i] * X[j] * X[k] for i, j, k in _TRIPLE_LIST]
+    L3, out = L * L * L, []
+    for row in rows:
+        total = 0
+        for m, c in row:  # an explicit loop: sum() is slower on big ints
+            total += c * mono[m]
+        out.append(Fraction(total, L3))
+    return tuple(out)
 
+
+_RESULTANT_ROWS = compile_rows(R1_TABLES + R2_TABLES)
 
 ELL3_TABLES = (ELL3_QUAD_A, ELL3_QUAD_B, ELL3_CUBIC, ELL3_QUAD_DIFF)
 ELL3_ROWS = compile_rows(ELL3_TABLES)
@@ -594,18 +587,3 @@ ELL3_ROWS = compile_rows(ELL3_TABLES)
 def ell3_residuals(A):
     """The three three-ellipse conditions plus their difference, as Fractions."""
     return eval_exact(ELL3_ROWS, A)
-
-
-# what the n = 6 classifier reads: the six resultant coefficients
-N6_TABLES = R1_TABLES + R2_TABLES
-N6_ROWS = compile_rows(N6_TABLES)
-
-
-def n6_values(A):
-    """Values of the six ``N6_TABLES`` at one point A, as floats.
-
-    A is converted to float first, so exact input takes the float path too;
-    the values agree with ``eval_table`` up to rounding, and
-    ``resultant_quadratics`` is the exact path.
-    """
-    return tuple(_dots(N6_ROWS, (1.0, *map(float, A))))

@@ -1,17 +1,22 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kippenhahn import (NotToeplitzCase, ReciprocalParams, WrongSize,
-                        a_params, build_reciprocal, classify, classify3,
-                        classify4, classify5, contains_ellipse6, cubic_roots,
-                        divide_by_linear, ellipse_centers_z, generating_poly,
-                        params_to_matrix, solve_m6, three_ellipses6,
-                        toeplitz_components)
+                        a_params, branch_points, build_reciprocal, classify,
+                        classify3, classify4, classify5, contains_ellipse6,
+                        cubic_roots, divide_by_linear, ellipse_centers_z,
+                        fit_ellipse_axis_aligned, generating_poly,
+                        params_to_matrix, sample_curve, solve_m6,
+                        three_ellipses6, toeplitz_components)
+from kippenhahn import rtables
+from kippenhahn.classify import _center_z, _p6_sums, _tau_coeffs
+from kippenhahn.nrpoly import substitution_tau_coeffs
 
 PHI = (math.sqrt(5) + 1) / 2
 F = Fraction
@@ -292,11 +297,12 @@ def test_plane_points_classify_three_ellipses(pair, a, b, eps):
     # every realizable point of the three-ellipse variety passes at all
     # three roots, with the centers ellipse_centers_z gives; moved off the
     # variety into the tolerance band, every component still passes its own
-    # per-root test
+    # per-root test.  At the first realizable point the generating
+    # polynomial and the sampled curve agree: each factor divides P6, and
+    # branches j and 7 - j fit component j's semi-axes unless it is a segment
     assume(abs(a - b) > 1e-6)
-    for sol in solve_m6(dict(zip(pair, (a, b)))):
-        if min(sol.A) < 1.0:
-            continue
+    realizable = [sol for sol in solve_m6(dict(zip(pair, (a, b)))) if min(sol.A) >= 1.0]
+    for sol in realizable:
         p = ReciprocalParams(A=sol.A)
         c = contains_ellipse6(p)
         assert c.kind == "all_components_elliptic"
@@ -305,6 +311,86 @@ def test_plane_points_classify_three_ellipses(pair, a, b, eps):
         assert three_ellipses6(p).components == c.components
         moved = [A * (1 + eps * (-1) ** j) for j, A in enumerate(sol.A)]
         assert_components_pass(ReciprocalParams(A=tuple(max(A, 1.0) for A in moved)))
+    if not realizable:
+        return
+    p = ReciprocalParams(A=realizable[0].A)
+    samples = sample_curve(params_to_matrix(p), m=720)
+    for j, comp in enumerate(contains_ellipse6(p).components, start=1):
+        assert_factor_divides(p, comp)
+        for k in () if comp.degenerate else (j, 7 - j):
+            fit = fit_ellipse_axis_aligned(branch_points(samples, k))
+            assert fit.semi_major == pytest.approx(comp.semi_major, rel=1e-8)
+            assert fit.semi_minor == pytest.approx(comp.semi_minor, rel=1e-8)
+
+
+# n = 6 on the generating polynomial itself
+
+def test_tau_coeffs_equal_the_substitution():
+    # each tau-coefficient of P6(x tau + z, tau), from the closed forms or
+    # from substitution_tau_coeffs, is a polynomial of total degree <= 3 in
+    # (A_1, ..., A_5, x, z); such a polynomial vanishing at the 120 points
+    # (1 + a, x, z) with a, x, z natural and |a| + x + z <= 3 is zero, so
+    # agreement there proves the identity
+    points = [v for v in product(range(4), repeat=7) if sum(v) <= 3]
+    assert len(points) == 120
+    for v in points:
+        A = tuple(F(1 + a) for a in v[:5])
+        x, z = F(v[5]), F(v[6])
+        taus = substitution_tau_coeffs(generating_poly(ReciprocalParams(A=A)))
+        want = [sum(c(x) * z ** a for a, c in enumerate(taus[k].coeffs)) for k in (3, 2, 1, 0)]
+        sums = _p6_sums(A)
+        assert list(_tau_coeffs(sums, x, z)) == want, v
+        assert len(taus) == 5 and taus[4].is_zero
+        # the pinned z zeroes tau^2 exactly
+        assert _tau_coeffs(sums, x, _center_z(sums, x))[1] == 0
+
+
+@given(st.lists(st.floats(min_value=1.0, max_value=100.0), min_size=5, max_size=5))
+@example(list(THREE_ELLIPSE_6))
+@settings(max_examples=60, deadline=None)
+def test_resultant_values_are_the_table_resultants(A):
+    # r1, r2 are R1(x_t) / S^2 and R2(x_t) / S^3 of the corrected tables
+    c = contains_ellipse6(ReciprocalParams(A=A))
+    assume(c.kind != "normal")
+    S = sum(map(F, A))
+    for xr, r1, r2 in c.diagnostics["resultant_values"]:
+        R1, R2 = rtables.eval_resultants_at(A, F(xr))
+        assert abs(r1 - R1 / S ** 2) <= 1e-12
+        assert abs(r2 - R2 / S ** 3) <= 1e-12
+
+
+@given(st.lists(st.fractions(min_value=1, max_value=10**6, max_denominator=10**6),
+                min_size=5, max_size=5))
+@example([F(3, 2), F(5, 2), F(7, 2), F(9, 2), F(11, 2)])
+@example([F(a) for a in THREE_ELLIPSE_6])
+@settings(max_examples=60, deadline=None)
+def test_fraction_input_classifies_as_its_float(A):
+    want = contains_ellipse6(ReciprocalParams(A=tuple(float(a) for a in A)))
+    assert contains_ellipse6(ReciprocalParams(A=tuple(A))) == want
+
+
+def iota(A):
+    """The n = 6 involution: it keeps S, T, E2 and (A1, A3, A5) as a set."""
+    A1, A2, A3, A4, A5 = A
+    return (A5, A2 + A1 - A5, A3, A4 + A5 - A1, A1)
+
+
+@given(st.lists(st.fractions(min_value=1, max_value=50, max_denominator=100),
+                min_size=5, max_size=5))
+@example([F(a) for a in THREE_ELLIPSE_6])
+@example([F(a) for a in NEAR_THREE_ELLIPSE_6])
+@settings(max_examples=60, deadline=None)
+def test_involution_keeps_the_polynomial_and_the_verdict(A):
+    B = iota(A)
+    assume(min(B) >= 1)
+    assert iota(B) == tuple(A)
+    p, q = ReciprocalParams(A=tuple(A)), ReciprocalParams(A=B)
+    assert generating_poly(q) == generating_poly(p)
+    c, d = classify(p), classify(q)
+    assert d.kind == c.kind
+    assert [comp.x for comp in d.components] == [comp.x for comp in c.components]
+    for got, comp in zip(d.components, c.components):
+        assert got.z == pytest.approx(comp.z, rel=1e-12)
 
 
 @pytest.mark.parametrize("call", [

@@ -151,6 +151,15 @@ def test_solve_m6_rejects_non_finite(bad):
         solve_m6({"A1": bad, "A5": 4.0})
 
 
+@pytest.mark.parametrize("fixed", [{"A1": "20", "A5": True}, {"A1": 20, "A5": True},
+                                   {"A2": 2 + 0j, "A4": 3.0}, {"A1": b"2", "A5": 3}],
+                         ids=["str", "bool", "complex", "bytes"])
+def test_solve_m6_rejects_values_that_are_not_real(fixed):
+    # trimat's rule for A_j: text, bool and complex are not real numbers
+    with pytest.raises(ValueError, match="is not a real number"):
+        solve_m6(fixed)
+
+
 @pytest.mark.parametrize("pair", sorted(REFERENCE_SOLUTIONS))
 def test_solve_m6_finds_every_reference_solution(pair):
     fixed = dict(pair)
@@ -358,6 +367,13 @@ def test_uv_line_certificate():
 def test_solve_uv_rejects_non_root():
     with pytest.raises(ValueError):
         solve_uv(0.5)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_solve_uv_rejects_non_finite_targets(x):
+    # nan is no closer to a root than 1e-6: the check fails closed
+    with pytest.raises(ValueError, match="root of the slope cubic"):
+        solve_uv(x)
 
 
 def test_realize_all_equal():

@@ -11,10 +11,8 @@ from hypothesis import strategies as st
 from kippenhahn import rtables, solve_m6
 from kippenhahn.manifold import residuals_m6
 
-# the six resultant coefficient tables the n = 6 classifier reads
+# the six resultant coefficient tables
 TABLES = rtables.R1_TABLES + rtables.R2_TABLES
-
-points = st.lists(st.floats(min_value=1.0, max_value=100.0), min_size=5, max_size=5)
 
 
 def test_monomial_basis():
@@ -24,21 +22,6 @@ def test_monomial_basis():
     want = [math.prod(a ** e for a, e in zip(A, expo)) for expo in rtables.MONOMIALS]
     unit_rows = rtables.compile_rows([{expo: 1} for expo in rtables.MONOMIALS])
     assert list(rtables.eval_exact(unit_rows, A)) == want
-
-
-@given(points)
-@settings(max_examples=60, deadline=None)
-def test_compiled_matches_dict_tables(A):
-    # error relative to the sum of the absolute values of the terms, the
-    # scale of the rounding in any evaluation order (A > 0 here)
-    assert rtables.N6_TABLES == TABLES
-    values = rtables.n6_values(A)
-    assert len(values) == len(TABLES)
-    for table, got in zip(TABLES, values):
-        assert type(got) is float
-        absolute = {expo: abs(c) for expo, c in table.items()}
-        value, size = rtables.eval_table(table, A), rtables.eval_table(absolute, A)
-        assert abs(got - value) <= 1e-12 * size
 
 
 @given(st.lists(st.fractions(min_value=1, max_value=100, max_denominator=50),
@@ -96,13 +79,6 @@ def test_resultant_quadratics_exact_for_every_input(A):
     want = [rtables.eval_table(t, [Fraction(a) for a in A]) for t in TABLES]
     assert all(type(v) is Fraction for v in got[0] + got[1])
     assert list(got[0] + got[1]) == want
-
-
-@given(st.lists(st.fractions(min_value=1, max_value=10**6, max_denominator=10**6),
-                min_size=5, max_size=5))
-@settings(max_examples=60, deadline=None)
-def test_n6_values_on_fractions_is_the_float_path(A):
-    assert rtables.n6_values(A) == rtables.n6_values([float(a) for a in A])
 
 
 def test_eval_exact_needs_five_parameters():
