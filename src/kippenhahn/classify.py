@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .nrpoly import cubic_roots
+from .rtables import p6_sums
 from .trimat import ReciprocalParams
 
 DEFAULT_TOL = 1e-9
@@ -185,19 +186,6 @@ def classify5(p: ReciprocalParams, tol: float = DEFAULT_TOL) -> Classification:
         diagnostics=diag)
 
 
-def _p6_sums(A):
-    """(S, T, E2, s1, s2, s3): with beta_j = (A_j + tau) / 2, P6 is
-    zeta^3 - (S + 5 tau)/2 zeta^2 + (E2 + T tau + 6 tau^2)/4 zeta
-    - (s3 + s2 tau + s1 tau^2 + tau^3)/8, where S = sum A_j, E2 and T sum
-    A_i A_j and A_i + A_j over the six pairs i + 1 < j, and s_k are the
-    elementary symmetric functions of (A1, A3, A5)."""
-    A1, A2, A3, A4, A5 = A
-    return (A1 + A2 + A3 + A4 + A5,
-            3 * A1 + 2 * A2 + 2 * A3 + 2 * A4 + 3 * A5,
-            A1 * (A3 + A4 + A5) + A2 * (A4 + A5) + A3 * A5,
-            A1 + A3 + A5, A1 * A3 + (A1 + A3) * A5, A1 * A3 * A5)
-
-
 def _q11(x):
     """The z-slope of tau^2 in P6(x tau + z, tau): 1.034, -0.574, 1.290 at the roots."""
     return ((6 * x - 10) * x + 3) / 2
@@ -232,7 +220,7 @@ def ellipse_centers_z(p: ReciprocalParams):
     _require_size(p, 6)
     p.check_float_range()
     A, u = _unit_scaled(p.A)
-    sums = _p6_sums(A)
+    sums = p6_sums(A)
     return tuple(_center_z(sums, xr) / u for xr in cubic_roots())
 
 
@@ -258,7 +246,7 @@ def contains_ellipse6(p: ReciprocalParams, tol: float = DEFAULT_TOL) -> Classifi
     if p.all_ones:
         return _normal_classification(p)
     A, u = _unit_scaled(p.A)
-    sums = _p6_sums(A)
+    sums = p6_sums(A)
     S = sums[0]
     components, root_hits = [], []
     for xr in cubic_roots():

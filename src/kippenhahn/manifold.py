@@ -98,6 +98,14 @@ def _solution(A, branch):
     return M6Solution(A=A, residuals=residuals_m6(A), branch=branch)
 
 
+def _fixed_float(name, v):
+    """A fixed value as a float; ValueError past the float range."""
+    try:
+        return float(_exact_or_float(name[1], v))
+    except OverflowError:
+        raise ValueError(f"fixed {name} is past the float range") from None
+
+
 def solve_m6(fixed: dict):
     """Every point of the three-ellipse variety with two parameters fixed.
 
@@ -106,7 +114,7 @@ def solve_m6(fixed: dict):
     the twelve planes gives one point, so exactly twelve solutions come
     back, sorted; for a == b the only one is the all-equal point.
     Solutions with any A_j < 1 are returned but flagged not realizable;
-    residuals past the float range raise ValueError.
+    fixed values and residuals past the float range raise ValueError.
     """
     names = sorted(fixed)
     for nm in names:
@@ -115,8 +123,7 @@ def solve_m6(fixed: dict):
             raise ValueError(f"{what} {nm!r}; fix two of A1, A2, A4, A5")
     if len(names) != 2:
         raise ValueError("fix exactly two of A1, A2, A4, A5")
-    (i, a), (j, b) = ((PARAM_NAMES.index(nm), float(_exact_or_float(nm[1], fixed[nm])))
-                      for nm in names)
+    (i, a), (j, b) = ((PARAM_NAMES.index(nm), _fixed_float(nm, fixed[nm])) for nm in names)
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"fixed values must be finite, got {fixed}")
     if abs(a - b) <= EQUAL_PAIR_TOL:

@@ -24,23 +24,19 @@ degree-3 parts of the two ideals agree, see the tests), which is what the
 n = 6 classifier's three passing roots mean; the ``ELL3_*`` tables certify
 the manifold solvers.
 
-The dict tables are the source of truth.  ``compile_rows`` compiles those
-of degree <= 3, at import, into sparse integer rows over the 56 monomials
-of degree <= 3, and ``eval_exact`` gives their values at one point as
-Fractions, one integer dot product per row, for ``resultant_quadratics``
-and ``ell3_residuals``.  No float path reads the tables: the n = 6
-classifier evaluates the tau-coefficients of the generating polynomial.
-
-``eval_table`` and ``grad_table`` stay the generic evaluators for any
-arithmetic (floats, Fractions, polynomials) and any degree; the tests use
-them as the reference the compiled rows are checked against.
+Every corrected and ``ELL3_*`` table reads A only through the six sums
+``p6_sums`` of the generating polynomial P6.  ``resultant_quadratics`` and
+``ell3_residuals`` evaluate fixed integer forms in those sums at the
+integers L A_j (L the lcm of the denominators of the A_j) and divide once:
+exact Fractions for any input.  The dict tables stay as data and as the
+reference: ``eval_table`` and ``grad_table`` evaluate them in any
+arithmetic and any degree, and the tests certify the forms equal to them.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 R1_X2 = {
     (2, 0, 0, 0, 0): -8,
@@ -471,8 +467,8 @@ def z_quadratic_coeffs_printed(A):
 def eval_table(table, A):
     """Evaluate a monomial table at A = (A_1, ..., A_5), in A's arithmetic.
 
-    The reference evaluator: the tests check the compiled rows against it,
-    and perfbench/tracing.py looks it up by name.
+    The reference evaluator: the tests check the forms in the six sums
+    against it, and perfbench/tracing.py looks it up by name.
     """
     total = 0
     for expo, coef in table.items():
@@ -517,11 +513,57 @@ R1_PIPELINE_SCALE = Fraction(128)
 R2_PIPELINE_SCALE = Fraction(512)
 
 
+# ------------------------------------------------- the six sums of P6
+
+def p6_sums(A):
+    """(S, T, E2, s1, s2, s3), in A's arithmetic: with beta_j = (A_j + tau) / 2,
+    P6 is zeta^3 - (S + 5 tau)/2 zeta^2 + (E2 + T tau + 6 tau^2)/4 zeta
+    - (s3 + s2 tau + s1 tau^2 + tau^3)/8, where S = sum A_j, E2 and T sum
+    A_i A_j and A_i + A_j over the six pairs i + 1 < j, and s_k are the
+    elementary symmetric functions of (A1, A3, A5)."""
+    A1, A2, A3, A4, A5 = A
+    return (A1 + A2 + A3 + A4 + A5,
+            3 * A1 + 2 * A2 + 2 * A3 + 2 * A4 + 3 * A5,
+            A1 * (A3 + A4 + A5) + A2 * (A4 + A5) + A3 * A5,
+            A1 + A3 + A5, A1 * A3 + (A1 + A3) * A5, A1 * A3 * A5)
+
+
+def _scaled_sums(A):
+    """(L, p6_sums(X)) for the integers X_j = L A_j, L the lcm of the
+    denominators of the A_j.  Floats convert to Fraction losslessly and
+    NumPy integers become Python ints, so nothing overflows."""
+    if len(A) != 5:
+        raise ValueError(f"expected 5 parameters A_1..A_5, got {len(A)}")
+    A = [Fraction(a) for a in A]
+    L = math.lcm(*(int(a.denominator) for a in A))
+    return L, p6_sums([int(a.numerator) * (L // int(a.denominator)) for a in A])
+
+
 def resultant_quadratics(A):
     """Coefficient triples (x^2, x^1, x^0) of both reduced resultants at A,
-    as exact Fractions (floats convert losslessly)."""
-    values = eval_exact(_RESULTANT_ROWS, A)
-    return values[:3], values[3:]
+    as exact Fractions: integer forms in the six sums of L A, over L^2 (R1)
+    and L^3 (R2).  Equal to ``eval_table`` of the corrected tables."""
+    L, (S, T, E2, s1, s2, s3) = _scaled_sums(A)
+    SS, ST, TT, Ss1, Ts1, s1s1 = S * S, S * T, T * T, S * s1, T * s1, s1 * s1
+    L2, L3 = L * L, L * L * L
+    r1 = (Fraction(56 * E2 + 108 * SS - 100 * ST + 40 * Ss1 + 20 * TT - 12 * Ts1
+                   - 28 * s2, L2),
+          Fraction(-42 * E2 - 72 * SS + 66 * ST - 24 * Ss1 - 12 * TT + 6 * s1s1
+                   + 42 * s2, L2),
+          Fraction(7 * E2 + 6 * SS - 5 * ST + 6 * Ts1 - 5 * s1s1 - 21 * s2, L2))
+    r2 = (Fraction(196 * E2 * S - 56 * E2 * T + 28 * E2 * s1 + 136 * SS * T
+                   - 292 * SS * s1 - 136 * S * TT + 336 * ST * s1 - 104 * S * s1s1
+                   - 104 * S * s2 + 32 * TT * T - 92 * TT * s1 + 52 * T * s1s1
+                   + 52 * T * s2 - 52 * s1 * s2 - 144 * s3, L3),
+          Fraction(-308 * E2 * S + 84 * E2 * T - 84 * E2 * s1 - 248 * SS * T
+                   + 516 * SS * s1 + 246 * S * TT - 600 * ST * s1 + 202 * S * s1s1
+                   + 162 * S * s2 - 57 * TT * T + 162 * TT * s1 - 93 * T * s1s1
+                   - 81 * T * s2 + 81 * s1 * s2 + 507 * s3, 2 * L3),
+          Fraction(28 * E2 * S - 14 * E2 * T + 42 * E2 * s1 + 22 * SS * T
+                   - 46 * SS * s1 - 22 * S * TT + 56 * ST * s1 - 26 * S * s1s1
+                   - 14 * S * s2 + 5 * TT * T - 14 * TT * s1 + 7 * T * s1s1
+                   + 7 * T * s2 + 2 * s1s1 * s1 - 7 * s1 * s2 - 189 * s3, 2 * L3))
+    return r1, r2
 
 
 def eval_resultants_at(A, x):
@@ -530,60 +572,20 @@ def eval_resultants_at(A, x):
     return (c12 * x * x + c11 * x + c10, c22 * x * x + c21 * x + c20)
 
 
-# ------------------------------------------------------------- compiled tables
-#
-# A monomial of degree <= 3 in A_1..A_5 is a product X_i X_j X_k over
-# X = (1, A_1, ..., A_5) with i <= j <= k: 56 index triples, one per monomial.
-_TRIPLE_LIST = tuple(combinations_with_replacement(range(6), 3))
-MONOMIALS = tuple(tuple(t.count(v) for v in range(1, 6)) for t in _TRIPLE_LIST)
-_MONOMIAL_POS = {expo: m for m, expo in enumerate(MONOMIALS)}
-
-
-def compile_rows(tables):
-    """Sparse rows ((monomial index, coefficient), ...), one per table.
-
-    Indices point into ``MONOMIALS``; a monomial of degree above 3 raises
-    ValueError.
-    """
-    for table in tables:
-        for expo in table:
-            if expo not in _MONOMIAL_POS:
-                raise ValueError(f"monomial {expo} has degree {sum(expo)}; compiled "
-                                 "tables take degree <= 3 in A_1..A_5")
-    return tuple(tuple((_MONOMIAL_POS[expo], coef) for expo, coef in table.items())
-                 for table in tables)
-
-
-def eval_exact(rows, A):
-    """Exact values of compiled ``rows`` at A, one Fraction per row.
-
-    With L the lcm of the denominators of the A_j, X = (L, L A_1, ...,
-    L A_5) is integral and X_i X_j X_k is L^3 times a monomial of degree
-    <= 3, so each value is one integer dot product over L^3.  Floats
-    convert to Fraction losslessly; NumPy integers become Python ints, so
-    nothing overflows.
-    """
-    if len(A) != 5:
-        raise ValueError(f"expected 5 parameters A_1..A_5, got {len(A)}")
-    A = [Fraction(a) for a in A]
-    L = math.lcm(*(int(a.denominator) for a in A))
-    X = [L] + [int(a.numerator) * (L // int(a.denominator)) for a in A]
-    mono = [X[i] * X[j] * X[k] for i, j, k in _TRIPLE_LIST]
-    L3, out = L * L * L, []
-    for row in rows:
-        total = 0
-        for m, c in row:  # an explicit loop: sum() is slower on big ints
-            total += c * mono[m]
-        out.append(Fraction(total, L3))
-    return tuple(out)
-
-
-_RESULTANT_ROWS = compile_rows(R1_TABLES + R2_TABLES)
-
 ELL3_TABLES = (ELL3_QUAD_A, ELL3_QUAD_B, ELL3_CUBIC, ELL3_QUAD_DIFF)
-ELL3_ROWS = compile_rows(ELL3_TABLES)
 
 
 def ell3_residuals(A):
-    """The three three-ellipse conditions plus their difference, as Fractions."""
-    return eval_exact(ELL3_ROWS, A)
+    """The three three-ellipse conditions plus their difference, as exact
+    Fractions: integer forms in the six sums of L A, over L^2 and 8 L^3.
+    Equal to ``eval_table`` of ``ELL3_TABLES``."""
+    L, (S, T, E2, s1, s2, s3) = _scaled_sums(A)
+    SS, ST, TT, Ss1, Ts1, s1s1 = S * S, S * T, T * T, S * s1, T * s1, s1 * s1
+    qa = 7 * E2 + 15 * SS - 14 * ST + 6 * Ss1 + 3 * TT - 3 * Ts1 + s1s1
+    qb = 3 * SS - 3 * ST + 2 * Ss1 + TT - 3 * Ts1 + 2 * s1s1 + 7 * s2
+    cubic = (-36 * SS * T + 200 * SS * s1 + 34 * S * TT - 208 * ST * s1
+             + 102 * S * s1s1 - 2 * S * s2 - 7 * TT * T + 46 * TT * s1
+             - 39 * T * s1s1 + T * s2 + 8 * s1s1 * s1 - s1 * s2 + 393 * s3)
+    L2 = L * L
+    return (Fraction(qa, L2), Fraction(qb, L2), Fraction(cubic, 8 * L2 * L),
+            Fraction(qa - qb, L2))

@@ -120,13 +120,10 @@ def check_z_centers(rng, n_max, trials):
         qa, qb, cu, _ = manifold.residuals_m6(A)
         z1, z2, z3 = zs
         x1, x2, x3 = roots
-        S2a = (A[0] * A[2] + A[0] * A[3] + A[0] * A[4] + A[1] * A[3]
-               + A[1] * A[4] + A[2] * A[4])
-        S2o = A[0] * A[2] + A[0] * A[4] + A[2] * A[4]
-        e_pairs = z1 * z2 + z1 * z3 + z2 * z3 - S2a / 4
-        e_mixed = z1 * z2 * x3 + z1 * z3 * x2 + z2 * z3 * x1 - S2o / 8
-        e_prod = z1 * z2 * z3 - A[0] * A[2] * A[4] / 8
-        scale = sum(A)
+        scale, _, E2, _, s2, s3 = rtables.p6_sums(A)
+        e_pairs = z1 * z2 + z1 * z3 + z2 * z3 - E2 / 4
+        e_mixed = z1 * z2 * x3 + z1 * z3 * x2 + z2 * z3 * x1 - s2 / 8
+        e_prod = z1 * z2 * z3 - s3 / 8
         worst = max(worst,
                     abs(qa - (-28) * e_pairs) / scale ** 2,
                     abs(qb - (-56) * e_mixed) / scale ** 2,

@@ -15,7 +15,7 @@ from kippenhahn import (NotToeplitzCase, ReciprocalParams, WrongSize,
                         params_to_matrix, sample_curve, solve_m6,
                         three_ellipses6, toeplitz_components)
 from kippenhahn import rtables
-from kippenhahn.classify import _center_z, _p6_sums, _tau_coeffs
+from kippenhahn.classify import _center_z, _tau_coeffs
 from kippenhahn.nrpoly import substitution_tau_coeffs
 
 PHI = (math.sqrt(5) + 1) / 2
@@ -338,7 +338,7 @@ def test_tau_coeffs_equal_the_substitution():
         x, z = F(v[5]), F(v[6])
         taus = substitution_tau_coeffs(generating_poly(ReciprocalParams(A=A)))
         want = [sum(c(x) * z ** a for a, c in enumerate(taus[k].coeffs)) for k in (3, 2, 1, 0)]
-        sums = _p6_sums(A)
+        sums = rtables.p6_sums(A)
         assert list(_tau_coeffs(sums, x, z)) == want, v
         assert len(taus) == 5 and taus[4].is_zero
         # the pinned z zeroes tau^2 exactly

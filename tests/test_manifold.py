@@ -151,6 +151,12 @@ def test_solve_m6_rejects_non_finite(bad):
         solve_m6({"A1": bad, "A5": 4.0})
 
 
+@pytest.mark.parametrize("big", [10**400, Fraction(10**400, 3)], ids=["int", "fraction"])
+def test_solve_m6_rejects_exact_values_past_the_float_range(big):
+    with pytest.raises(ValueError, match="A1 is past the float range"):
+        solve_m6({"A1": big, "A5": 2})
+
+
 @pytest.mark.parametrize("fixed", [{"A1": "20", "A5": True}, {"A1": 20, "A5": True},
                                    {"A2": 2 + 0j, "A4": 3.0}, {"A1": b"2", "A5": 3}],
                          ids=["str", "bool", "complex", "bytes"])

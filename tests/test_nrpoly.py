@@ -147,7 +147,8 @@ def test_divide_by_linear_remainder_matches_q_forms():
     # remainder of the n=6 polynomial at arbitrary (x, z): its tau^2 and
     # tau^3 coefficients are the closed forms q11 (z - z0) and s(x) / 8, with
     # z0 the center the classifier pins
-    from kippenhahn.classify import _center_z, _p6_sums
+    from kippenhahn.classify import _center_z
+    from kippenhahn.rtables import p6_sums
     rng = np.random.default_rng(23)
     A = tuple(rng.uniform(1, 6, 5))
     P = generating_poly(ReciprocalParams(A=A))
@@ -156,7 +157,7 @@ def test_divide_by_linear_remainder_matches_q_forms():
         _, rem = divide_by_linear(P, float(x), float(z))
         q11 = (3 * x - 5) * x + 1.5
         cubic = ((8 * x - 20) * x + 12) * x - 1
-        want = [q11 * (z - _center_z(_p6_sums(A), x)), cubic / 8]
+        want = [q11 * (z - _center_z(p6_sums(A), x)), cubic / 8]
         got = [float(rem.coeff(k)) for k in (2, 3)]
         assert np.allclose(got, want, atol=1e-9 * max(1.0, max(abs(w) for w in want)))
 

@@ -1,6 +1,6 @@
 import json
-import math
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -15,15 +15,6 @@ from kippenhahn.manifold import residuals_m6
 TABLES = rtables.R1_TABLES + rtables.R2_TABLES
 
 
-def test_monomial_basis():
-    assert len(rtables.MONOMIALS) == len(set(rtables.MONOMIALS)) == 56
-    assert all(sum(e) <= 3 for e in rtables.MONOMIALS)
-    A = (2, 3, 5, 7, 11)
-    want = [math.prod(a ** e for a, e in zip(A, expo)) for expo in rtables.MONOMIALS]
-    unit_rows = rtables.compile_rows([{expo: 1} for expo in rtables.MONOMIALS])
-    assert list(rtables.eval_exact(unit_rows, A)) == want
-
-
 @given(st.lists(st.fractions(min_value=1, max_value=100, max_denominator=50),
                 min_size=5, max_size=5))
 @settings(max_examples=30, deadline=None)
@@ -36,11 +27,37 @@ def test_eval_table_exact_on_fractions(A):
         assert all(isinstance(g, Fraction) for g in rtables.grad_table(table, A))
 
 
-# every dict table the module ships, and those of degree <= 3
-DICT_TABLES = {name: t for name, t in vars(rtables).items()
-               if name[0] != "_" and isinstance(t, dict)}
-CUBIC_TABLES = {name: t for name, t in DICT_TABLES.items()
-                if all(sum(e) <= 3 for e in t)}
+def test_forms_equal_the_tables_on_a_unisolvent_grid():
+    # forms and tables have degree <= 3 in A_1..A_5, and a polynomial of
+    # degree <= 3 that vanishes on the 56 points 1 + a, a in N^5, |a| <= 3,
+    # is zero: exact equality there proves the forms equal the tables
+    grid = [tuple(1 + k for k in a) for a in product(range(4), repeat=5) if sum(a) <= 3]
+    assert len(grid) == 56
+    for A in grid:
+        Aex = [Fraction(a) for a in A]
+        r1, r2 = rtables.resultant_quadratics(A)
+        assert list(r1 + r2) == [rtables.eval_table(t, Aex) for t in TABLES], A
+        assert list(rtables.ell3_residuals(A)) == [rtables.eval_table(t, Aex)
+                                                   for t in rtables.ELL3_TABLES], A
+
+
+def _iota(A):
+    A1, A2, A3, A4, A5 = A
+    return (A5, A2 + A1 - A5, A3, A4 + A5 - A1, A1)
+
+
+@given(st.lists(st.fractions(min_value=-100, max_value=100, max_denominator=60),
+                min_size=5, max_size=5))
+@settings(max_examples=40, deadline=None)
+def test_exact_values_are_invariant_under_reversal_and_iota(A):
+    # reversal and iota keep the six sums of P6, so every corrected table
+    # takes one value on the orbit {A, rev A, iota A}
+    orbit = [tuple(A), tuple(reversed(A)), _iota(A)]
+    assert len({rtables.resultant_quadratics(B) for B in orbit}) == 1
+    assert len({rtables.ell3_residuals(B) for B in orbit}) == 1
+    for table in TABLES + rtables.ELL3_TABLES:
+        assert len({rtables.eval_table(table, B) for B in orbit}) == 1
+
 
 exact_inputs = st.one_of(
     st.integers(-10**12, 10**12),
@@ -49,27 +66,6 @@ exact_inputs = st.one_of(
                      1e300, -1e300]),
     st.builds(Fraction, st.integers(-10**9, 10**9),
               st.sampled_from([1, 3, 5, 6, 7, 9, 10, 49, 1000003])))
-
-
-def test_degree_filter_keeps_all_but_the_printed_typo():
-    assert set(DICT_TABLES) - set(CUBIC_TABLES) == {"R2_X1_PRINTED"}
-    assert len(CUBIC_TABLES) == 15
-
-
-@given(st.lists(exact_inputs, min_size=5, max_size=5))
-@settings(max_examples=150, deadline=None)
-def test_eval_exact_equals_fraction_eval_table(A):
-    names = sorted(CUBIC_TABLES)
-    got = rtables.eval_exact(rtables.compile_rows([CUBIC_TABLES[nm] for nm in names]), A)
-    Aex = [Fraction(a) for a in A]
-    for name, value in zip(names, got):
-        assert type(value) is Fraction
-        assert value == rtables.eval_table(CUBIC_TABLES[name], Aex), name
-
-
-def test_compile_rows_rejects_degree_above_3():
-    with pytest.raises(ValueError, match="degree 6"):
-        rtables.compile_rows([rtables.R2_X1_PRINTED])
 
 
 @given(st.lists(exact_inputs, min_size=5, max_size=5))
@@ -81,14 +77,17 @@ def test_resultant_quadratics_exact_for_every_input(A):
     assert list(got[0] + got[1]) == want
 
 
-def test_eval_exact_needs_five_parameters():
+def test_exact_values_need_five_parameters():
     with pytest.raises(ValueError, match="5 parameters"):
         rtables.ell3_residuals((1, 2, 3, 4))
+    with pytest.raises(ValueError, match="5 parameters"):
+        rtables.resultant_quadratics((1, 2, 3, 4, 5, 6))
 
 
-def test_eval_exact_does_not_overflow_numpy_ints():
-    A = (10**6, 2, -3, 4, 10**5)
+def test_exact_values_do_not_overflow_numpy_ints():
+    A = (2**62, 2, -3, 4, 10**5)
     assert rtables.ell3_residuals(np.array(A)) == rtables.ell3_residuals(A)
+    assert rtables.resultant_quadratics(np.array(A)) == rtables.resultant_quadratics(A)
 
 
 REFERENCE_PAIRS = json.loads(
