@@ -3,36 +3,32 @@
 The generating polynomial of a reciprocal n-by-n matrix, written in
 zeta = lambda^2 and tau = cos(2 theta), is monic in zeta of degree
 floor(n/2) with coefficients that are polynomials in the A_j parameters.
-generating_poly runs the determinant recursion on Python integers, with
-the A_j over the lcm L of their denominators, and divides each
-coefficient by its power of 2L once at the end.  The n = 6 factor test
-substitutes zeta = x tau + z (substitution_tau_coeffs, a binomial
-expansion), eliminates z against the tau^2-coefficient, which is linear
-in z (so the resultant is a substitution), and reduces the result modulo
-the slope cubic by rewriting x^3.  Everything in this module runs in
-exact rational arithmetic (fractions convert floats losslessly), most of
-it on Python integers over one common denominator.  A value at float
-inputs is the exact value at their binary values, rounded once to the
-nearest float (BivariatePoly.eval, eval_residual).  Floating-point
-arithmetic enters only at root finding and in det_pencil, the numeric
-determinant used as an independent oracle, which works on the matrix
-entries rather than trimat's pencil.
+The exact layer has one number format, Python integers over one
+denominator: _ratio takes a real input exactly (a float at its binary
+value), _cleared puts a list of inputs over the lcm of their denominators,
+and a BivariatePoly holds integer tau-coefficient rows over one D.  The
+n = 6 factor test substitutes zeta = x tau + z (substitution_tau_coeffs,
+a binomial expansion), eliminates z against the tau^2-coefficient, which
+is linear in z (so the resultant is a substitution), and reduces modulo
+the slope cubic; those stages and divide_by_linear run on integer lists
+and build one Fraction per returned coefficient.  A value at float inputs
+is the exact value at their binary values, rounded once to the nearest
+float (BivariatePoly.eval, eval_residual).  Floating-point arithmetic
+enters only at root finding and in det_pencil, the numeric determinant
+used as an independent oracle, which works on the matrix entries rather
+than trimat's pencil.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .trimat import ReciprocalParams, TridiagonalMatrix
 
-# 8 x^3 - 20 x^2 + 12 x - 1, ascending coefficients.  Its roots are the
-# tau-slopes of the candidate linear factors for n = 6; they coincide with
-# 1 + cos(2 j pi / 7) = 2 cos^2(j pi / 7), j = 3, 2, 1.
-CUBIC_COEFFS = (Fraction(-1), Fraction(12), Fraction(-20), Fraction(8))
 _ZERO = Fraction(0)
 
 
@@ -40,25 +36,25 @@ class DegenerateInput(ValueError):
     """Resultant input that is the zero polynomial."""
 
 
-def _to_exact(v):
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, float):
-        return Fraction(v)  # exact binary-to-rational conversion
-    raise TypeError(f"cannot convert {type(v).__name__} to exact rational")
-
-
 def _ratio(v):
-    """(numerator, denominator) of v: exact for Fraction and int, and for
-    anything else that of float(v), which must be finite."""
-    if isinstance(v, (Fraction, int)):
-        return v.numerator, v.denominator
+    """(numerator, denominator) of v as Python ints: rationals (NumPy ints
+    too) as they are, other reals (NumPy floats too) at their binary value,
+    which must be finite.  str, bytes, complex and Decimal raise TypeError."""
+    if isinstance(v, numbers.Rational):
+        return int(v.numerator), int(v.denominator)
+    if not isinstance(v, numbers.Real):
+        raise TypeError(f"cannot take {type(v).__name__} as an exact real number")
     v = float(v)
     if not math.isfinite(v):
-        raise ValueError(f"cannot evaluate at the non-finite value {v}")
+        raise ValueError(f"cannot take the non-finite value {v} exactly")
     return v.as_integer_ratio()
+
+
+def _cleared(values):
+    """(integers, L), values[i] == integers[i] / L, L the lcm of denominators."""
+    ratios = [_ratio(v) for v in values]
+    L = math.lcm(*(d for _, d in ratios))
+    return [num * (L // d) for num, d in ratios], L
 
 
 def _rounded(num, den):
@@ -70,12 +66,6 @@ def _rounded(num, den):
         return math.inf if num > 0 else -math.inf
 
 
-def _is_zero(c):
-    if isinstance(c, UniPoly):
-        return c.is_zero
-    return c == 0
-
-
 class UniPoly:
     """Dense univariate polynomial; coefficients may be exact rationals,
     floats, or UniPoly instances in another variable (for the tower Q[x][z])."""
@@ -84,7 +74,7 @@ class UniPoly:
 
     def __init__(self, var, coeffs):
         cs = list(coeffs)
-        while cs and _is_zero(cs[-1]):
+        while cs and (cs[-1].is_zero if isinstance(cs[-1], UniPoly) else cs[-1] == 0):
             cs.pop()
         self.var = var
         self.coeffs = tuple(cs)
@@ -159,43 +149,50 @@ class UniPoly:
 
 @dataclass(frozen=True)
 class BivariatePoly:
-    """P(zeta, tau) = sum_i p_i(tau) zeta^i with exact coefficients.
-
-    For an n-by-n reciprocal matrix the generating polynomial is monic of
-    zeta-degree floor(n/2), and for odd n the discarded -lambda factor is
-    recorded in origin_component.
+    """P(zeta, tau) = sum_i p_i(tau) zeta^i, whose zeta^i tau^j coefficient
+    is rows[i][j] / D, with integer rows and D > 0.  The constructor puts
+    (D, rows) in lowest terms and trims trailing zeros, so equality and
+    hashing are those of the polynomial.  For an n-by-n reciprocal matrix
+    the generating polynomial is monic of zeta-degree floor(n/2), and for
+    odd n the discarded -lambda factor is recorded in origin_component.
     """
 
-    zeta_coeffs: tuple  # tuple of UniPoly in tau, index = zeta power
+    D: int
+    rows: tuple  # one integer tau-coefficient tuple per zeta power
     origin_component: bool = False
-    n: int = field(default=0)
+    n: int = 0
+
+    def __post_init__(self):
+        rows = [list(row) for row in self.rows]
+        for row in rows:
+            while row and not row[-1]:
+                row.pop()
+        g = math.gcd(self.D, *(c for row in rows for c in row))
+        object.__setattr__(self, "D", self.D // g)
+        object.__setattr__(self, "rows", tuple(tuple(c // g for c in row) for row in rows))
+
+    @property
+    def zeta_coeffs(self):
+        """The rows as UniPoly in tau over Fraction, index = zeta power."""
+        return tuple(UniPoly("tau", [Fraction(c, self.D) for c in row]) for row in self.rows)
 
     @property
     def deg_zeta(self):
-        return len(self.zeta_coeffs) - 1
+        return len(self.rows) - 1
 
     @property
     def deg_tau(self):
-        return max((p.degree for p in self.zeta_coeffs if not p.is_zero), default=-1)
+        return max(len(row) for row in self.rows) - 1 if self.rows else -1
 
     def coeff(self, i, j):
         """Exact coefficient of zeta^i tau^j."""
-        if 0 <= i < len(self.zeta_coeffs):
-            return self.zeta_coeffs[i].coeff(j)
+        if 0 <= i < len(self.rows) and 0 <= j < len(self.rows[i]):
+            return Fraction(self.rows[i][j], self.D)
         return Fraction(0)
 
     def coeff_table(self):
         return [[self.coeff(i, j) for j in range(self.deg_tau + 1)]
                 for i in range(self.deg_zeta + 1)]
-
-    @cached_property
-    def _integer_rows(self):
-        """(D, rows, m): the zeta^i tau^j coefficient is rows[i][j] / D, and
-        m bounds the tau-degree of every row."""
-        rows = [q.coeffs for q in self.zeta_coeffs]
-        D = math.lcm(*(c.denominator for row in rows for c in row))
-        ints = tuple(tuple(D // c.denominator * c.numerator for c in row) for row in rows)
-        return D, ints, max([1, *map(len, rows)]) - 1
 
     def _value_ratio(self, zn, zd, tn, td):
         """Integers (N, E), E > 0, with P(zn / zd, tn / td) = N / E.
@@ -203,8 +200,7 @@ class BivariatePoly:
         Homogeneous Horner: each row gives sum_j c_ij tn^j td^(m-j), m the
         tau-degree bound, and the rows combine as sum_i H_i zn^i zd^(k-i).
         """
-        D, rows, m = self._integer_rows
-        k = len(rows) - 1
+        rows, k, m = self.rows, len(self.rows) - 1, max(self.deg_tau, 0)
         tpow = [1]
         for _ in range(m):
             tpow.append(tpow[-1] * td)
@@ -217,18 +213,18 @@ class BivariatePoly:
             for j in range(len(row) - 1, -1, -1):
                 h = h * tn + row[j] * tpow[m - j]
             total = total * zn + h * zpow[k - i]
-        return total, D * tpow[m] * zpow[k]
+        return total, self.D * tpow[m] * zpow[k]
 
     def eval(self, zeta, tau):
         """P(zeta, tau), exact at the inputs.
 
-        A Fraction for exact inputs (Fraction or int); otherwise the inputs
-        are floats (NumPy scalars included), taken at their exact binary
-        values, and the result is the exact value rounded once to the
-        nearest float.  A non-finite float raises ValueError.
+        A Fraction for rational inputs (NumPy ints included); otherwise the
+        exact value at the inputs' binary values, rounded once to the
+        nearest float.  Inputs are read by _ratio: a non-finite float raises
+        ValueError; str, bytes, complex and Decimal raise TypeError.
         """
         num, den = self._value_ratio(*_ratio(zeta), *_ratio(tau))
-        if isinstance(zeta, (Fraction, int)) and isinstance(tau, (Fraction, int)):
+        if isinstance(zeta, numbers.Rational) and isinstance(tau, numbers.Rational):
             return Fraction(num, den)
         return _rounded(num, den)
 
@@ -243,15 +239,13 @@ def generating_poly(p: ReciprocalParams) -> BivariatePoly:
     integers: with L the lcm of the denominators of the A_j, it uses
     2 L beta_j = L A_j + L tau in place of beta_j.  It is
     weight-homogeneous (the zeta^i coefficient of the m-by-m section has
-    beta-degree floor(m/2) - i), so the integer zeta^i coefficient is
-    (2L)^(floor(n/2) - i) times the true one, and each output coefficient
-    is one Fraction over that power.
+    beta-degree floor(m/2) - i), so the integer zeta^i row is
+    (2L)^(floor(n/2) - i) times the true one; times (2L)^i, every row is
+    over the one denominator (2L)^floor(n/2).
     """
     if p.n < 2:
         raise ValueError("n >= 2 required")
-    A = [_to_exact(Aj) for Aj in p.A]
-    L = math.lcm(*(a.denominator for a in A))
-    LA = [L // a.denominator * a.numerator for a in A]
+    LA, L = _cleared(p.A)
     # G[m] = -zeta^(1 - m mod 2) G[m-1] - (L A_j + L tau) G[m-2] as integer
     # tau-coefficient lists per zeta power, the ith of degree floor(m/2) - i
     g_prev, g_cur = [[1]], [[-1]]
@@ -267,11 +261,9 @@ def generating_poly(p: ReciprocalParams) -> BivariatePoly:
                     out[j + 1] -= L * c
             g_next.append(out)
         g_prev, g_cur = g_cur, g_next
-    sign = 1 if p.n % 2 == 0 else -1
-    k, two_l = p.n // 2, 2 * L
-    coeffs = tuple(UniPoly("tau", [Fraction(sign * c, two_l ** (k - i)) for c in q])
-                   for i, q in enumerate(g_cur))
-    return BivariatePoly(zeta_coeffs=coeffs, origin_component=(p.n % 2 == 1), n=p.n)
+    two_l, sign = 2 * L, 1 if p.n % 2 == 0 else -1
+    rows = [[sign * two_l ** i * c for c in q] for i, q in enumerate(g_cur)]
+    return BivariatePoly(two_l ** (p.n // 2), rows, origin_component=(p.n % 2 == 1), n=p.n)
 
 
 def det_pencil(M: TridiagonalMatrix, theta: float, lam: float) -> float:
@@ -307,18 +299,22 @@ def divide_by_linear(P: BivariatePoly, x, z):
     """Synthetic division of P by zeta - (x tau + z).
 
     Returns (quotient, remainder); the remainder is P(x tau + z, tau) as a
-    polynomial in tau, exact for every input (floats convert losslessly).
+    polynomial in tau with Fraction coefficients, exact for every input
+    that _ratio takes (floats at their binary values).
     """
-    lin = UniPoly("tau", [_to_exact(z), _to_exact(x)])
-    ps = P.zeta_coeffs
-    k = len(ps) - 1
-    quo = [None] * k
-    carry = ps[k]
+    (Z, X), e = _cleared((z, x))
+    rows, k = P.rows, len(P.rows) - 1
+    # carry_i = p_i + (x tau + z) carry_(i+1), carry_k = p_k, held as integers
+    # C_i = carry_i D e^(k-i); carry_(i+1) is the quotient's row i, which over
+    # the quotient's denominator D e^(k-1) is C_(i+1) e^i
+    carry, quo, epow = list(rows[k]), [], 1
     for i in range(k - 1, -1, -1):
-        quo[i] = carry
-        carry = ps[i] + lin * carry
-    quotient = BivariatePoly(zeta_coeffs=tuple(quo), origin_component=P.origin_component, n=P.n)
-    return quotient, carry
+        quo.append(carry)
+        epow *= e
+        carry = _int_add([c * epow for c in rows[i]], _int_mul([Z, X], carry))
+    quo = [[c * e ** i for c in row] for i, row in enumerate(reversed(quo))]
+    quotient = BivariatePoly(P.D * e ** max(k - 1, 0), quo, P.origin_component, P.n)
+    return quotient, UniPoly("tau", [Fraction(c, P.D * epow) for c in carry])
 
 
 def substitution_tau_coeffs(P: BivariatePoly):
@@ -330,15 +326,14 @@ def substitution_tau_coeffs(P: BivariatePoly):
     coefficient of tau^k z^a x^l is C(a + l, l) p_{a+l, k-l}.  This is the
     exact front half of the resultant pipeline.
     """
-    rows = [q.coeffs for q in P.zeta_coeffs]
+    rows, D = P.rows, P.D
     kmax = len(rows) - 1
 
     def coeff(a, l, k):  # C(a + l, l) p_{a+l, k-l}, one Fraction
         row, j = rows[a + l], k - l
         if j >= len(row) or not row[j]:
             return _ZERO
-        c, binom = row[j], math.comb(a + l, l)
-        return c if binom == 1 else Fraction(binom * c.numerator, c.denominator)
+        return Fraction(math.comb(a + l, l) * row[j], D)
 
     return [UniPoly("z", [UniPoly("x", [coeff(a, l, k) for l in range(min(k, kmax - a) + 1)])
                           for a in range(kmax + 1)])
@@ -375,10 +370,10 @@ def resultant_in_z(f: UniPoly, g: UniPoly) -> UniPoly:
 def _integer_x_polys(coeffs):
     """Integer coefficient lists of x-polynomials (or rationals) over their
     least common denominator d, as (lists, d)."""
-    polys = [[_to_exact(a) for a in (c.coeffs if isinstance(c, UniPoly) else (c,))]
-             for c in coeffs]
-    d = math.lcm(*(a.denominator for p in polys for a in p))
-    return [[d // a.denominator * a.numerator for a in p] for p in polys], d
+    polys = [c.coeffs if isinstance(c, UniPoly) else (c,) for c in coeffs]
+    ints, d = _cleared([a for p in polys for a in p])
+    it = iter(ints)
+    return [[next(it) for _ in p] for p in polys], d
 
 
 def _int_mul(a, b):
@@ -403,22 +398,26 @@ def _int_add(a, b):
 def reduce_mod_cubic(f: UniPoly) -> UniPoly:
     """Remainder of f in x modulo 8x^3 - 20x^2 + 12x - 1, exact arithmetic.
 
-    Rewrites x^3 = (20x^2 - 12x + 1)/8 from the top degree down.
+    Rewrites x^3 = (20x^2 - 12x + 1)/8 from the top degree down on f's
+    integer numerators, times 8 per step up front so each division is exact.
     """
     if f.var != "x":
         raise ValueError(f"reduce_mod_cubic takes a polynomial in x, got {f.var!r}")
-    *low, lead = CUBIC_COEFFS
-    cs = [_to_exact(c) for c in f.coeffs]
+    cs, d = _cleared(f.coeffs)
+    shift = 3 * max(len(cs) - 3, 0)
+    cs = [c << shift for c in cs]
     for k in range(len(cs) - 1, 2, -1):
-        top = cs[k] / lead
-        for i, ci in enumerate(low):
-            cs[k - 3 + i] -= top * ci
-    return UniPoly("x", cs[:3])
+        top = cs[k] >> 3
+        cs[k - 1] += 20 * top
+        cs[k - 2] -= 12 * top
+        cs[k - 3] += top
+    return UniPoly("x", [Fraction(c, d << shift) for c in cs[:3]])
 
 
-# The roots of CUBIC_COEFFS ascending: np.roots polished by three Newton
-# steps, written out so that importing the package makes no LAPACK call
-# (tests/test_nrpoly.py recomputes them bit for bit).
+# The roots of 8 x^3 - 20 x^2 + 12 x - 1 ascending, the tau-slopes of the
+# candidate linear factors for n = 6: 1 + cos(2 j pi / 7), j = 3, 2, 1.
+# np.roots polished by three Newton steps, written out so that importing the
+# package makes no LAPACK call (tests/test_nrpoly.py recomputes them).
 _CUBIC_ROOTS = (0.09903113209758087, 0.7774790660436857, 1.6234898018587336)
 
 

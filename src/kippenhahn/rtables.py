@@ -35,8 +35,9 @@ arithmetic and any degree, and the tests certify the forms equal to them.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
+
+from .nrpoly import _cleared
 
 R1_X2 = {
     (2, 0, 0, 0, 0): -8,
@@ -530,13 +531,11 @@ def p6_sums(A):
 
 def _scaled_sums(A):
     """(L, p6_sums(X)) for the integers X_j = L A_j, L the lcm of the
-    denominators of the A_j.  Floats convert to Fraction losslessly and
-    NumPy integers become Python ints, so nothing overflows."""
+    denominators of the A_j, each taken exactly (nrpoly._cleared)."""
     if len(A) != 5:
         raise ValueError(f"expected 5 parameters A_1..A_5, got {len(A)}")
-    A = [Fraction(a) for a in A]
-    L = math.lcm(*(int(a.denominator) for a in A))
-    return L, p6_sums([int(a.numerator) * (L // int(a.denominator)) for a in A])
+    X, L = _cleared(A)
+    return L, p6_sums(X)
 
 
 def resultant_quadratics(A):

@@ -188,7 +188,8 @@ def a_params(M: TridiagonalMatrix) -> ReciprocalParams:
     """A_j parameters of a reciprocal matrix; raises NotReciprocal otherwise."""
     if not M.is_reciprocal:
         raise NotReciprocal("A_j parameters are defined for reciprocal matrices only")
-    A = [(abs(bj) ** 2 + abs(cj) ** 2) / 2.0 for bj, cj in zip(M.b, M.c)]
+    # (|b|/2)|b| is finite wherever A_j is; |b|^2 overflows past |b| = 1.3e154
+    A = [abs(bj) / 2 * abs(bj) + abs(cj) / 2 * abs(cj) for bj, cj in zip(M.b, M.c)]
     return ReciprocalParams(A=tuple(A), n=M.n)
 
 

@@ -65,6 +65,14 @@ def test_classify_rejects_invalid_params(capsys):
     assert code == 2
 
 
+def test_classify_b_near_and_past_the_float_range(capsys):
+    # A_1 = 9.8e307 is a float; b_1 = 1e200 gives A_1 past the float range
+    code, out, _ = run(capsys, "classify", "--b", "1.4e154,2", "--format", "json")
+    assert code == 0 and json.loads(out)["kind"] == "all_components_elliptic"
+    code, _, err = run(capsys, "classify", "--b", "1e200,2")
+    assert code == 2 and "error" in err
+
+
 def test_classify_wrong_size(capsys):
     code, _, err = run(capsys, "classify", "--A", "1,2,3,4,5,6,7")
     assert code == 2

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kippenhahn import (DegenerateInput, ReciprocalParams, UniPoly, a_params,
+from kippenhahn import (BivariatePoly, DegenerateInput, ReciprocalParams, UniPoly, a_params,
                         build_reciprocal, cubic_roots, divide_by_linear,
                         ellipse_centers_z, eval_residual, generating_poly,
                         params_to_matrix, reduce_mod_cubic, resultant_in_z)
@@ -303,6 +303,48 @@ def test_eval_rejects_non_finite_inputs(bad):
         P.eval(F(1), bad)
 
 
+# the three exact entry points, each reading one input v
+_EXACT_CALLS = {
+    "eval": lambda P, v: P.eval(v, F(1, 2)),
+    "divide_by_linear": lambda P, v: divide_by_linear(P, F(3, 2), v)[1],
+    "reduce_mod_cubic": lambda P, v: reduce_mod_cubic(UniPoly("x", [1, v, 0, 2, 1])),
+}
+
+
+@pytest.mark.parametrize("call", _EXACT_CALLS)
+@pytest.mark.parametrize("bad, error", [
+    ("2", TypeError), (b"2", TypeError), (1j, TypeError), (np.complex128(1), TypeError),
+    (Decimal("0.5"), TypeError), (math.nan, ValueError), (math.inf, ValueError),
+    (-math.inf, ValueError), (np.float32(math.inf), ValueError)])
+def test_exact_inputs_share_one_accept_set(call, bad, error):
+    P = generating_poly(ReciprocalParams(A=(F(2), F(3), F(5))))
+    with pytest.raises(error):
+        _EXACT_CALLS[call](P, bad)
+
+
+@pytest.mark.parametrize("call", _EXACT_CALLS)
+@pytest.mark.parametrize("v", [np.int64(3), np.int8(-2), np.float32(0.1), np.float64(2.5)])
+def test_exact_inputs_take_numpy_scalars_exactly(call, v):
+    P = generating_poly(ReciprocalParams(A=(F(2), F(3), F(5))))
+    exact = F(int(v)) if isinstance(v, np.integer) else F(float(v))
+    got, want = _EXACT_CALLS[call](P, v), _EXACT_CALLS[call](P, exact)
+    if call == "eval" and isinstance(v, np.floating):
+        want = float(want)  # the exact value rounded once
+    assert got == want and type(got) is type(want)
+    if isinstance(got, UniPoly):
+        assert all(type(c) is F for c in got.coeffs)
+
+
+def test_bivariate_equality_and_hash_are_mathematical():
+    # L = 2 against L = 1: both are zeta - 2 - tau
+    P, Q = (generating_poly(ReciprocalParams(A=A)) for A in ((F(3, 2), F(5, 2)), (1, 3)))
+    assert P == Q and hash(P) == hash(Q) and len({P, Q}) == 1
+    assert P != generating_poly(ReciprocalParams(A=(1, 4)))
+    # the constructor reduces to lowest terms and trims trailing zeros
+    R = BivariatePoly(6, [[-12, -6], [6, 0, 0]], origin_component=True, n=3)
+    assert R == P and hash(R) == hash(P) and (R.D, R.rows) == (1, ((-2, -1), (1,)))
+
+
 def test_substitution_tau_coeffs_small_sizes():
     # the tau-coefficients of P(x tau + z, tau) are the classifier systems:
     # for n = 4 the leading one is x(x - 3/2) + 1/4, for n = 5 x(x - 2) + 3/4
@@ -394,6 +436,21 @@ def test_substitution_matches_divide_remainder_numerically(p, x0, z0):
         if isinstance(want, UniPoly):
             want = want(x0)
         assert rem.coeff(k) == want
+
+
+@given(param_vectors(n_max=12), rationals | eval_floats, rationals | eval_floats)
+@settings(max_examples=100, deadline=None)
+def test_divide_by_linear_quotient(p, x, z):
+    # (zeta - (x tau + z)) Q + R = P exactly, in UniPoly arithmetic over Q[tau]
+    P = generating_poly(p)
+    Q, R = divide_by_linear(P, x, z)
+    assert (Q.n, Q.origin_component, Q.deg_zeta) == (P.n, P.origin_component, P.deg_zeta - 1)
+
+    def in_zeta(coeffs):
+        return UniPoly("zeta", coeffs)
+
+    divisor = in_zeta([UniPoly("tau", [-F(z), -F(x)]), UniPoly("tau", [F(1)])])
+    assert divisor * in_zeta(Q.zeta_coeffs) + in_zeta([R]) == in_zeta(P.zeta_coeffs)
 
 
 @st.composite
@@ -520,14 +577,18 @@ def test_resultant_needs_f_linear_in_z(f):
 CUBIC = UniPoly("x", [F(-1), F(12), F(-20), F(8)])
 
 
-@given(st.lists(rationals, max_size=9).map(lambda cs: UniPoly("x", cs)), x_polys)
+cubic_inputs = rationals | st.floats(-1e3, 1e3) | st.integers(-9, 9).map(np.int64)
+
+
+@given(st.lists(cubic_inputs, max_size=9).map(lambda cs: UniPoly("x", cs)), x_polys)
 @settings(max_examples=80, deadline=None)
 def test_reduce_mod_cubic_is_the_remainder(f, g):
     r = reduce_mod_cubic(f)
-    assert r.degree <= 2
-    assert reduce_mod_cubic(f + g * CUBIC) == r
+    assert r.degree <= 2 and all(type(c) is F for c in r.coeffs)
+    exact = UniPoly("x", [F(int(c)) if isinstance(c, np.integer) else F(c) for c in f.coeffs])
+    assert reduce_mod_cubic(exact + g * CUBIC) == r
     if f.degree <= 2:
-        assert r == f
+        assert r == exact
 
 
 @given(st.lists(st.floats(1.0, 50.0), min_size=5, max_size=5))

@@ -54,6 +54,12 @@ def test_a_params_rejects_non_reciprocal():
         a_params(M)
 
 
+def test_a_params_near_the_float_range():
+    # |b|^2 = 1.96e308 overflows, A_1 = |b|^2 / 2 does not
+    p = a_params(build_reciprocal([1.4e154, 2]))
+    assert p.A == (float(Fraction(1.4e154) ** 2 / 2), 2.125)
+
+
 def test_params_roundtrip_unit():
     M = params_to_matrix(ReciprocalParams(A=(1, 1)))
     assert np.allclose(M.b, [1, 1])
