@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from kippenhahn import rtables, solve_m6
 from kippenhahn.manifold import residuals_m6
+from kippenhahn.verify import _pipeline_quadratics
 
 # the six resultant coefficient tables
 TABLES = rtables.R1_TABLES + rtables.R2_TABLES
@@ -27,16 +28,21 @@ def test_eval_table_exact_on_fractions(A):
         assert all(isinstance(g, Fraction) for g in rtables.grad_table(table, A))
 
 
-def test_forms_equal_the_tables_on_a_unisolvent_grid():
-    # forms and tables have degree <= 3 in A_1..A_5, and a polynomial of
+def test_pipeline_equals_forms_and_tables_on_a_unisolvent_grid():
+    # weight A, z and tau by 1 and x by 0: P6 is homogeneous of degree 3 and
+    # its tau^2 coefficient is linear in z, so R1 and R2 are homogeneous of
+    # degrees 2 and 3 in A, as are the forms and the tables; a polynomial of
     # degree <= 3 that vanishes on the 56 points 1 + a, a in N^5, |a| <= 3,
-    # is zero: exact equality there proves the forms equal the tables
+    # is zero, so exact equality there proves the three equal
     grid = [tuple(1 + k for k in a) for a in product(range(4), repeat=5) if sum(a) <= 3]
     assert len(grid) == 56
+    scales = (rtables.R1_PIPELINE_SCALE, rtables.R2_PIPELINE_SCALE)
     for A in grid:
         Aex = [Fraction(a) for a in A]
+        pipeline = [scale * r.coeff(k) for scale, r in zip(scales, _pipeline_quadratics(Aex))
+                    for k in (2, 1, 0)]
         r1, r2 = rtables.resultant_quadratics(A)
-        assert list(r1 + r2) == [rtables.eval_table(t, Aex) for t in TABLES], A
+        assert pipeline == list(r1 + r2) == [rtables.eval_table(t, Aex) for t in TABLES], A
         assert list(rtables.ell3_residuals(A)) == [rtables.eval_table(t, Aex)
                                                    for t in rtables.ELL3_TABLES], A
 
@@ -124,6 +130,11 @@ def _times_a(i, table):
     return {expo[:i] + (expo[i] + 1,) + expo[i + 1:]: c for expo, c in table.items()}
 
 
+def _linear_times(weights, table):
+    """(sum_i weights[i] A_{i+1}) times a table."""
+    return _combine(*((w, _times_a(i, table)) for i, w in enumerate(weights)))
+
+
 def _rank(tables):
     """Rank over Q of tables viewed as vectors of monomial coefficients."""
     expos = sorted({expo for t in tables for expo in t})
@@ -152,6 +163,14 @@ def test_resultant_tables_span_the_three_ellipse_ideal():
     assert _combine((1, t.ELL3_QUAD_A), (F(-3, 20), t.R1_X2), (F(1, 5), t.R1_X0)) == {}
     assert _combine((1, t.ELL3_QUAD_B), (F(-1, 20), t.R1_X2), (F(2, 5), t.R1_X0)) == {}
     assert _combine((1, t.ELL3_QUAD_DIFF), (-1, t.ELL3_QUAD_A), (1, t.ELL3_QUAD_B)) == {}
+    # the cubic exactly: each R2 coefficient is a multiple of it modulo qa
+    qa, cubic = t.ELL3_QUAD_A, t.ELL3_CUBIC
+    assert _combine((1, t.R2_X2), (4, cubic),
+                    (-1, _linear_times((8, 12, 16, 12, 8), qa))) == {}
+    assert _combine((1, t.R2_X1), (-6, cubic),
+                    (1, _linear_times((10, 10, 16, 10, 10), qa))) == {}
+    assert _combine((1, t.R2_X0), (2, cubic),
+                    (-1, _linear_times((2, 0, 3, 0, 2), qa))) == {}
     quads = [_times_a(i, q) for q in (t.ELL3_QUAD_A, t.ELL3_QUAD_B) for i in range(5)]
     assert _rank(quads) == 10
     assert _rank(quads + list(t.R2_TABLES)) == 11

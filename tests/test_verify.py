@@ -44,6 +44,17 @@ def test_unexpected_printed_mismatch_fails_with_its_monomials(monkeypatch, capsy
     assert capsys.readouterr().out == "\n".join(result.lines) + "\n"
 
 
+def test_known_name_with_another_diff_fails_with_its_monomials(monkeypatch):
+    # R1.x^1 already differs from its printed table; a further difference
+    # inside it is not the documented typo
+    monkeypatch.setitem(rtables.R1_X1, (1, 1, 0, 0, 0), 999)
+    [result] = verify.run(["r-coefficients"])
+    assert not result.ok
+    [line] = [line for line in result.lines if "R1.x^1" in line]
+    assert "UNEXPECTED" in line and "(1, 1, 0, 0, 0): (18, 999)" in line
+    assert result.lines[-1].endswith("-> FAIL")
+
+
 @pytest.mark.parametrize("kwargs", [dict(trials=0), dict(trials=-4), dict(n_max=2),
                                     dict(names=["determinant"], n_max=2),
                                     dict(names=["z-centers"], trials=0)])
