@@ -20,10 +20,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import rtables
-from .nrpoly import cubic_roots
+from .nrpoly import _ratio, _rounded as _round_once, cubic_roots
 from .trimat import ReciprocalParams, TridiagonalMatrix, _exact_or_float, params_to_matrix
 
 PARAM_NAMES = ("A1", "A2", "A3", "A4", "A5")
@@ -74,12 +73,13 @@ class M6Solution:
         return max(abs(qa) / s / s, abs(qb) / s / s, abs(cu) / s / s / s)
 
 
-def _rounded(values, A):
-    """Exact values at A rounded to floats; ValueError past the float range."""
-    try:
-        return tuple(float(v) for v in values)
-    except OverflowError:
-        raise ValueError(f"a residual at A = {tuple(A)} is past the float range") from None
+def _rounded(ratios, A):
+    """Exact values at A, (numerator, denominator) integer pairs, each
+    rounded once to the nearest float; ValueError past the float range."""
+    values = tuple([_round_once(n, d) for n, d in ratios])
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"a residual at A = {tuple(A)} is past the float range")
+    return values
 
 
 def residuals_m6(A, exact: bool = False):
@@ -88,10 +88,12 @@ def residuals_m6(A, exact: bool = False):
     Evaluation is exact (floats convert losslessly to rationals), so the
     identity quad_a - quad_b = quad_diff holds with no rounding; results
     come back as Fractions with exact=True, else as their correctly rounded
-    floats, which raise ValueError where one is past the float range.
+    floats (integers over one denominator, divided once), which raise
+    ValueError where one is past the float range.
     """
-    values = rtables.ell3_residuals(A)
-    return values if exact else _rounded(values, A)
+    if exact:
+        return rtables.ell3_residuals(A)
+    return _rounded(rtables._ell3_ratios(A), A)
 
 
 def _solution(A, branch):
@@ -143,6 +145,14 @@ def solve_m6(fixed: dict):
     return sorted(solutions, key=lambda sol: sol.A)
 
 
+def _quadratic_at(coeffs, p, q):
+    """c2 x^2 + c1 x + c0 at x = p / q (q > 0), for (numerator, denominator)
+    integer pairs c_k, as one such pair."""
+    (n2, d2), (n1, d1), (n0, d0) = coeffs
+    D = math.lcm(d2, d1, d0)
+    return ((n2 * (D // d2) * p + n1 * (D // d1) * q) * p + n0 * (D // d0) * q * q, D * q * q)
+
+
 @dataclass(frozen=True)
 class UVSolveResult:
     """Solution locus of the single-ellipse conditions on the symmetric slice.
@@ -156,8 +166,11 @@ class UVSolveResult:
     all_equal_point: tuple = (1.0, 1.0)
 
     def residuals(self, u, v):
+        """(R1, R2) at A = (u, v, 1, v, u) and the root, exact at their
+        binary values and rounded once; ValueError past the float range."""
         A = (u, v, 1.0, v, u)
-        return _rounded(rtables.eval_resultants_at(A, Fraction(self.root)), A)
+        p, q = _ratio(self.root)
+        return _rounded([_quadratic_at(r, p, q) for r in rtables._resultant_ratios(A)], A)
 
     def distance(self, u, v) -> float:
         """Distance from (u, v) to the locus."""

@@ -39,12 +39,21 @@ class DegenerateInput(ValueError):
 def _ratio(v):
     """(numerator, denominator) of v as Python ints: rationals (NumPy ints
     too) as they are, other reals (NumPy floats too) at their binary value,
-    which must be finite.  str, bytes, complex and Decimal raise TypeError."""
-    if isinstance(v, numbers.Rational):
-        return int(v.numerator), int(v.denominator)
-    if not isinstance(v, numbers.Real):
-        raise TypeError(f"cannot take {type(v).__name__} as an exact real number")
-    v = float(v)
+    which must be finite.  str, bytes, complex and Decimal raise TypeError.
+    The exact types float, int and Fraction are tested first, since the ABC
+    checks cost more than the conversion; every other type (bool, NumPy
+    scalars, subclasses) takes the ABC branch."""
+    cls = type(v)
+    if cls is not float:
+        if cls is int:
+            return v, 1
+        if cls is Fraction:
+            return v.numerator, v.denominator
+        if isinstance(v, numbers.Rational):
+            return int(v.numerator), int(v.denominator)
+        if not isinstance(v, numbers.Real):
+            raise TypeError(f"cannot take {cls.__name__} as an exact real number")
+        v = float(v)
     if not math.isfinite(v):
         raise ValueError(f"cannot take the non-finite value {v} exactly")
     return v.as_integer_ratio()

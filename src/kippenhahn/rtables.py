@@ -371,15 +371,21 @@ def _scaled_sums(A):
     return L, p6_sums(X)
 
 
-def resultant_quadratics(A):
-    """Coefficient triples (x^2, x^1, x^0) of both reduced resultants at A,
-    as exact Fractions: ``_r_forms`` at the six sums of L A, over L^2 (R1)
-    and L^3, 2 L^3, 2 L^3 (R2)."""
+def _resultant_ratios(A):
+    """``resultant_quadratics`` as (numerator, denominator) integer pairs:
+    ``_r_forms`` at the six sums of L A, over L^2 (R1) and L^3, 2 L^3,
+    2 L^3 (R2)."""
     L, sums = _scaled_sums(A)
     n12, n11, n10, n22, n21, n20 = _r_forms(*sums)
     L2, L3 = L * L, L * L * L
-    return ((Fraction(n12, L2), Fraction(n11, L2), Fraction(n10, L2)),
-            (Fraction(n22, L3), Fraction(n21, 2 * L3), Fraction(n20, 2 * L3)))
+    return (((n12, L2), (n11, L2), (n10, L2)),
+            ((n22, L3), (n21, 2 * L3), (n20, 2 * L3)))
+
+
+def resultant_quadratics(A):
+    """Coefficient triples (x^2, x^1, x^0) of both reduced resultants at A,
+    as exact Fractions (``_resultant_ratios``)."""
+    return tuple([tuple([Fraction(n, d) for n, d in r]) for r in _resultant_ratios(A)])
 
 
 def eval_resultants_at(A, x):
@@ -388,12 +394,17 @@ def eval_resultants_at(A, x):
     return (c12 * x * x + c11 * x + c10, c22 * x * x + c21 * x + c20)
 
 
-def ell3_residuals(A):
-    """The three three-ellipse conditions plus their difference, as exact
-    Fractions: ``_ell3_forms`` at the six sums of L A, over L^2, L^2 and
-    8 L^3, and qa - qb over L^2."""
+def _ell3_ratios(A):
+    """``ell3_residuals`` as (numerator, denominator) integer pairs:
+    ``_ell3_forms`` at the six sums of L A, over L^2, L^2 and 8 L^3, and
+    qa - qb over L^2."""
     L, sums = _scaled_sums(A)
     qa, qb, cubic = _ell3_forms(*sums)
     L2 = L * L
-    return (Fraction(qa, L2), Fraction(qb, L2), Fraction(cubic, 8 * L2 * L),
-            Fraction(qa - qb, L2))
+    return (qa, L2), (qb, L2), (cubic, 8 * L2 * L), (qa - qb, L2)
+
+
+def ell3_residuals(A):
+    """The three three-ellipse conditions plus their difference, as exact
+    Fractions (``_ell3_ratios``)."""
+    return tuple([Fraction(n, d) for n, d in _ell3_ratios(A)])

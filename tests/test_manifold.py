@@ -4,7 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kippenhahn import (NotRealizable, ReciprocalParams, UniPoly, a_params,
@@ -79,6 +79,42 @@ def test_uv_residuals_past_the_float_range_raise_value_error():
     # R2 at (u, v) = (1e120, 3e110) is near 1e360
     with pytest.raises(ValueError, match="float range"):
         solve_uv(cubic_roots()[2]).residuals(1e120, 3e110)
+
+
+# reals of every size _ratio takes exactly: normal floats of either sign,
+# subnormals, ints and Fractions
+_EXACT_REALS = st.one_of(
+    st.floats(min_value=1e-300, max_value=1e300), st.floats(min_value=-1e300, max_value=-1e-300),
+    st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308),
+    st.integers(min_value=-10**12, max_value=10**12),
+    st.fractions(min_value=-10**12, max_value=10**12, max_denominator=10**9))
+# the last float t before the cubic residual at t (1, 2, 3, 4, 5) leaves
+# the float range, and the next one
+_T_IN, _T_OUT = 6.736682475502469e+101, 6.73668247550247e+101
+
+
+def _assert_fraction_route_rounded_once(call, exact):
+    """call() gives the floats of the exact values bit for bit, and raises
+    ValueError exactly where converting one of them overflows."""
+    try:
+        want = [float(f).hex() for f in exact]
+    except OverflowError:
+        with pytest.raises(ValueError, match="float range"):
+            call()
+        return
+    assert [v.hex() for v in call()] == want
+
+
+@given(st.tuples(*[_EXACT_REALS] * 5), st.sampled_from(cubic_roots()))
+@example(tuple(_T_IN * k for k in (1, 2, 3, 4, 5)), cubic_roots()[0])
+@example(tuple(_T_OUT * k for k in (1, 2, 3, 4, 5)), cubic_roots()[0])
+@settings(max_examples=300, deadline=None)
+def test_float_residuals_are_the_fraction_route_rounded_once(A, root):
+    _assert_fraction_route_rounded_once(lambda: residuals_m6(A), rtables.ell3_residuals(A))
+    u, v = A[:2]
+    _assert_fraction_route_rounded_once(
+        lambda: solve_uv(root).residuals(u, v),
+        rtables.eval_resultants_at((u, v, 1.0, v, u), Fraction(root)))
 
 
 def test_residuals_generic_point_large():

@@ -13,6 +13,7 @@ from kippenhahn import (BivariatePoly, DegenerateInput, ReciprocalParams, UniPol
                         ellipse_centers_z, eval_residual, generating_poly,
                         params_to_matrix, reduce_mod_cubic, resultant_in_z)
 from kippenhahn import rtables
+from kippenhahn.manifold import residuals_m6
 from kippenhahn.nrpoly import det_pencil, substitution_tau_coeffs
 from kippenhahn.trimat import TridiagonalMatrix
 
@@ -303,12 +304,18 @@ def test_eval_rejects_non_finite_inputs(bad):
         P.eval(F(1), bad)
 
 
-# the three exact entry points, each reading one input v
+# the exact entry points, each reading one input v (as A_1 at n = 6)
 _EXACT_CALLS = {
     "eval": lambda P, v: P.eval(v, F(1, 2)),
     "divide_by_linear": lambda P, v: divide_by_linear(P, F(3, 2), v)[1],
     "reduce_mod_cubic": lambda P, v: reduce_mod_cubic(UniPoly("x", [1, v, 0, 2, 1])),
+    "residuals_m6": lambda P, v: residuals_m6((v, 2, 3, 5, 7)),
+    "resultant_quadratics": lambda P, v: rtables.resultant_quadratics((v, 2, 3, 5, 7)),
 }
+
+
+class _FractionSubclass(F):
+    pass
 
 
 @pytest.mark.parametrize("call", _EXACT_CALLS)
@@ -323,10 +330,13 @@ def test_exact_inputs_share_one_accept_set(call, bad, error):
 
 
 @pytest.mark.parametrize("call", _EXACT_CALLS)
-@pytest.mark.parametrize("v", [np.int64(3), np.int8(-2), np.float32(0.1), np.float64(2.5)])
+# bool and Fraction subclasses are not the exact types _ratio tests first
+@pytest.mark.parametrize("v", [np.int64(3), np.int8(-2), np.float32(0.1), np.float64(2.5),
+                               True, _FractionSubclass(3, 7)])
 def test_exact_inputs_take_numpy_scalars_exactly(call, v):
     P = generating_poly(ReciprocalParams(A=(F(2), F(3), F(5))))
-    exact = F(int(v)) if isinstance(v, np.integer) else F(float(v))
+    exact = (F(float(v)) if isinstance(v, np.floating)
+             else F(int(v)) if isinstance(v, (np.integer, bool)) else F(v))
     got, want = _EXACT_CALLS[call](P, v), _EXACT_CALLS[call](P, exact)
     if call == "eval" and isinstance(v, np.floating):
         want = float(want)  # the exact value rounded once
