@@ -31,7 +31,7 @@ from .trimat import TridiagonalMatrix, pencil, realified_pencil
 # kept importable because the benchmark's tracer patches curve.phase_diagonal
 from .trimat import phase_diagonal  # noqa: F401
 
-# entries of the (n - k) x k bidiagonals B in one batched SVD, k = n // 2:
+# entries of the k x (n - k) bidiagonals B^T in one batched SVD, k = n // 2:
 # bounds peak memory in n and m alike
 BLOCK_ENTRIES = 2 ** 16
 
@@ -71,6 +71,7 @@ class CurveSamples(Sequence):
         return self.points.size
 
     def __getitem__(self, index):
+        index = _as_index(index, "sample index")
         if not -len(self) <= index < len(self):
             raise IndexError(f"sample index {index} out of range")
         i, k = divmod(index % len(self), self.points.shape[1])
@@ -111,10 +112,7 @@ def sample_curve(M: TridiagonalMatrix, m: int = 720) -> CurveSamples:
     solved or half-turned one (pi - theta is the mirror of the half-turn).
     m must be an integer (operator.index), at least 8.
     """
-    try:
-        m = operator.index(m)
-    except TypeError:
-        raise TypeError(f"grid size m must be an integer, got {m!r}") from None
+    m = _as_index(m, "grid size m")
     if m < 8:
         raise ValueError("grid size m >= 8 required")
     theta = 2.0 * np.pi * np.arange(m) / m
@@ -129,19 +127,26 @@ def sample_curve(M: TridiagonalMatrix, m: int = 720) -> CurveSamples:
     for lo in range(0, solved, step):
         block = slice(lo, min(lo + step, solved))
         lam[block], points[block] = _sample_block(M, theta[block])
-    # half-turn: row h + i is theta_i + pi.  A stable ascending sort reverses
-    # each row but keeps exact ties (split angles) in the order a direct
-    # solve at theta + pi gives
+    gap = np.empty(m)
+    gap[:solved] = np.min(lam[:solved, :-1] - lam[:solved, 1:], axis=1, initial=np.inf)
+    # half-turn: row h + i is theta_i + pi, each row negated and reversed.
+    # The copied rows keep their gap, as fl((-a) - (-b)) = fl(b - a).  A
+    # direct solve at theta + pi lists exact ties (split angles) in the
+    # order of a stable ascending sort, which differs from the reversal only
+    # on rows without a positive gap
     turned = min(h + solved, m)
-    order = np.argsort(lam[:turned - h], axis=1, kind="stable")
-    lam[h:turned] = -np.take_along_axis(lam[:turned - h], order, axis=1)
-    points[h:turned] = np.take_along_axis(points[:turned - h], order, axis=1)
+    lam[h:turned] = -lam[:turned - h, ::-1]
+    points[h:turned] = points[:turned - h, ::-1]
+    gap[h:turned] = gap[:turned - h]
+    for i in np.flatnonzero(~(gap[:turned - h] > 0.0)):
+        order = np.argsort(lam[i], kind="stable")
+        lam[h + i], points[h + i] = -lam[i, order], points[i, order]
     if real:
         # mirror: row i is the angle -theta_{m - i}, solved or half-turned
         for lo, hi in ((solved, h), (turned, m)):
             lam[lo:hi] = lam[m - lo:m - hi:-1]
             points[lo:hi] = np.conj(points[m - lo:m - hi:-1])
-    gap = np.min(lam[:, :-1] - lam[:, 1:], axis=1, initial=np.inf)
+            gap[lo:hi] = gap[m - lo:m - hi:-1]
     for a in (theta, lam, points, gap):
         a.flags.writeable = False  # frozen, and branch_points hands out views
     return CurveSamples(theta=theta, lam=lam, points=points, gap=gap)
@@ -159,9 +164,11 @@ def _sample_block(M: TridiagonalMatrix, theta: np.ndarray):
     (u, -v) one for d0 - sigma; odd n adds d0, with B's left null vector in
     the even slots.  Flipping the odd slots negates every w_j w_{j+1}, so
     the -sigma point is 2a minus the +sigma point and the middle point of
-    odd n is a itself.  All angles share one batched SVD of B.  d0, the
-    snapped moduli e and the phase ratios r_j of the diagonal similarity
-    that makes the pencil real all come from one trimat.pencil call.
+    odd n is a itself.  All angles share one batched SVD, of the upper
+    bidiagonal B^T rather than B (LAPACK is faster on it), so v is the left
+    and u the right singular vector.  d0, the snapped moduli e and the
+    phase ratios r_j of the diagonal similarity that makes the pencil real
+    all come from one trimat.pencil call.
 
     Angles whose e has an exact zero are then solved again by eig_all,
     which solves the decoupled blocks separately and so keeps each
@@ -181,13 +188,16 @@ def _sample_block(M: TridiagonalMatrix, theta: np.ndarray):
     g = np.stack([p.real * r.real - q.imag * r.imag,
                   p.imag * r.real + q.real * r.imag], axis=-1)
     j = np.arange(n - 1)
-    B = np.zeros((len(theta), n - k, k))
-    B[:, (j + 1) // 2, j // 2] = e
-    U, sigma, Vt = np.linalg.svd(B, full_matrices=False)  # sigma descending
-    # w_j w_{j+1} for w = (u, v) unnormalised, as (angle, k, j): the index
-    # pattern of B
-    pair = U[:, (j + 1) // 2, :].transpose(0, 2, 1) * Vt[:, :, j // 2]
-    top = M.a + 0.5 * (pair @ g).view(complex)[..., 0]
+    Bt = np.zeros((len(theta), k, n - k))
+    Bt[:, j // 2, (j + 1) // 2] = e
+    V, sigma, Ut = np.linalg.svd(Bt, full_matrices=False)  # sigma descending
+    # w_j w_{j+1} for w = (u, v) unnormalised is u_i v_i at j = 2i and
+    # u_{i+1} v_i at j = 2i + 1: contiguous slices of the rows of Ut and of
+    # V^T, as (angle, k, i), against the even and the odd g_j
+    Vt = V.transpose(0, 2, 1)
+    acc = (Ut[:, :, :k] * Vt) @ g[:, 0::2]
+    acc += (Ut[:, :, 1:] * Vt[:, :, :n - k - 1]) @ g[:, 1::2]
+    top = M.a + 0.5 * acc.view(complex)[..., 0]
     lam = np.empty((len(theta), n))
     points = np.empty((len(theta), n), dtype=complex)
     lam[:, :k], points[:, :k] = d0[:, None] + sigma, top
@@ -209,15 +219,24 @@ def _sample_block(M: TridiagonalMatrix, theta: np.ndarray):
 
 def branch_points(samples: CurveSamples, k: int) -> np.ndarray:
     """Complex points of branch k (1 = largest eigenvalue)."""
+    k = _as_index(k, "branch")
     if not 1 <= k <= samples.points.shape[1]:
         raise IndexError(f"branch {k} outside 1..{samples.points.shape[1]}")
     return samples.points[:, k - 1]
 
 
+def _as_index(index, name: str) -> int:
+    """index as a Python int (operator.index), else a TypeError naming it."""
+    try:
+        return operator.index(index)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {index!r}") from None
+
+
 def _as_points(samples) -> np.ndarray:
     if isinstance(samples, CurveSamples):
-        return samples.points.ravel()
-    return np.asarray(samples, dtype=complex).ravel()
+        return samples.points.reshape(-1)
+    return np.asarray(samples, dtype=complex).reshape(-1)
 
 
 def fit_ellipse_axis_aligned(samples) -> FitResult:
@@ -237,35 +256,41 @@ def fit_ellipse_axis_aligned(samples) -> FitResult:
     pts = _as_points(samples)
     if pts.size < 8:
         raise ValueError("need at least 8 samples")
-    u, v = pts.real, pts.imag
-    umin, umax, vmin, vmax = u.min(), u.max(), v.min(), v.max()
-    if not np.isfinite((umin, umax, vmin, vmax)).all():  # NaN and inf reach these
+    # rows u, v (squared in place to x = u^2, y = v^2 once scaled) and 1:
+    # one product gives the normal equations and the column sums
+    X = np.empty((3, pts.size))
+    X[0], X[1], X[2] = pts.real, pts.imag, 1.0
+    uv = X[:2]
+    (umin, vmin), (umax, vmax) = uv.min(axis=1).tolist(), uv.max(axis=1).tolist()
+    if not all(map(math.isfinite, (umin, vmin, umax, vmax))):  # NaN and inf reach these
         i = np.flatnonzero(~np.isfinite(pts))[0]
         raise ValueError(f"sample {i} is not finite: {pts[i]}")
-    s = float(max(-umin, umax, -vmin, vmax))
+    s = max(-umin, umax, -vmin, vmax)
     if umax - umin <= 1e-10 * s or vmax - vmin <= 1e-10 * s:
         raise DegenerateBranch("branch has no area; fit skipped")
-    u, v = u / s, v / s
-    x, y = u * u, v * v
-    xx, xy, yy = x @ x, x @ y, y @ y
-    sx, sy = x.sum(), y.sum()
+    uv /= s
+    uv *= uv
+    (xx, xy, sx), (_, yy, sy) = (uv @ X.T).tolist()
     det = xx * yy - xy * xy
     if det <= 0:  # u^2 proportional to v^2: the points lie on two lines
         raise DegenerateBranch("degenerate conic: points on two lines through 0")
     alpha, beta = (sx * yy - sy * xy) / det, (xx * sy - xy * sx) / det
     if alpha <= 0 or beta <= 0:
         raise DegenerateBranch("degenerate conic: nonpositive axis coefficient")
-    q = alpha * x + beta * y
+    q = np.array((alpha, beta)) @ uv
     resid = q - 1.0
     # max |r - r_fit| at a common polar angle: the ray through (u, v) meets
-    # the ellipse at r / sqrt(q); the origin takes polar angle 0
-    r = np.sqrt(x + y)
-    r_fit = np.divide(r, np.sqrt(q), out=np.full_like(r, 1.0 / math.sqrt(alpha)),
-                      where=q > 0)
+    # the ellipse at r / sqrt(q); the origin takes polar angle 0.  r_fit
+    # reuses the ones row, which the product has consumed
+    r = np.sqrt(uv[0] + uv[1])
+    r_fit = X[2]
+    r_fit.fill(1.0 / math.sqrt(alpha))
+    np.divide(r, np.sqrt(q), out=r_fit, where=q > 0)
+    r -= r_fit
     semi_u, semi_v = s / math.sqrt(alpha), s / math.sqrt(beta)
     return FitResult(semi_major=max(semi_u, semi_v), semi_minor=min(semi_u, semi_v),
                      rms_residual=math.sqrt(resid @ resid / resid.size),
-                     max_radial_deviation=s * float(np.max(np.abs(r - r_fit))),
+                     max_radial_deviation=s * float(np.abs(r, out=r).max()),
                      semi_u=semi_u, semi_v=semi_v)
 
 

@@ -455,6 +455,22 @@ def test_branch_points_is_a_column():
             branch_points(samples, bad)
 
 
+@pytest.mark.parametrize("bad", [2.0, slice(0, 3), "1", None])
+def test_curve_indices_must_be_integers(bad):
+    samples = sample_curve(build_reciprocal([1.5, 2.0]), m=16)
+    with pytest.raises(TypeError, match="sample index must be an integer"):
+        samples[bad]
+    with pytest.raises(TypeError, match="branch must be an integer"):
+        branch_points(samples, bad)
+
+
+def test_curve_indices_take_numpy_integers():
+    samples = sample_curve(build_reciprocal([1.5, 2.0]), m=16)
+    s = samples[np.int64(3)]
+    assert s == samples[3] and type(s.branch) is int and s.branch == 1
+    np.testing.assert_array_equal(branch_points(samples, np.int64(2)), samples.points[:, 1])
+
+
 def _per_angle_residual(M, m):
     """The symmetry residual from one eig_all at each grid angle theta and
     one at -theta, the angle itself rather than its grid row."""
@@ -600,6 +616,33 @@ def test_mirrored_split_angle_keeps_tie_order(m):
     samples = _assert_matches_reference(M, m)
     assert np.flatnonzero(samples.gap == 0.0).tolist() == [0, m // 2]
     assert len(set(np.round(samples.points[m // 2], 12))) == 4  # tied points differ
+
+
+def test_half_turn_at_an_exact_tie():
+    # h_2 vanishes at pi/2 and 3 pi/2: the blocks {1, 2} and {3, 4} both
+    # have eigenvalues +-0.75, at distinct points.  Row 540 is the half-turn
+    # of row 180, where a reversal would list each tie in the wrong order
+    M = TridiagonalMatrix(n=4, a=0, b=(2, 1, 2 + 0.25j), c=(0.5, 1, 0.5 - 0.25j))
+    samples = sample_curve(M, m=720)
+    np.testing.assert_array_equal(samples.lam[180], [0.75, 0.75, -0.75, -0.75])
+    assert samples.gap[180] == 0.0
+    assert abs(samples.points[180, 0] - samples.points[180, 1]) > 0.2  # tied points differ
+    theta = 3 * math.pi / 2
+    lam, points = _tangent_points(M, theta, realified_pencil(M, theta))
+    np.testing.assert_allclose(samples.lam[540], lam, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(samples.points[540], points, rtol=0, atol=1e-12)
+    assert np.max(np.abs(samples.points[180, ::-1] - points)) > 0.2
+
+
+@given(matrices(max_n=20), st.integers(min_value=4, max_value=75), st.sampled_from([0, 1]))
+@settings(max_examples=40, deadline=None)
+def test_gap_is_the_smallest_eigenvalue_difference(case, half, odd):
+    # gap is computed on the solved rows and copied through the half-turn and
+    # the mirror: the same bits as from every row of lam, at even and odd m
+    M, _ = case
+    samples = sample_curve(M, m=2 * half + odd)
+    want = np.min(samples.lam[:, :-1] - samples.lam[:, 1:], axis=1, initial=np.inf)
+    np.testing.assert_array_equal(samples.gap, want)
 
 
 def test_symmetry_residual_needs_curve_samples():
