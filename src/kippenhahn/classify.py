@@ -18,7 +18,7 @@ from itertools import combinations
 
 from .nrpoly import cubic_roots
 from .rtables import p6_sums
-from .trimat import ReciprocalParams
+from .trimat import ReciprocalParams, _real
 
 DEFAULT_TOL = 1e-9
 # z - |x| below this, relative to max(1, z), collapses a component to its foci
@@ -84,8 +84,13 @@ class Classification:
 
 
 def _check_tol(tol):
-    if not 0 < tol < math.inf:  # nan fails every comparison
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    try:
+        real = _real(tol)
+    except ValueError:  # nan or inf, from trimat._real
+        real = 0
+    if real > 0:
+        return real
+    raise ValueError(f"tolerance must be positive and finite, got {tol}")
 
 
 def _require_size(p: ReciprocalParams, n: int):
@@ -103,7 +108,7 @@ def _normal_classification(p: ReciprocalParams) -> Classification:
 
 def classify3(p: ReciprocalParams, tol: float = DEFAULT_TOL) -> Classification:
     """n=3: the curve is always the origin plus one origin-centered ellipse."""
-    _check_tol(tol)
+    tol = _check_tol(tol)
     _require_size(p, 3)
     if p.all_ones:
         return _normal_classification(p)
@@ -119,7 +124,7 @@ def classify3(p: ReciprocalParams, tol: float = DEFAULT_TOL) -> Classification:
 
 def classify4(p: ReciprocalParams, tol: float = DEFAULT_TOL) -> Classification:
     """n=4: elliptic iff A_2 lies on one of the two golden-ratio hyperplanes."""
-    _check_tol(tol)
+    tol = _check_tol(tol)
     _require_size(p, 4)
     if p.all_ones:
         return _normal_classification(p)
@@ -153,7 +158,7 @@ def classify4(p: ReciprocalParams, tol: float = DEFAULT_TOL) -> Classification:
 
 def classify5(p: ReciprocalParams, tol: float = DEFAULT_TOL) -> Classification:
     """n=5: elliptic iff A_1 = A_4 or A_1 - A_4 = 2(A_3 - A_2)."""
-    _check_tol(tol)
+    tol = _check_tol(tol)
     _require_size(p, 5)
     if p.all_ones:
         return _normal_classification(p)
@@ -241,7 +246,7 @@ def contains_ellipse6(p: ReciprocalParams, tol: float = DEFAULT_TOL) -> Classifi
     in x, so three passing roots mean R1 = R2 = 0, the three-ellipse ideal:
     all_components_elliptic; one or two give boundary_ellipse_only.
     """
-    _check_tol(tol)
+    tol = _check_tol(tol)
     _require_size(p, 6)
     if p.all_ones:
         return _normal_classification(p)
@@ -284,7 +289,7 @@ def toeplitz_components(p: ReciprocalParams, tol: float = DEFAULT_TOL) -> Classi
     sigma_j sqrt(2(A_0 +- 1)) and foci +-2 sigma_j; for odd n the last
     component is the origin.
     """
-    _check_tol(tol)
+    tol = _check_tol(tol)
     if not p.all_equal:
         raise NotToeplitzCase("all A_j must be equal")
     A0 = p.A[0]
@@ -312,7 +317,7 @@ def classify(p: ReciprocalParams, tol: float = DEFAULT_TOL) -> Classification:
     Raises ValueError unless 0 < tol < inf, and where a z is past the float range.
     """
     if p.all_ones:
-        _check_tol(tol)
+        tol = _check_tol(tol)
         return _normal_classification(p)
     if p.all_equal:
         return toeplitz_components(p, tol)

@@ -93,7 +93,12 @@ def _parse_number(tok):
 
 
 def _parse_numlist(text):
-    return [_parse_number(tok) for tok in map(str.strip, text.split(",")) if tok]
+    """Comma-separated numbers; no value at all gives [], and an empty entry
+    beside a value is an input error."""
+    toks = [tok.strip() for tok in text.split(",")]
+    if any(toks) and not all(toks):
+        raise ValueError(f"empty entry in the list {text!r}")
+    return [_parse_number(tok) for tok in toks if tok]
 
 
 # input key -> (converter, help).  Config-file values and flags share the
@@ -291,8 +296,11 @@ def cmd_solve(args) -> int:
     fixed = {}
     for item in args.fix or []:
         name, _, val = item.partition("=")
+        name = name.strip()
+        if name in fixed:
+            raise ValueError(f"--fix gives {name} twice; fix two different parameters")
         try:
-            fixed[name.strip()] = float(val)
+            fixed[name] = float(val)
         except ValueError:  # float('') too: the item has no '='
             raise ValueError(f"--fix takes NAME=VALUE, got {item!r}") from None
     sols = manifold.solve_m6(fixed)

@@ -22,8 +22,9 @@ import warnings
 from dataclasses import dataclass
 
 from . import rtables
-from .nrpoly import _ratio, _rounded as _round_once, cubic_roots
-from .trimat import ReciprocalParams, TridiagonalMatrix, _exact_or_float, params_to_matrix
+from .nrpoly import _rounded as _round_once, cubic_roots
+from .trimat import (InvalidParam, ReciprocalParams, TridiagonalMatrix, _ratio, _real,
+                     params_to_matrix)
 
 PARAM_NAMES = ("A1", "A2", "A3", "A4", "A5")
 
@@ -100,21 +101,13 @@ def _solution(A, branch):
     return M6Solution(A=A, residuals=residuals_m6(A), branch=branch)
 
 
-def _fixed_float(name, v):
-    """A fixed value as a float; ValueError past the float range."""
-    try:
-        return float(_exact_or_float(name[1], v))
-    except OverflowError:
-        raise ValueError(f"fixed {name} is past the float range") from None
-
-
 def solve_m6(fixed: dict):
     """Every point of the three-ellipse variety with two parameters fixed.
 
-    fixed maps two names among A1, A2, A4, A5 to finite real values a and
-    b; str, bool and complex values raise ValueError.  For a != b each of
-    the twelve planes gives one point, so exactly twelve solutions come
-    back, sorted; for a == b the only one is the all-equal point.
+    fixed maps two names among A1, A2, A4, A5 to finite reals a and b, read
+    by trimat._real (str, bytes, bool, complex, Decimal: InvalidParam).  For
+    a != b each of the twelve planes gives one point, so exactly twelve
+    solutions come back, sorted; for a == b the only one is the all-equal point.
     Solutions with any A_j < 1 are returned but flagged not realizable;
     fixed values and residuals past the float range raise ValueError.
     """
@@ -125,9 +118,17 @@ def solve_m6(fixed: dict):
             raise ValueError(f"{what} {nm!r}; fix two of A1, A2, A4, A5")
     if len(names) != 2:
         raise ValueError("fix exactly two of A1, A2, A4, A5")
-    (i, a), (j, b) = ((PARAM_NAMES.index(nm), _fixed_float(nm, fixed[nm])) for nm in names)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"fixed values must be finite, got {fixed}")
+    values = []
+    for nm in names:
+        try:
+            values.append(float(_real(fixed[nm])))
+        except TypeError:
+            raise InvalidParam(f"A_{nm[1]} = {fixed[nm]!r} is not a real number") from None
+        except ValueError:
+            raise ValueError(f"fixed values must be finite, got {fixed}") from None
+        except OverflowError:
+            raise ValueError(f"fixed {nm} is past the float range") from None
+    (i, a), (j, b) = zip(map(PARAM_NAMES.index, names), values)
     if abs(a - b) <= EQUAL_PAIR_TOL:
         if set(names) in ({"A1", "A5"}, {"A2", "A4"}):
             warnings.warn("fixed pair imposes a symmetry hyperplane; only the "
@@ -143,14 +144,6 @@ def solve_m6(fixed: dict):
         A[i], A[j] = a, b
         solutions.append(_solution(tuple(A), label))
     return sorted(solutions, key=lambda sol: sol.A)
-
-
-def _quadratic_at(coeffs, p, q):
-    """c2 x^2 + c1 x + c0 at x = p / q (q > 0), for (numerator, denominator)
-    integer pairs c_k, as one such pair."""
-    (n2, d2), (n1, d1), (n0, d0) = coeffs
-    D = math.lcm(d2, d1, d0)
-    return ((n2 * (D // d2) * p + n1 * (D // d1) * q) * p + n0 * (D // d0) * q * q, D * q * q)
 
 
 @dataclass(frozen=True)
@@ -170,7 +163,7 @@ class UVSolveResult:
         binary values and rounded once; ValueError past the float range."""
         A = (u, v, 1.0, v, u)
         p, q = _ratio(self.root)
-        return _rounded([_quadratic_at(r, p, q) for r in rtables._resultant_ratios(A)], A)
+        return _rounded([rtables._quadratic_at(r, p, q) for r in rtables._resultant_ratios(A)], A)
 
     def distance(self, u, v) -> float:
         """Distance from (u, v) to the locus."""

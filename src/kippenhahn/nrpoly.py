@@ -4,9 +4,10 @@ The generating polynomial of a reciprocal n-by-n matrix, written in
 zeta = lambda^2 and tau = cos(2 theta), is monic in zeta of degree
 floor(n/2) with coefficients that are polynomials in the A_j parameters.
 The exact layer has one number format, Python integers over one
-denominator: _ratio takes a real input exactly (a float at its binary
-value), _cleared puts a list of inputs over the lcm of their denominators,
-and a BivariatePoly holds integer tau-coefficient rows over one D.  The
+denominator: trimat._ratio takes a real input exactly (a float at its
+binary value) after trimat._real, the package's one accept set, has read
+it; _cleared puts a list of inputs over the lcm of their denominators, and
+a BivariatePoly holds integer tau-coefficient rows over one D.  The
 n = 6 factor test substitutes zeta = x tau + z (substitution_tau_coeffs,
 a binomial expansion), eliminates z against the tau^2-coefficient, which
 is linear in z (so the resultant is a substitution), and reduces modulo
@@ -23,40 +24,16 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .trimat import ReciprocalParams, TridiagonalMatrix
+from .trimat import ReciprocalParams, TridiagonalMatrix, _ratio, _real
 
 _ZERO = Fraction(0)
 
 
 class DegenerateInput(ValueError):
     """Resultant input that is the zero polynomial."""
-
-
-def _ratio(v):
-    """(numerator, denominator) of v as Python ints: rationals (NumPy ints
-    too) as they are, other reals (NumPy floats too) at their binary value,
-    which must be finite.  str, bytes, complex and Decimal raise TypeError.
-    The exact types float, int and Fraction are tested first, since the ABC
-    checks cost more than the conversion; every other type (bool, NumPy
-    scalars, subclasses) takes the ABC branch."""
-    cls = type(v)
-    if cls is not float:
-        if cls is int:
-            return v, 1
-        if cls is Fraction:
-            return v.numerator, v.denominator
-        if isinstance(v, numbers.Rational):
-            return int(v.numerator), int(v.denominator)
-        if not isinstance(v, numbers.Real):
-            raise TypeError(f"cannot take {cls.__name__} as an exact real number")
-        v = float(v)
-    if not math.isfinite(v):
-        raise ValueError(f"cannot take the non-finite value {v} exactly")
-    return v.as_integer_ratio()
 
 
 def _cleared(values):
@@ -229,11 +206,12 @@ class BivariatePoly:
 
         A Fraction for rational inputs (NumPy ints included); otherwise the
         exact value at the inputs' binary values, rounded once to the
-        nearest float.  Inputs are read by _ratio: a non-finite float raises
-        ValueError; str, bytes, complex and Decimal raise TypeError.
+        nearest float.  Inputs are read by trimat._real: a nan or inf raises
+        ValueError; str, bytes, bool, complex and Decimal raise TypeError.
         """
-        num, den = self._value_ratio(*_ratio(zeta), *_ratio(tau))
-        if isinstance(zeta, numbers.Rational) and isinstance(tau, numbers.Rational):
+        zeta, tau = _real(zeta), _real(tau)
+        num, den = self._value_ratio(*zeta.as_integer_ratio(), *tau.as_integer_ratio())
+        if type(zeta) is not float and type(tau) is not float:
             return Fraction(num, den)
         return _rounded(num, den)
 
@@ -300,7 +278,7 @@ def eval_residual(P: BivariatePoly, M: TridiagonalMatrix, theta: float, lam: flo
     if P.origin_component:
         num, den = -ln * num, ld * den
     pval = _rounded(num, den)
-    dval = det_pencil(M, theta, lam)
+    dval = det_pencil(M, theta, float(lam))
     return abs(pval - dval) / max(1.0, abs(pval), abs(dval))
 
 

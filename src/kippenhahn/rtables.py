@@ -31,10 +31,12 @@ solvers.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import add
 
-from .nrpoly import _cleared
+from .nrpoly import _cleared, _rounded
+from .trimat import _real
 
 
 # ---------------------------------------- the six sums of P6, and the forms
@@ -388,10 +390,24 @@ def resultant_quadratics(A):
     return tuple([tuple([Fraction(n, d) for n, d in r]) for r in _resultant_ratios(A)])
 
 
+def _quadratic_at(coeffs, p, q):
+    """c2 x^2 + c1 x + c0 at x = p / q (q > 0), for (numerator, denominator)
+    integer pairs c_k, as one such pair."""
+    (n2, d2), (n1, d1), (n0, d0) = coeffs
+    D = math.lcm(d2, d1, d0)
+    return ((n2 * (D // d2) * p + n1 * (D // d1) * q) * p + n0 * (D // d0) * q * q, D * q * q)
+
+
 def eval_resultants_at(A, x):
-    """(R1(x), R2(x)) from ``resultant_quadratics``, in the arithmetic of x."""
-    (c12, c11, c10), (c22, c21, c20) = resultant_quadratics(A)
-    return (c12 * x * x + c11 * x + c10, c22 * x * x + c21 * x + c20)
+    """(R1(x), R2(x)) from ``resultant_quadratics``, exact at x: Fractions
+    for a rational x, otherwise the exact values at x's binary value, each
+    rounded once to the nearest float (as ``BivariatePoly.eval``)."""
+    x = _real(x)
+    p, q = x.as_integer_ratio()
+    values = [_quadratic_at(r, p, q) for r in _resultant_ratios(A)]
+    if type(x) is not float:
+        return tuple([Fraction(n, d) for n, d in values])
+    return tuple([_rounded(n, d) for n, d in values])
 
 
 def _ell3_ratios(A):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -28,8 +29,29 @@ FLOAT_MAX = float(np.finfo(float).max)
 # 1 - PARAM_TOL = _FLOOR_NUM / _FLOOR_DEN, FLOAT_MAX = _MAX_INT
 _FLOOR_NUM, _FLOOR_DEN = (1.0 - PARAM_TOL).as_integer_ratio()
 _MAX_INT = int(FLOAT_MAX)
-# accepted by float() but not real numbers; complex covers NumPy's
-_NOT_REAL = (str, bytes, bytearray, bool, np.bool_, complex)
+
+
+def _real(v):
+    """v as every real input is read: int, Fraction and float (tested first)
+    as they are, other rationals as int or Fraction, other reals as float;
+    TypeError on str, bytes, bool, complex and Decimal, ValueError on nan, inf."""
+    cls = type(v)
+    if cls is not float:
+        if cls is int or cls is Fraction:
+            return v
+        if cls is bool or not isinstance(v, numbers.Real):
+            raise TypeError(f"cannot take {cls.__name__} as a real number")
+        if isinstance(v, numbers.Rational):
+            return int(v) if v.denominator == 1 else Fraction(int(v.numerator), int(v.denominator))
+        v = float(v)
+    if not math.isfinite(v):
+        raise ValueError(f"cannot take the non-finite value {v} as a real number")
+    return v
+
+
+def _ratio(v):
+    """(numerator, denominator) of _real(v) as Python ints."""
+    return _real(v).as_integer_ratio()
 
 
 class ZeroSuperdiagonal(ValueError):
@@ -42,6 +64,22 @@ class NotReciprocal(ValueError):
 
 class InvalidParam(ValueError):
     """Parameters must be finite, and A_j parameters must satisfy A_j >= 1."""
+
+
+def _entry(v, name, j=0):
+    """A matrix entry (a, or name_j for j > 0) as a finite complex number.
+    It takes numbers.Complex values other than bool, complex and float
+    tested first; text, bytes, bool and Decimal raise InvalidParam."""
+    if type(v) is complex or type(v) is float or (
+            type(v) is not bool and isinstance(v, numbers.Complex)):
+        v = complex(v)
+        if cmath.isfinite(v):
+            return v
+        what = "is not finite"
+    else:
+        what = "is not a number"
+    where = f"entry {name}_{j}" if j else "diagonal entry a"
+    raise InvalidParam(f"{where} = {v!r} {what}")
 
 
 @dataclass(frozen=True)
@@ -62,14 +100,10 @@ class TridiagonalMatrix:
             raise ValueError("matrix size must be positive")
         if len(self.b) != self.n - 1 or len(self.c) != self.n - 1:
             raise ValueError("off-diagonals must have length n-1")
-        object.__setattr__(self, "b", tuple(complex(v) for v in self.b))
-        object.__setattr__(self, "c", tuple(complex(v) for v in self.c))
-        if not cmath.isfinite(self.a):
-            raise InvalidParam(f"diagonal entry a = {self.a} is not finite")
-        for name, entries in (("b", self.b), ("c", self.c)):
-            for j, v in enumerate(entries, start=1):
-                if not cmath.isfinite(v):
-                    raise InvalidParam(f"entry {name}_{j} = {v} is not finite")
+        object.__setattr__(self, "a", _entry(self.a, "a"))
+        for name in ("b", "c"):
+            entries = tuple([_entry(v, name, j) for j, v in enumerate(getattr(self, name), 1)])
+            object.__setattr__(self, name, entries)
 
     @property
     def is_reciprocal(self) -> bool:
@@ -92,8 +126,8 @@ class TridiagonalMatrix:
 class ReciprocalParams:
     """The vector A_j = (|b_j|^2 + |c_j|^2)/2 of a reciprocal matrix.
 
-    Fraction and int entries are kept exact; other real numbers (NumPy
-    scalars included) become float.  str, bytes, bool and complex entries
+    Entries are read by _real: rationals (NumPy ints too) stay exact, other
+    reals become float, and str, bytes, bool, complex and Decimal entries
     raise InvalidParam.
     """
 
@@ -104,22 +138,26 @@ class ReciprocalParams:
     past_float_range = False
 
     def __post_init__(self):
-        A = tuple(v if type(v) is float else _exact_or_float(j, v)
-                  for j, v in enumerate(self.A, start=1))
-        object.__setattr__(self, "A", A)
+        A = list(self.A)
         if self.n == 0:
             object.__setattr__(self, "n", len(A) + 1)
         if self.n != len(A) + 1:
             raise ValueError("n must equal len(A) + 1")
         # nan fails every comparison and inf the upper one; exact entries
         # meet the bounds as exact rationals
-        if not all(1.0 - PARAM_TOL <= v <= FLOAT_MAX if type(v) is float
-                   else v.numerator * _FLOOR_DEN >= _FLOOR_NUM * v.denominator
-                   for v in A):
-            raise InvalidParam(f"finite A_j >= 1 required, got {A}")
-        if any(type(v) is not float and v.numerator > _MAX_INT * v.denominator
-               for v in A):
-            object.__setattr__(self, "past_float_range", True)
+        for j, v in enumerate(A):
+            try:
+                A[j] = v = v if type(v) is float else _real(v)
+            except TypeError:
+                raise InvalidParam(f"A_{j + 1} = {v!r} is not a real number") from None
+            except ValueError:  # a non-finite NumPy float
+                v = math.nan
+            if not (1.0 - PARAM_TOL <= v <= FLOAT_MAX if type(v) is float
+                    else v.numerator * _FLOOR_DEN >= _FLOOR_NUM * v.denominator):
+                raise InvalidParam(f"finite A_j >= 1 required, got {self.A}")
+            if type(v) is not float and v.numerator > _MAX_INT * v.denominator:
+                object.__setattr__(self, "past_float_range", True)
+        object.__setattr__(self, "A", tuple(A))
 
     def check_float_range(self):
         """ValueError where an exact A_j is past the float range.  Every
@@ -137,16 +175,6 @@ class ReciprocalParams:
     def all_ones(self) -> bool:
         self.check_float_range()
         return all(abs(v - 1.0) <= PARAM_TOL for v in self.A)
-
-
-def _exact_or_float(j, v):
-    """A_j as ReciprocalParams keeps it: Fraction and int stay exact, any
-    other real number becomes float."""
-    if isinstance(v, (Fraction, int)) and not isinstance(v, bool):
-        return v
-    if isinstance(v, _NOT_REAL):
-        raise InvalidParam(f"A_{j} = {v!r} is not a real number")
-    return float(v)
 
 
 @dataclass(frozen=True)
@@ -177,7 +205,7 @@ class SymTridiagonal:
 
 def build_reciprocal(b) -> TridiagonalMatrix:
     """Reciprocal matrix with superdiagonal b and subdiagonal 1/b."""
-    b = [complex(v) for v in b]
+    b = [_entry(v, "b", j) for j, v in enumerate(b, 1)]
     if any(v == 0 for v in b):
         raise ZeroSuperdiagonal("all superdiagonal entries must be nonzero")
     c = [1.0 / v for v in b]

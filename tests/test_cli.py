@@ -486,11 +486,23 @@ def test_classify_rejects_inconsistent_input(capsys, argv, message):
     (("A1=2", "A5=x"), "--fix takes NAME=VALUE, got 'A5=x'"),
     (("a1=2", "A5=3"), "unknown parameter 'a1'; fix two of A1, A2, A4, A5"),
     (("A3=2", "A5=3"), "cannot fix 'A3'; fix two of A1, A2, A4, A5"),
+    (("A1=2", "A1=3"), "--fix gives A1 twice; fix two different parameters"),
 ])
 def test_solve_fix_errors_name_the_problem(capsys, argv, message):
     code, out, err = run(capsys, "solve", "--fix", *argv)
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("text", ["2,,3", "2,3,", ",2"])
+@pytest.mark.parametrize("key", ["A", "b"])
+def test_empty_list_entry_is_an_input_error(capsys, tmp_path, key, text):
+    config = tmp_path / "job.cfg"
+    config.write_text(f"{key} = {text}\n")
+    for argv in (("--" + key, text), ("--config", str(config))):
+        code, out, err = run(capsys, "classify", *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: empty entry in the list {text!r}\n"
 
 
 def test_n_may_repeat_the_size_the_list_gives(capsys):

@@ -117,6 +117,19 @@ def test_float_residuals_are_the_fraction_route_rounded_once(A, root):
         rtables.eval_resultants_at((u, v, 1.0, v, u), Fraction(root)))
 
 
+@given(_EXACT_REALS, _EXACT_REALS, st.sampled_from(cubic_roots()))
+@settings(max_examples=300, deadline=None)
+def test_uv_residuals_are_eval_resultants_at_bit_for_bit(u, v, root):
+    # one evaluator of R1 and R2 at a float x: exact, rounded once
+    want = rtables.eval_resultants_at((u, v, 1.0, v, u), root)
+    assert all(type(r) is float for r in want)
+    if not all(map(math.isfinite, want)):
+        with pytest.raises(ValueError, match="float range"):
+            solve_uv(root).residuals(u, v)
+        return
+    assert [r.hex() for r in solve_uv(root).residuals(u, v)] == [r.hex() for r in want]
+
+
 def test_residuals_generic_point_large():
     r = residuals_m6((1, 2, 3, 4, 5))
     s = 15.0

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kippenhahn import (BivariatePoly, DegenerateInput, ReciprocalParams, UniPoly, a_params,
-                        build_reciprocal, cubic_roots, divide_by_linear,
+from kippenhahn import (BivariatePoly, DegenerateInput, InvalidParam, ReciprocalParams, UniPoly,
+                        a_params, build_reciprocal, classify, cubic_roots, divide_by_linear,
                         ellipse_centers_z, eval_residual, generating_poly,
-                        params_to_matrix, reduce_mod_cubic, resultant_in_z)
+                        params_to_matrix, reduce_mod_cubic, resultant_in_z, solve_m6, solve_uv)
 from kippenhahn import rtables
 from kippenhahn.manifold import residuals_m6
 from kippenhahn.nrpoly import det_pencil, substitution_tau_coeffs
@@ -311,7 +311,16 @@ _EXACT_CALLS = {
     "reduce_mod_cubic": lambda P, v: reduce_mod_cubic(UniPoly("x", [1, v, 0, 2, 1])),
     "residuals_m6": lambda P, v: residuals_m6((v, 2, 3, 5, 7)),
     "resultant_quadratics": lambda P, v: rtables.resultant_quadratics((v, 2, 3, 5, 7)),
+    "ReciprocalParams": lambda P, v: generating_poly(ReciprocalParams(A=(v, 2, 3))),
+    "solve_m6": lambda P, v: solve_m6({"A1": v, "A5": 11}),
+    "classify_tol": lambda P, v: classify(ReciprocalParams(A=(2, 3, 5)), tol=v),
+    "uv_residuals": lambda P, v: solve_uv(cubic_roots()[2]).residuals(v, 2),
+    "eval_residual": lambda P, v: eval_residual(
+        P, params_to_matrix(ReciprocalParams(A=(2, 3, 5))), 0.3, v),
 }
+# the callers that report a value that is not a real number as an input
+# error; the exact layer raises TypeError
+_NOT_REAL_ERROR = {"ReciprocalParams": InvalidParam, "solve_m6": InvalidParam}
 
 
 class _FractionSubclass(F):
@@ -322,21 +331,23 @@ class _FractionSubclass(F):
 @pytest.mark.parametrize("bad, error", [
     ("2", TypeError), (b"2", TypeError), (1j, TypeError), (np.complex128(1), TypeError),
     (Decimal("0.5"), TypeError), (math.nan, ValueError), (math.inf, ValueError),
-    (-math.inf, ValueError), (np.float32(math.inf), ValueError)])
+    (-math.inf, ValueError), (np.float32(math.inf), ValueError), (True, TypeError)])
 def test_exact_inputs_share_one_accept_set(call, bad, error):
     P = generating_poly(ReciprocalParams(A=(F(2), F(3), F(5))))
-    with pytest.raises(error):
+    with pytest.raises(_NOT_REAL_ERROR.get(call, error) if error is TypeError else error):
         _EXACT_CALLS[call](P, bad)
 
 
 @pytest.mark.parametrize("call", _EXACT_CALLS)
-# bool and Fraction subclasses are not the exact types _ratio tests first
-@pytest.mark.parametrize("v", [np.int64(3), np.int8(-2), np.float32(0.1), np.float64(2.5),
-                               True, _FractionSubclass(3, 7)])
+# NumPy scalars and Fraction subclasses are not the exact types _real tests
+# first; every value lies in every entry's domain (A_j >= 1, tol > 0), and
+# 2^64 - 1 has no float
+@pytest.mark.parametrize("v", [np.int64(3), np.int8(7), np.float32(1.1), np.float64(2.5),
+                               np.uint64(2 ** 64 - 1), _FractionSubclass(10, 7)])
 def test_exact_inputs_take_numpy_scalars_exactly(call, v):
     P = generating_poly(ReciprocalParams(A=(F(2), F(3), F(5))))
     exact = (F(float(v)) if isinstance(v, np.floating)
-             else F(int(v)) if isinstance(v, (np.integer, bool)) else F(v))
+             else F(int(v)) if isinstance(v, np.integer) else F(v))
     got, want = _EXACT_CALLS[call](P, v), _EXACT_CALLS[call](P, exact)
     if call == "eval" and isinstance(v, np.floating):
         want = float(want)  # the exact value rounded once

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from kippenhahn import (InvalidParam, NotReciprocal, ReciprocalParams,
                         ZeroSuperdiagonal, a_params, build_reciprocal,
-                        eig_all, params_to_matrix,
+                        eig_all, generating_poly, params_to_matrix,
                         realified_pencil)
 from kippenhahn.trimat import FLOAT_MAX, PARAM_TOL, TridiagonalMatrix, phase_diagonal
 
@@ -129,9 +130,18 @@ def test_params_reject_non_real_entries(bad):
 
 
 @pytest.mark.parametrize("v", [np.float64(2.5), np.float32(2.5), np.int64(3), np.uint8(3)])
-def test_params_take_numpy_real_scalars_as_float(v):
+def test_params_take_numpy_floats_as_float_and_numpy_ints_exactly(v):
     (got,) = ReciprocalParams(A=(v,)).A
-    assert type(got) is float and got == float(v)
+    want = float(v) if isinstance(v, np.floating) else int(v)
+    assert type(got) is type(want) and got == want
+
+
+def test_numpy_ints_stay_exact_in_the_generating_polynomial():
+    # 2^62 + 1 has no float: as one, the zeta^0 tau^0 coefficient would be -(2^61 + 1)
+    big = 2 ** 62 + 1
+    P = generating_poly(ReciprocalParams(A=(np.int64(big), 2)))
+    assert P == generating_poly(ReciprocalParams(A=(big, 2)))
+    assert P.coeff(0, 0) == -Fraction(big + 2, 2)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(1.0, math.nan)])
@@ -142,6 +152,23 @@ def test_build_reciprocal_rejects_non_finite(bad):
         TridiagonalMatrix(n=3, a=0.0, b=(1.0, 2.0), c=(bad, 1.0))
     with pytest.raises(InvalidParam, match="a = "):
         TridiagonalMatrix(n=3, a=bad, b=(1.0, 2.0), c=(1.0, 1.0))
+
+
+@pytest.mark.parametrize("bad", ["2", b"2", True, np.bool_(True), Decimal("2")])
+def test_matrix_entries_reject_values_that_are_not_numbers(bad):
+    with pytest.raises(InvalidParam, match="b_1 = .* is not a number"):
+        build_reciprocal([bad, 2.0])
+    with pytest.raises(InvalidParam, match="c_2 = .* is not a number"):
+        TridiagonalMatrix(n=3, a=0.0, b=(1.0, 2.0), c=(1.0, bad))
+    with pytest.raises(InvalidParam, match="a = .* is not a number"):
+        TridiagonalMatrix(n=3, a=bad, b=(1.0, 2.0), c=(1.0, 1.0))
+
+
+def test_matrix_entries_take_every_complex_number():
+    M = TridiagonalMatrix(n=3, a=np.float32(0), b=(Fraction(3, 2), np.complex64(2j)),
+                          c=(np.int64(2), 0.5))
+    assert (M.a, M.b, M.c) == (0, (1.5, 2j), (2, 0.5))
+    assert all(type(v) is complex for v in (M.a, *M.b, *M.c))
 
 
 @given(st.lists(st.floats(min_value=1.0, max_value=50.0), min_size=1, max_size=7))
