@@ -35,7 +35,7 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 class JobConfig:
     b: Optional[list] = None
     A: Optional[list] = None
-    A0: Optional[float] = None
+    A0: object = None  # a float or an exact Fraction; ReciprocalParams rejects others
     n: Optional[int] = None
     m: int = 720
     tol: float = DEFAULT_TOL
@@ -57,8 +57,6 @@ class JobConfig:
             if self.n is not None and self.n != len(values) + 1:
                 raise ValueError(f"--n {self.n} disagrees with the size {len(values) + 1} "
                                  f"that {flag} gives")
-            if flag == "--A" and any(isinstance(a, complex) for a in values):
-                raise ValueError(f"A_j parameters must be real, got {values}")
 
     def matrix(self) -> trimat.TridiagonalMatrix:
         if self.b is not None:
@@ -69,7 +67,7 @@ class JobConfig:
         if self.A is not None:
             return trimat.ReciprocalParams(A=tuple(self.A))
         if self.A0 is not None:
-            return trimat.ReciprocalParams(A=(float(self.A0),) * (self.n - 1))
+            return trimat.ReciprocalParams(A=(self.A0,) * (self.n - 1))
         return trimat.a_params(self.matrix())
 
 
@@ -101,12 +99,12 @@ def _parse_numlist(text):
     return [_parse_number(tok) for tok in toks if tok]
 
 
-# input key -> (converter, help).  Config-file values and flags share the
-# converter; list flags stay text for it, so a malformed list is an input error.
+# input key -> (converter, help).  Flags and config-file lines both arrive
+# as text and are converted here alike, so a malformed value is an input error.
 INPUTS = {
     "b": (_parse_numlist, "superdiagonal entries, comma separated"),
     "A": (_parse_numlist, "A_j parameters, comma separated"),
-    "A0": (float, "all-equal parameter value"),
+    "A0": (_parse_number, "all-equal parameter value"),
     "n": (int, "matrix size (with --A0)"),
     "m": (int, "theta grid size (default 720)"),
     "tol": (float, "classification tolerance"),
@@ -134,10 +132,17 @@ def _config_from_args(args) -> JobConfig:
         raise ValueError(f"config key {', '.join(unknown)} not available for "
                          f"{args.command}; it takes {', '.join(args.keys)}")
     values = {}
-    for key in args.keys:  # a flag wins over the file
-        value = file_vals.get(key) if getattr(args, key) is None else getattr(args, key)
-        if value is not None:
-            values[key] = INPUTS[key][0](value) if isinstance(value, str) else value
+    for key in args.keys:  # a flag wins over the file; both are text
+        text = file_vals.get(key) if getattr(args, key) is None else getattr(args, key)
+        if text is None:
+            continue
+        conv = INPUTS[key][0]
+        try:
+            values[key] = conv(text)
+        except ValueError as exc:  # a list's error names the entry at fault
+            if conv is _parse_numlist:
+                raise
+            raise ValueError(f"{key}: {exc}") from None
     if values.get("format") not in (None, *args.formats):
         raise ValueError(f"format {values['format']!r} not available for {args.command}; "
                          f"choose from {', '.join(args.formats)}")
@@ -300,8 +305,8 @@ def cmd_solve(args) -> int:
         if name in fixed:
             raise ValueError(f"--fix gives {name} twice; fix two different parameters")
         try:
-            fixed[name] = float(val)
-        except ValueError:  # float('') too: the item has no '='
+            fixed[name] = _parse_number(val)
+        except ValueError:  # '' too: the item has no '='
             raise ValueError(f"--fix takes NAME=VALUE, got {item!r}") from None
     sols = manifold.solve_m6(fixed)
     if args.format == "json":
@@ -372,9 +377,8 @@ def build_parser():
         sp = sub.add_parser(name, help=summary)
         keys = ("b", "A", "A0", "n", *extra, "format")
         for key in keys:
-            conv, text = INPUTS[key]
-            sp.add_argument("--" + key, type=None if conv is _parse_numlist else conv,
-                            choices=formats if key == "format" else None, help=text)
+            sp.add_argument("--" + key, choices=formats if key == "format" else None,
+                            help=INPUTS[key][1])
         sp.add_argument("--config", help="structured-text config file; flags win")
         sp.set_defaults(run=run, formats=formats, keys=keys)
         return sp

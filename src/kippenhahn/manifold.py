@@ -22,9 +22,8 @@ import warnings
 from dataclasses import dataclass
 
 from . import rtables
-from .nrpoly import _rounded as _round_once, cubic_roots
-from .trimat import (InvalidParam, ReciprocalParams, TridiagonalMatrix, _ratio, _real,
-                     params_to_matrix)
+from .nrpoly import _rounded, cubic_roots
+from .trimat import InvalidParam, ReciprocalParams, TridiagonalMatrix, _real, params_to_matrix
 
 PARAM_NAMES = ("A1", "A2", "A3", "A4", "A5")
 
@@ -74,10 +73,8 @@ class M6Solution:
         return max(abs(qa) / s / s, abs(qb) / s / s, abs(cu) / s / s / s)
 
 
-def _rounded(ratios, A):
-    """Exact values at A, (numerator, denominator) integer pairs, each
-    rounded once to the nearest float; ValueError past the float range."""
-    values = tuple([_round_once(n, d) for n, d in ratios])
+def _finite(values, A):
+    """values, residuals at A; ValueError where one is past the float range."""
     if not all(map(math.isfinite, values)):
         raise ValueError(f"a residual at A = {tuple(A)} is past the float range")
     return values
@@ -94,7 +91,7 @@ def residuals_m6(A, exact: bool = False):
     """
     if exact:
         return rtables.ell3_residuals(A)
-    return _rounded(rtables._ell3_ratios(A), A)
+    return _finite(tuple([_rounded(n, d) for n, d in rtables._ell3_ratios(A)]), A)
 
 
 def _solution(A, branch):
@@ -162,8 +159,7 @@ class UVSolveResult:
         """(R1, R2) at A = (u, v, 1, v, u) and the root, exact at their
         binary values and rounded once; ValueError past the float range."""
         A = (u, v, 1.0, v, u)
-        p, q = _ratio(self.root)
-        return _rounded([rtables._quadratic_at(r, p, q) for r in rtables._resultant_ratios(A)], A)
+        return _finite(rtables.eval_resultants_at(A, self.root), A)
 
     def distance(self, u, v) -> float:
         """Distance from (u, v) to the locus."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -128,21 +128,16 @@ class ReciprocalParams:
 
     Entries are read by _real: rationals (NumPy ints too) stay exact, other
     reals become float, and str, bytes, bool, complex and Decimal entries
-    raise InvalidParam.
+    raise InvalidParam.  The matrix size n is len(A) + 1.
     """
 
     A: tuple
-    n: int = field(default=0)
     # set where an exact A_j is above the largest float: generating_poly
     # takes it exactly, the float paths raise ValueError
     past_float_range = False
 
     def __post_init__(self):
         A = list(self.A)
-        if self.n == 0:
-            object.__setattr__(self, "n", len(A) + 1)
-        if self.n != len(A) + 1:
-            raise ValueError("n must equal len(A) + 1")
         # nan fails every comparison and inf the upper one; exact entries
         # meet the bounds as exact rationals
         for j, v in enumerate(A):
@@ -158,6 +153,10 @@ class ReciprocalParams:
             if type(v) is not float and v.numerator > _MAX_INT * v.denominator:
                 object.__setattr__(self, "past_float_range", True)
         object.__setattr__(self, "A", tuple(A))
+
+    @property
+    def n(self) -> int:
+        return len(self.A) + 1
 
     def check_float_range(self):
         """ValueError where an exact A_j is past the float range.  Every
@@ -218,7 +217,7 @@ def a_params(M: TridiagonalMatrix) -> ReciprocalParams:
         raise NotReciprocal("A_j parameters are defined for reciprocal matrices only")
     # (|b|/2)|b| is finite wherever A_j is; |b|^2 overflows past |b| = 1.3e154
     A = [abs(bj) / 2 * abs(bj) + abs(cj) / 2 * abs(cj) for bj, cj in zip(M.b, M.c)]
-    return ReciprocalParams(A=tuple(A), n=M.n)
+    return ReciprocalParams(A=tuple(A))
 
 
 def params_to_matrix(p: ReciprocalParams) -> TridiagonalMatrix:

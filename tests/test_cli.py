@@ -469,7 +469,7 @@ def test_poly_text_prints_coefficients_past_float_range(capsys):
 
 
 @pytest.mark.parametrize("argv,message", [
-    (("--A", "2,1j"), "must be real"),
+    (("--A", "2,1j"), "is not a real number"),
     (("--A", ","), "--A needs at least one value"),
     (("--b", ","), "--b needs at least one value"),
     (("--A", "2,3", "--n", "7"), "--n 7 disagrees with the size 3 that --A gives"),
@@ -487,11 +487,46 @@ def test_classify_rejects_inconsistent_input(capsys, argv, message):
     (("a1=2", "A5=3"), "unknown parameter 'a1'; fix two of A1, A2, A4, A5"),
     (("A3=2", "A5=3"), "cannot fix 'A3'; fix two of A1, A2, A4, A5"),
     (("A1=2", "A1=3"), "--fix gives A1 twice; fix two different parameters"),
+    (("A1=1j", "A5=4"), "A_1 = 1j is not a real number"),
 ])
 def test_solve_fix_errors_name_the_problem(capsys, argv, message):
     code, out, err = run(capsys, "solve", "--fix", *argv)
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv,key,text,message", [
+    (("classify", "--n", "3"), "A0", "x", "A0: malformed number 'x'"),
+    (("classify", "--n", "3"), "A0", "1" + "0" * 400 + "/3", "is outside the float range"),
+    (("classify", "--A0", "2"), "n", "2.5", "n: invalid literal for int()"),
+    (("curve", "--A", "2,3"), "m", "x", "m: invalid literal for int()"),
+    (("classify", "--A", "2,3"), "tol", "1/2", "tol: could not convert string to float"),
+])
+def test_malformed_value_reads_alike_from_flag_and_file(capsys, tmp_path, argv, key, text,
+                                                        message):
+    # --tol is a decimal, so a p/q there is malformed
+    config = tmp_path / "job.cfg"
+    config.write_text(f"{key} = {text}\n")
+    outcomes = [run(capsys, *argv, *extra)
+                for extra in (("--" + key, text), ("--config", str(config)))]
+    assert outcomes[0] == outcomes[1]
+    code, out, err = outcomes[0]
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {key}: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_solve_fix_reads_p_over_q_exactly(capsys):
+    exact = run(capsys, "solve", "--fix", "A1=3/2", "A5=4", "--format", "json")
+    assert exact[0] == 0
+    assert exact == run(capsys, "solve", "--fix", "A1=1.5", "A5=4", "--format", "json")
+
+
+def test_classify_takes_p_over_q_all_equal_value(capsys):
+    code, out, _ = run(capsys, "classify", "--A0", "3/2", "--n", "4", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["kind"] == "toeplitz_case" and doc["A"] == [1.5] * 3
 
 
 @pytest.mark.parametrize("text", ["2,,3", "2,3,", ",2"])

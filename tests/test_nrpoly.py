@@ -253,7 +253,7 @@ def test_generating_poly_n2():
 
 def test_generating_poly_rejects_n1():
     with pytest.raises(ValueError):
-        generating_poly(ReciprocalParams(A=(), n=1))
+        generating_poly(ReciprocalParams(A=()))
 
 
 def test_bivariate_eval_exact_and_float():
