@@ -100,7 +100,8 @@ def _parse_numlist(text):
 
 
 # input key -> (converter, help).  Flags and config-file lines both arrive
-# as text and are converted here alike, so a malformed value is an input error.
+# as text and are converted here alike, so a malformed value is an input error
+# that names its key.
 INPUTS = {
     "b": (_parse_numlist, "superdiagonal entries, comma separated"),
     "A": (_parse_numlist, "A_j parameters, comma separated"),
@@ -136,12 +137,9 @@ def _config_from_args(args) -> JobConfig:
         text = file_vals.get(key) if getattr(args, key) is None else getattr(args, key)
         if text is None:
             continue
-        conv = INPUTS[key][0]
         try:
-            values[key] = conv(text)
-        except ValueError as exc:  # a list's error names the entry at fault
-            if conv is _parse_numlist:
-                raise
+            values[key] = INPUTS[key][0](text)
+        except ValueError as exc:
             raise ValueError(f"{key}: {exc}") from None
     if values.get("format") not in (None, *args.formats):
         raise ValueError(f"format {values['format']!r} not available for {args.command}; "
@@ -166,7 +164,7 @@ def _classification_dict(result: Classification) -> dict:
 def _plain(v):
     if isinstance(v, (tuple, list)):
         return [_plain(x) for x in v]
-    if isinstance(v, (np.floating, np.integer, Fraction)):
+    if isinstance(v, Fraction):
         return float(v)
     return v
 
@@ -377,8 +375,8 @@ def build_parser():
         sp = sub.add_parser(name, help=summary)
         keys = ("b", "A", "A0", "n", *extra, "format")
         for key in keys:
-            sp.add_argument("--" + key, choices=formats if key == "format" else None,
-                            help=INPUTS[key][1])
+            listed = f": {', '.join(formats)}" if key == "format" else ""
+            sp.add_argument("--" + key, help=INPUTS[key][1] + listed)
         sp.add_argument("--config", help="structured-text config file; flags win")
         sp.set_defaults(run=run, formats=formats, keys=keys)
         return sp

@@ -4,16 +4,16 @@ Two reduced resultants, R1 and R2, govern whether the degree-3 generating
 polynomial acquires a linear factor at a root of the slope cubic.  Their
 coefficients in x and the three-ellipse conditions are ten polynomials in
 (A_1, ..., A_5) that read A only through the six sums ``p6_sums`` of the
-generating polynomial P6.  Each is written once, as an integer form in the
-six sums (``_r_forms``, ``_ell3_forms``), and the forms are the source:
-``resultant_quadratics`` and ``ell3_residuals`` evaluate them at the
-integers L A_j (L the lcm of the denominators of the A_j) and divide once,
-exact for any input; the corrected tables (``R1_X*``, ``R2_X*``, ``ELL3_*``,
-keyed by exponent tuple) are their expansions over monomials at import.
-The tests prove R1 and R2 equal to the Sylvester pipeline up to the scale
-factors recorded below, and the ``ELL3_*`` tables equal to exact
-combinations of them.  ``eval_table`` and ``grad_table`` evaluate any table
-in the arithmetic of its input.
+generating polynomial P6.  The three three-ellipse conditions are the one
+hand-written set, integer forms in the six sums (``_ell3_forms``); R1's and
+R2's six coefficients follow from them (``_r_from_ell3``).  These are the
+source: ``resultant_quadratics`` and ``ell3_residuals`` evaluate them at
+the integers L A_j (L the lcm of the denominators of the A_j) and divide
+once, exact for any input; the corrected tables (``R1_X*``, ``R2_X*``,
+``ELL3_*``, keyed by exponent tuple) are their expansions over monomials at
+import.  The tests certify the R1 and R2 so derived against the Sylvester
+pipeline, up to the scale factors recorded below.  ``eval_table`` and
+``grad_table`` evaluate any table in the arithmetic of its input.
 
 The published tables (``*_PRINTED``) are transcribed verbatim.  They differ
 from the corrected set in exactly four places, all resolved against the
@@ -54,28 +54,6 @@ def p6_sums(A):
             A1 + A3 + A5, A1 * A3 + (A1 + A3) * A5, A1 * A3 * A5)
 
 
-def _r_forms(S, T, E2, s1, s2, s3):
-    """Numerators of R1's and R2's coefficients (x^2, x^1, x^0 each), in the
-    arithmetic of the sums: the coefficients are these over 1, 1, 1 (R1,
-    degree 2 in A) and 1, 2, 2 (R2, degree 3 in A)."""
-    SS, ST, TT, Ss1, Ts1, s1s1 = S * S, S * T, T * T, S * s1, T * s1, s1 * s1
-    return (56 * E2 + 108 * SS - 100 * ST + 40 * Ss1 + 20 * TT - 12 * Ts1 - 28 * s2,
-            -42 * E2 - 72 * SS + 66 * ST - 24 * Ss1 - 12 * TT + 6 * s1s1 + 42 * s2,
-            7 * E2 + 6 * SS - 5 * ST + 6 * Ts1 - 5 * s1s1 - 21 * s2,
-            196 * E2 * S - 56 * E2 * T + 28 * E2 * s1 + 136 * SS * T
-            - 292 * SS * s1 - 136 * S * TT + 336 * ST * s1 - 104 * S * s1s1
-            - 104 * S * s2 + 32 * TT * T - 92 * TT * s1 + 52 * T * s1s1
-            + 52 * T * s2 - 52 * s1 * s2 - 144 * s3,
-            -308 * E2 * S + 84 * E2 * T - 84 * E2 * s1 - 248 * SS * T
-            + 516 * SS * s1 + 246 * S * TT - 600 * ST * s1 + 202 * S * s1s1
-            + 162 * S * s2 - 57 * TT * T + 162 * TT * s1 - 93 * T * s1s1
-            - 81 * T * s2 + 81 * s1 * s2 + 507 * s3,
-            28 * E2 * S - 14 * E2 * T + 42 * E2 * s1 + 22 * SS * T
-            - 46 * SS * s1 - 22 * S * TT + 56 * ST * s1 - 26 * S * s1s1
-            - 14 * S * s2 + 5 * TT * T - 14 * TT * s1 + 7 * T * s1s1
-            + 7 * T * s2 + 2 * s1s1 * s1 - 7 * s1 * s2 - 189 * s3)
-
-
 def _ell3_forms(S, T, E2, s1, s2, s3):
     """(qa, qb, cubic), in the arithmetic of the sums: the three-ellipse
     conditions are qa, qb (degree 2 in A) and cubic / 8 (degree 3)."""
@@ -85,6 +63,19 @@ def _ell3_forms(S, T, E2, s1, s2, s3):
             -36 * SS * T + 200 * SS * s1 + 34 * S * TT - 208 * ST * s1
             + 102 * S * s1s1 - 2 * S * s2 - 7 * TT * T + 46 * TT * s1
             - 39 * T * s1s1 + T * s2 + 8 * s1s1 * s1 - s1 * s2 + 393 * s3)
+
+
+def _r_from_ell3(sums, qa, qb, cubic):
+    """Numerators of R1's coefficients and of 8 R2's (x^2, x^1, x^0 each),
+    from ``_ell3_forms`` (qa, qb, cubic) at the same six sums: R1 is a
+    combination of qa and qb, and each R2 coefficient is a multiple of the
+    cubic plus a linear form times qa (the identities that
+    ``test_resultant_tables_span_the_three_ellipse_ideal`` proves)."""
+    S, T, _, s1, _, _ = sums
+    return (8 * qa - 4 * qb, 6 * (qb - qa), qa - 3 * qb,
+            8 * (28 * S - 8 * T + 4 * s1) * qa - 4 * cubic,
+            6 * cubic - 8 * (22 * S - 6 * T + 6 * s1) * qa,
+            8 * (2 * S - T + 3 * s1) * qa - 2 * cubic)
 
 
 # ------------------------------- the corrected tables, expanded from the forms
@@ -125,7 +116,7 @@ def _expanded(forms, denominators):
 def _corrected_tables():
     sums = p6_sums([_Poly({tuple(int(i == j) for i in range(5)): 1}) for j in range(5)])
     qa, qb, cubic = _ell3_forms(*sums)
-    return (_expanded(_r_forms(*sums), (1, 1, 1, 1, 2, 2))
+    return (_expanded(_r_from_ell3(sums, qa, qb, cubic), (1, 1, 1, 8, 8, 8))
             + _expanded((qa, qb, cubic, qa - qb), (1, 1, 8, 1)))
 
 
@@ -375,13 +366,12 @@ def _scaled_sums(A):
 
 def _resultant_ratios(A):
     """``resultant_quadratics`` as (numerator, denominator) integer pairs:
-    ``_r_forms`` at the six sums of L A, over L^2 (R1) and L^3, 2 L^3,
-    2 L^3 (R2)."""
+    ``_r_from_ell3`` at the six sums of L A, over L^2 (R1) and 8 L^3 (R2)."""
     L, sums = _scaled_sums(A)
-    n12, n11, n10, n22, n21, n20 = _r_forms(*sums)
-    L2, L3 = L * L, L * L * L
+    n12, n11, n10, n22, n21, n20 = _r_from_ell3(sums, *_ell3_forms(*sums))
+    L2, L3 = L * L, 8 * L * L * L
     return (((n12, L2), (n11, L2), (n10, L2)),
-            ((n22, L3), (n21, 2 * L3), (n20, 2 * L3)))
+            ((n22, L3), (n21, L3), (n20, L3)))
 
 
 def resultant_quadratics(A):

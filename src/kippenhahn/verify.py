@@ -68,8 +68,9 @@ def _pipeline_quadratics(A):
 
 
 def check_resultants(rng, n_max, trials):
-    """The resultant pipeline against the forms and the corrected R1/R2
-    tables, exactly."""
+    """The resultant pipeline against the R1/R2 that ``rtables`` derives
+    from the three-ellipse forms, and against their expanded tables,
+    exactly."""
     ok, msg = True, "pipeline == corrected tables (exact)"
     scales = (rtables.R1_PIPELINE_SCALE, rtables.R2_PIPELINE_SCALE)
     for _ in range(max(trials // 10, 3)):

@@ -288,22 +288,25 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
 @pytest.mark.parametrize("command,fmt", [("classify", "csv"), ("classify", "svg"),
                                          ("poly", "csv"), ("poly", "svg"),
                                          ("curve", "text"), ("curve", "json")])
-def test_format_choices_per_subcommand(capsys, command, fmt):
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--A", "2,3", "--format", fmt])
-    assert exc.value.code == 2
-    assert "invalid choice" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command,fmt", [("classify", "csv"), ("poly", "svg"),
-                                         ("curve", "json")])
 def test_config_file_format_must_suit_subcommand(tmp_path, capsys, command, fmt):
+    # a flag and a config file are checked once, with one message
     cfg = tmp_path / "job.cfg"
-    curve_keys = f"m = 8\nout = {tmp_path / 'x'}\n" if command == "curve" else ""
-    cfg.write_text(f"A = 2,3\n{curve_keys}format = {fmt}\n")
-    code, _, err = run(capsys, command, "--config", str(cfg))
-    assert code == 2
-    assert "format" in err
+    cfg.write_text(f"A = 2,3\nformat = {fmt}\n")
+    outcomes = [run(capsys, command, "--A", "2,3", *extra)
+                for extra in (("--format", fmt), ("--config", str(cfg)))]
+    assert outcomes[0] == outcomes[1]
+    code, out, err = outcomes[0]
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: format {fmt!r} not available for {command}; choose from ")
+
+
+@pytest.mark.parametrize("command,formats", [("classify", "text, json"),
+                                             ("poly", "text, json"), ("curve", "csv, svg")])
+def test_help_lists_the_formats(capsys, command, formats):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert f"report format: {formats}" in " ".join(capsys.readouterr().out.split())
 
 
 def test_curve_format_writes_only_that_file(tmp_path, capsys):
@@ -501,6 +504,8 @@ def test_solve_fix_errors_name_the_problem(capsys, argv, message):
     (("classify", "--A0", "2"), "n", "2.5", "n: invalid literal for int()"),
     (("curve", "--A", "2,3"), "m", "x", "m: invalid literal for int()"),
     (("classify", "--A", "2,3"), "tol", "1/2", "tol: could not convert string to float"),
+    (("classify",), "A", "2,abc", "A: malformed number 'abc'"),
+    (("classify",), "b", "2,abc", "b: malformed number 'abc'"),
 ])
 def test_malformed_value_reads_alike_from_flag_and_file(capsys, tmp_path, argv, key, text,
                                                         message):
@@ -537,7 +542,7 @@ def test_empty_list_entry_is_an_input_error(capsys, tmp_path, key, text):
     for argv in (("--" + key, text), ("--config", str(config))):
         code, out, err = run(capsys, "classify", *argv)
         assert code == 2 and out == ""
-        assert err == f"error: empty entry in the list {text!r}\n"
+        assert err == f"error: {key}: empty entry in the list {text!r}\n"
 
 
 def test_n_may_repeat_the_size_the_list_gives(capsys):
