@@ -285,9 +285,18 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     assert "elliptic" in out
 
 
-@pytest.mark.parametrize("command,fmt", [("classify", "csv"), ("classify", "svg"),
-                                         ("poly", "csv"), ("poly", "svg"),
-                                         ("curve", "text"), ("curve", "json")])
+WRONG_FORMATS = [("classify", "csv"), ("classify", "svg"), ("poly", "csv"), ("poly", "svg"),
+                 ("curve", "text"), ("curve", "json")]
+
+
+@pytest.mark.parametrize("command,fmt", WRONG_FORMATS)
+def test_format_choices_per_subcommand(capsys, command, fmt):
+    code, out, err = run(capsys, command, "--A", "2,3", "--format", fmt)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: format {fmt!r} not available for {command}; choose from ")
+
+
+@pytest.mark.parametrize("command,fmt", WRONG_FORMATS)
 def test_config_file_format_must_suit_subcommand(tmp_path, capsys, command, fmt):
     # a flag and a config file are checked once, with one message
     cfg = tmp_path / "job.cfg"
@@ -295,7 +304,7 @@ def test_config_file_format_must_suit_subcommand(tmp_path, capsys, command, fmt)
     outcomes = [run(capsys, command, "--A", "2,3", *extra)
                 for extra in (("--format", fmt), ("--config", str(cfg)))]
     assert outcomes[0] == outcomes[1]
-    code, out, err = outcomes[0]
+    code, out, err = outcomes[1]
     assert code == 2 and out == ""
     assert err.startswith(f"error: format {fmt!r} not available for {command}; choose from ")
 
