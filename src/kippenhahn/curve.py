@@ -6,14 +6,19 @@ support value of the tangent line at that angle.  Branches are labeled in
 descending eigenvalue order.  This is Johnson's eigen-sweep (SIAM J. Numer.
 Anal. 15, 1978), run on blocks of angles at once.  Since the main diagonal
 is constant, the realified pencil is a shift of the Golub-Kahan form of a
-bidiagonal matrix: one batched SVD of half the size gives the eigenvalues
-in +- pairs, and each pair's tangent points sum to 2a.  A block holds as
-many angles as fit in BLOCK_ENTRIES entries of those bidiagonals, which at
-n <= 20 is a whole curve.  The dense eigensolver runs only at angles where
-the pencil splits into blocks.  trimat.pencil reduces the pencil for a
-whole block of angles in one call, and an angle's reduction does not depend
-on the block it is in, so neither do the samples.  Branches are fitted by
-the closed-form least-squares ellipse u^2/p^2 + v^2/q^2 = 1.
+bidiagonal matrix: its singular values, half as many, give the eigenvalues
+in +- pairs, and each pair's tangent points sum to 2a.  While k = n // 2
+is at most CROSS_K_MAX they come from one batched symmetric eigensolve of
+the k x k cross products, each angle's bidiagonal scaled to a largest
+entry of 1, and the angles whose squared condition number would cost
+accuracy take the SVD instead; larger pencils take the SVD at every
+angle.  A block holds as many angles as fit in BLOCK_ENTRIES entries of
+those bidiagonals, which at n <= 20 is a whole curve.  The dense
+eigensolver runs only at angles where the pencil splits into blocks.
+trimat.pencil reduces the pencil for a whole block of angles in one call,
+and an angle's reduction does not depend on the block it is in, so
+neither do the samples.  Branches are fitted by the closed-form
+least-squares ellipse u^2/p^2 + v^2/q^2 = 1.
 """
 
 from __future__ import annotations
@@ -31,9 +36,19 @@ from .trimat import TridiagonalMatrix, pencil, realified_pencil
 # kept importable because the benchmark's tracer patches curve.phase_diagonal
 from .trimat import phase_diagonal  # noqa: F401
 
-# entries of the k x (n - k) bidiagonals B^T in one batched SVD, k = n // 2:
+# entries of the k x (n - k) bidiagonals B^T in one block, k = n // 2:
 # bounds peak memory in n and m alike
 BLOCK_ENTRIES = 2 ** 16
+# angles with sigma_min <= COND_GUARD sigma_max take the SVD of B^T, so the
+# cross product's error stays within about sigma_max / sigma_min = 100 times
+# the SVD's.  On 3,000 random reciprocal curves (n = 2-20, A_j in [1, 10],
+# 1 + 10^-u or 1) the two routes agree to 2.7e-13 scale wherever the
+# eigenvalue gap is at least 1e-3 scale
+COND_GUARD = 1e-2
+# past k = CROSS_K_MAX the guard fires at most angles of typical curves
+# (A_j uniform in [1, 10]: 14 % at n = 30, 57 % at n = 40, 93 % at n = 120),
+# so the eigensolve would mostly be wasted: those pencils take the SVD
+CROSS_K_MAX = 10
 
 
 class DegenerateBranch(ValueError):
@@ -164,11 +179,11 @@ def _sample_block(M: TridiagonalMatrix, theta: np.ndarray):
     (u, -v) one for d0 - sigma; odd n adds d0, with B's left null vector in
     the even slots.  Flipping the odd slots negates every w_j w_{j+1}, so
     the -sigma point is 2a minus the +sigma point and the middle point of
-    odd n is a itself.  All angles share one batched SVD, of the upper
-    bidiagonal B^T rather than B (LAPACK is faster on it), so v is the left
-    and u the right singular vector.  d0, the snapped moduli e and the
-    phase ratios r_j of the diagonal similarity that makes the pencil real
-    all come from one trimat.pencil call.
+    odd n is a itself.  The triplets come from _singular_triplets of the
+    upper bidiagonal B^T, so v is the left and u the right singular vector.
+    d0, the snapped moduli e and the phase ratios r_j of the diagonal
+    similarity that makes the pencil real all come from one trimat.pencil
+    call.
 
     Angles whose e has an exact zero are then solved again by eig_all,
     which solves the decoupled blocks separately and so keeps each
@@ -187,10 +202,7 @@ def _sample_block(M: TridiagonalMatrix, theta: np.ndarray):
     p, q = np.asarray(M.b) + np.asarray(M.c), np.asarray(M.b) - np.asarray(M.c)
     g = np.stack([p.real * r.real - q.imag * r.imag,
                   p.imag * r.real + q.real * r.imag], axis=-1)
-    j = np.arange(n - 1)
-    Bt = np.zeros((len(theta), k, n - k))
-    Bt[:, j // 2, (j + 1) // 2] = e
-    V, sigma, Ut = np.linalg.svd(Bt, full_matrices=False)  # sigma descending
+    V, sigma, Ut = _singular_triplets(e)
     # w_j w_{j+1} for w = (u, v) unnormalised is u_i v_i at j = 2i and
     # u_{i+1} v_i at j = 2i + 1: contiguous slices of the rows of Ut and of
     # V^T, as (angle, k, i), against the even and the odd g_j
@@ -215,6 +227,39 @@ def _sample_block(M: TridiagonalMatrix, theta: np.ndarray):
         points[t] = (M.a * np.einsum("jk,jk->k", w, w)
                      + ((w[:-1] * w[1:]).T @ g[t]).view(complex)[:, 0])
     return lam, points
+
+
+def _singular_triplets(e: np.ndarray):
+    """(V, sigma, U^T) with B^T = V diag(sigma) U^T, sigma descending, as
+    np.linalg.svd gives them, for the k x (n - k) upper bidiagonal
+    B^T[j // 2, (j + 1) // 2] = e_j of each row of e, k = n // 2.
+
+    Up to k = CROSS_K_MAX each row of e is divided by its largest entry, so
+    no square over- or underflows, and one batched eigh of the k x k cross
+    products B^T B gives V: the rows of V^T B^T then have norm sigma and
+    direction u^T.  Squaring squares the condition number, so the angles
+    with sigma_min <= COND_GUARD sigma_max, and any whose norms came out of
+    order, are solved again by the SVD of the same scaled B^T.
+    """
+    n = e.shape[1] + 1
+    k, j = n // 2, np.arange(n - 1)
+    Bt = np.zeros((len(e), k, n - k))
+    if k > CROSS_K_MAX:
+        Bt[:, j // 2, (j + 1) // 2] = e
+        return np.linalg.svd(Bt, full_matrices=False)
+    scale = e.max(axis=1)
+    scale[scale == 0.0] = 1.0  # e all zero: a split angle
+    Bt[:, j // 2, (j + 1) // 2] = e / scale[:, None]
+    V = np.linalg.eigh(Bt @ Bt.transpose(0, 2, 1))[1][:, :, ::-1]  # eigh ascends
+    Ut = V.transpose(0, 2, 1) @ Bt
+    sigma = np.sqrt(np.einsum("tij,tij->ti", Ut, Ut))
+    np.divide(Ut, sigma[..., None], out=Ut, where=sigma[..., None] > 0.0)
+    ill = np.flatnonzero((sigma[:, -1] <= COND_GUARD * sigma[:, 0])
+                         | (sigma[:, 1:] > sigma[:, :-1]).any(axis=1))
+    if ill.size:
+        V[ill], sigma[ill], Ut[ill] = np.linalg.svd(Bt[ill], full_matrices=False)
+    sigma *= scale[:, None]
+    return V, sigma, Ut
 
 
 def branch_points(samples: CurveSamples, k: int) -> np.ndarray:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ import numpy as np
 RECIPROCAL_TOL = 1e-12
 # slack in comparing A_j with the floor 1, with 1, and (relative) with each other
 PARAM_TOL = 1e-12
-FLOAT_MAX = float(np.finfo(float).max)
+FLOAT_MAX = sys.float_info.max
 
 
 # the bounds on A_j as exact integer ratios, for exact entries:

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -643,6 +644,153 @@ def test_gap_is_the_smallest_eigenvalue_difference(case, half, odd):
     samples = sample_curve(M, m=2 * half + odd)
     want = np.min(samples.lam[:, :-1] - samples.lam[:, 1:], axis=1, initial=np.inf)
     np.testing.assert_array_equal(samples.gap, want)
+
+
+def _svd_reference(M, theta):
+    """Descending eigenvalues and a dense <M v, v> for each eigenvector, from
+    one np.linalg.svd of the unscaled bidiagonal B^T per angle."""
+    n, k = M.n, M.n // 2
+    dense = M.dense()
+    d0, e, _ = pencil(M, theta)
+    lam = np.empty((len(theta), n))
+    points = np.empty((len(theta), n), dtype=complex)
+    for t in range(len(theta)):
+        Bt = np.zeros((k, n - k))
+        for j in range(n - 1):
+            Bt[j // 2, (j + 1) // 2] = e[t, j]
+        V, sigma, Ut = np.linalg.svd(Bt)
+        # (u, v) / sqrt 2 in the (even, odd) slots for d0 + sigma, (u, -v) /
+        # sqrt 2 for d0 - sigma, and for odd n B's left null vector in the
+        # even slots for d0
+        W = np.zeros((n, n))
+        W[0::2, :k], W[1::2, :k] = Ut[:k].T, V
+        W[0::2, n - k:], W[1::2, n - k:] = Ut[k - 1::-1].T, -V[:, ::-1]
+        W[:, :k] /= math.sqrt(2.0)
+        W[:, n - k:] /= math.sqrt(2.0)
+        if n % 2:
+            W[0::2, k] = Ut[k]
+        lam[t] = d0[t] + np.concatenate([sigma, [0.0] * (n % 2), -sigma[::-1]])
+        v = phase_diagonal(M, theta[t])[:, None] * W
+        points[t] = np.einsum("jk,jk->k", v.conj(), dense @ v)
+    return lam, points
+
+
+@st.composite
+def near_split_matrices(draw):
+    """Reciprocal matrices with A_j = 1, 1 + 10^-u or U[1, 10], n = 2-20,
+    as they are, scaled by 2^600, or with b_1 scaled by 2^600 or 2^-600.
+
+    pencil snaps e_j to zero below 8e-16 max(1, |b_j| + |c_j|), so a matrix
+    scaled by 2^-600 is split at every angle; scaling b_1 alone (c_1 = 1 /
+    b_1 follows) puts e_1 near 2^599 beside entries near 1, whose squares
+    underflow once the row is scaled."""
+    n = draw(st.integers(min_value=2, max_value=20))
+    one = st.one_of(st.just(1.0),
+                    st.floats(min_value=0.0, max_value=12.0).map(lambda u: 1.0 + 10.0 ** -u),
+                    st.floats(min_value=1.0, max_value=10.0))
+    M = params_to_matrix(ReciprocalParams(A=tuple(draw(one) for _ in range(n - 1))))
+    stretch = draw(st.sampled_from(["none", "matrix", "b_1 up", "b_1 down"]))
+    if stretch == "matrix":
+        s = 2.0 ** 600
+        return TridiagonalMatrix(n=n, a=0.0, b=tuple(s * v for v in M.b),
+                                 c=tuple(s * v for v in M.c))
+    if stretch != "none":
+        return build_reciprocal([M.b[0] * 2.0 ** (600 if stretch == "b_1 up" else -600),
+                                 *M.b[1:]])
+    return M
+
+
+@given(near_split_matrices(), st.integers(min_value=2, max_value=25))
+@settings(max_examples=60, deadline=None)
+def test_block_matches_per_angle_svd(M, quarter):
+    # the cross-product eigensolve, with the SVD at ill-conditioned angles,
+    # against one SVD per angle; m = 4 * quarter puts pi/2 on the grid.
+    # Points are compared on the branches whose singular value is at least
+    # 1e-3 scale from the others (and, at odd n, from B's null value 0):
+    # closer, the singular vectors are ill conditioned for any solver, and
+    # two SVD routes differ by up to 3.5e-11 scale at a gap of 2e-6 scale
+    # (A_j = 1 + 10^-u near pi/2)
+    n, k = M.n, M.n // 2
+    theta = 2.0 * np.pi * np.arange(4 * quarter) / (4 * quarter)
+    lam, points = curve._sample_block(M, theta)
+    want_lam, want_points = _svd_reference(M, theta)
+    scale = max(1.0, float(np.max(np.abs(want_lam))))
+    assert np.max(np.abs(lam - want_lam)) <= 1e-12 * scale
+    sigma = (want_lam[:, :k] - want_lam[:, :n - k - 1:-1]) / 2.0
+    step = -np.diff(sigma, axis=1, prepend=np.inf, append=0.0 if n % 2 else -np.inf)
+    gap = np.minimum(step[:, :-1], step[:, 1:])
+    wide = np.ones((len(theta), n), dtype=bool)
+    wide[:, :k] = wide[:, :n - k - 1:-1] = gap >= 1e-3 * scale
+    # eig_all's split angles keep each eigenvector inside one block, which
+    # a tied singular value's SVD need not
+    wide[np.any(pencil(M, theta)[1] == 0.0, axis=1)] = False
+    assert np.all(np.abs(points - want_points)[wide] <= 1e-12 * scale)
+
+
+def test_guard_sends_angles_near_pi_half_to_the_svd(monkeypatch):
+    # n = 20 with A_1 = 1: e_1 = |cos theta| makes B^T nearly singular near
+    # pi/2, so those angles, and only those, are solved by the SVD of the
+    # same scaled B^T, bit for bit
+    M = params_to_matrix(ReciprocalParams(A=(1.0,) + tuple(np.linspace(2.0, 9.0, 18))))
+    n, k = M.n, M.n // 2
+    theta = 2.0 * np.pi * np.arange(181) / 720
+    d0, e, _ = pencil(M, theta)
+    scale = e.max(axis=1)
+    j = np.arange(n - 1)
+    Bt = np.zeros((len(theta), k, n - k))
+    Bt[:, j // 2, (j + 1) // 2] = e / scale[:, None]
+    svd = np.linalg.svd
+    sigma = svd(Bt, compute_uv=False)
+    ill = np.flatnonzero(sigma[:, -1] <= curve.COND_GUARD * sigma[:, 0])
+    assert ill.tolist() == list(range(171, 181))
+    calls = []
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(a.copy()) or svd(a, **kw))
+    lam, points = curve._sample_block(M, theta)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(calls[0], Bt[ill])
+    # row 180 is the split angle pi/2, which eig_all solves afterwards
+    for t in ill[:-1]:
+        sigma = svd(Bt[t], full_matrices=False)[1]
+        np.testing.assert_array_equal(lam[t, :k], d0[t] + sigma * scale[t])
+    # every angle through the SVD gives the guarded rows' points bit for bit
+    monkeypatch.setattr(curve, "COND_GUARD", 1.0)
+    all_lam, all_points = curve._sample_block(M, theta)
+    np.testing.assert_array_equal(lam[ill], all_lam[ill])
+    np.testing.assert_array_equal(points[ill], all_points[ill])
+    assert np.max(np.abs(points - all_points)) <= 1e-12 * float(np.max(np.abs(lam)))
+
+
+@pytest.mark.parametrize("n", [21, 22])
+def test_cross_product_runs_up_to_k_max(monkeypatch, n):
+    # k = 10 (n = 21) solves the cross products; k = 11 takes the SVD at
+    # every angle, the same bits as one SVD of the unscaled B^T
+    M = build_reciprocal(np.linspace(1.5, 4.0, n - 1) * 1j)
+    shapes = []
+    eigh = np.linalg.eigh
+    with monkeypatch.context() as mp:
+        mp.setattr(np.linalg, "eigh", lambda a, *args: shapes.append(a.shape) or eigh(a, *args))
+        samples = sample_curve(M, m=40)
+    assert [shape[1:] for shape in shapes] == ([(10, 10)] if n == 21 else [])
+    _assert_matches_reference(M, 40)
+    if n == 22:
+        Bt = np.zeros((20, 11, 11))
+        j = np.arange(n - 1)
+        Bt[:, j // 2, (j + 1) // 2] = pencil(M, samples.theta[:20])[1]
+        sigma = np.linalg.svd(Bt, full_matrices=False)[1]
+        d0 = np.real(np.exp(1j * samples.theta[:20]) * M.a)
+        np.testing.assert_array_equal(samples.lam[:20, :11], d0[:, None] + sigma)
+
+
+@pytest.mark.parametrize("M", [
+    build_reciprocal([1.0, 1.0, 1.0]),  # every e_j vanishes at pi/2
+    params_to_matrix(ReciprocalParams(A=(1.0,) + tuple(np.linspace(2.0, 9.0, 18)))),
+])
+def test_sampling_raises_no_warning(M):
+    # zero singular values at split angles divide nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        samples = sample_curve(M, m=720)
+    assert np.all(np.isfinite(samples.points))
 
 
 def test_symmetry_residual_needs_curve_samples():
