@@ -7,13 +7,13 @@ descending eigenvalue order.  This is Johnson's eigen-sweep (SIAM J. Numer.
 Anal. 15, 1978), run on blocks of angles at once.  Since the main diagonal
 is constant, the realified pencil is a shift of the Golub-Kahan form of a
 bidiagonal matrix: its singular values, half as many, give the eigenvalues
-in +- pairs, and each pair's tangent points sum to 2a.  While k = n // 2
-is at most CROSS_K_MAX they come from one batched symmetric eigensolve of
-the k x k cross products, each angle's bidiagonal scaled to a largest
-entry of 1, and the angles whose squared condition number would cost
-accuracy take the SVD instead; larger pencils take the SVD at every
-angle.  A block holds as many angles as fit in BLOCK_ENTRIES entries of
-those bidiagonals, which at n <= 20 is a whole curve.  The dense
+in +- pairs, and each pair's tangent points sum to 2a.  They come from
+one batched symmetric eigensolve of the k x k cross products, k = n // 2,
+each angle's bidiagonal scaled by a power of two to a largest entry in
+[1, 2); the angles where squaring the condition number, or a near tie of
+two singular values, would cost accuracy take the SVD instead.  A block
+holds as many angles as fit in BLOCK_ENTRIES entries of those
+bidiagonals, which at n <= 20 is a whole curve.  The dense
 eigensolver runs only at angles where the pencil splits into blocks.
 trimat.pencil reduces the pencil for a whole block of angles in one call,
 and an angle's reduction does not depend on the block it is in, so
@@ -39,16 +39,16 @@ from .trimat import phase_diagonal  # noqa: F401
 # entries of the k x (n - k) bidiagonals B^T in one block, k = n // 2:
 # bounds peak memory in n and m alike
 BLOCK_ENTRIES = 2 ** 16
-# angles with sigma_min <= COND_GUARD sigma_max take the SVD of B^T, so the
-# cross product's error stays within about sigma_max / sigma_min = 100 times
-# the SVD's.  On 3,000 random reciprocal curves (n = 2-20, A_j in [1, 10],
-# 1 + 10^-u or 1) the two routes agree to 2.7e-13 scale wherever the
-# eigenvalue gap is at least 1e-3 scale
+# the eigenvectors of the cross product B^T B move by about
+# eps sigma_max^2 / (sigma_i^2 - sigma_j^2), (sigma_max / (sigma_i + sigma_j))^2
+# times as far as the SVD's of the bidiagonal, so the angles with
+# sigma_min <= COND_GUARD sigma_max, or with two singular values within
+# TIE_GUARD sigma_max of each other, take the SVD of B^T.  On 3,000 random
+# reciprocal curves (n = 2-20, A_j in [1, 10], 1 + 10^-u or 1) the two
+# routes agree to 2.2e-13 scale at every angle that does not split,
+# against 1.8e-12 without TIE_GUARD
 COND_GUARD = 1e-2
-# past k = CROSS_K_MAX the guard fires at most angles of typical curves
-# (A_j uniform in [1, 10]: 14 % at n = 30, 57 % at n = 40, 93 % at n = 120),
-# so the eigensolve would mostly be wasted: those pencils take the SVD
-CROSS_K_MAX = 10
+TIE_GUARD = 1e-3
 
 
 class DegenerateBranch(ValueError):
@@ -234,28 +234,25 @@ def _singular_triplets(e: np.ndarray):
     np.linalg.svd gives them, for the k x (n - k) upper bidiagonal
     B^T[j // 2, (j + 1) // 2] = e_j of each row of e, k = n // 2.
 
-    Up to k = CROSS_K_MAX each row of e is divided by its largest entry, so
-    no square over- or underflows, and one batched eigh of the k x k cross
-    products B^T B gives V: the rows of V^T B^T then have norm sigma and
-    direction u^T.  Squaring squares the condition number, so the angles
-    with sigma_min <= COND_GUARD sigma_max, and any whose norms came out of
-    order, are solved again by the SVD of the same scaled B^T.
+    Each row of e is divided by the power of two at or below its largest
+    entry, which is exact and leaves no square to over- or underflow, and
+    one batched eigh of the k x k cross products B^T B gives V: the rows of
+    V^T B^T then have norm sigma and direction u^T.  The angles with
+    sigma_min <= COND_GUARD sigma_max, or with two norms within TIE_GUARD
+    sigma_max of each other or out of order, are solved again by the SVD of
+    the same scaled B^T, which gives the unscaled SVD's bits.
     """
     n = e.shape[1] + 1
     k, j = n // 2, np.arange(n - 1)
+    scale = np.ldexp(1.0, np.frexp(e.max(axis=1))[1] - 1)
     Bt = np.zeros((len(e), k, n - k))
-    if k > CROSS_K_MAX:
-        Bt[:, j // 2, (j + 1) // 2] = e
-        return np.linalg.svd(Bt, full_matrices=False)
-    scale = e.max(axis=1)
-    scale[scale == 0.0] = 1.0  # e all zero: a split angle
     Bt[:, j // 2, (j + 1) // 2] = e / scale[:, None]
     V = np.linalg.eigh(Bt @ Bt.transpose(0, 2, 1))[1][:, :, ::-1]  # eigh ascends
     Ut = V.transpose(0, 2, 1) @ Bt
     sigma = np.sqrt(np.einsum("tij,tij->ti", Ut, Ut))
     np.divide(Ut, sigma[..., None], out=Ut, where=sigma[..., None] > 0.0)
-    ill = np.flatnonzero((sigma[:, -1] <= COND_GUARD * sigma[:, 0])
-                         | (sigma[:, 1:] > sigma[:, :-1]).any(axis=1))
+    tied = (sigma[:, :-1] - sigma[:, 1:] <= TIE_GUARD * sigma[:, :1]).any(axis=1)
+    ill = np.flatnonzero((sigma[:, -1] <= COND_GUARD * sigma[:, 0]) | tied)
     if ill.size:
         V[ill], sigma[ill], Ut[ill] = np.linalg.svd(Bt[ill], full_matrices=False)
     sigma *= scale[:, None]

@@ -700,58 +700,66 @@ def near_split_matrices(draw):
     return M
 
 
+# two singular values 9.2e-5 scale apart at theta = 109 pi / 360: without
+# TIE_GUARD the cross product's points miss the SVD's by 1.8e-12 scale
+NEAR_TIE = params_to_matrix(ReciprocalParams(A=(
+    5.694170284196938, 1.0, 1.0, 1.0, 2.045633130512516, 9.529795336936202,
+    2.801199092760908, 1.0, 6.356446328776979, 7.86088097105946,
+    1.0000000074425732, 1.0, 3.536697577744892, 1.0000001320315952, 1.0,
+    4.967473604707223, 1.0)))
+
+
 @given(near_split_matrices(), st.integers(min_value=2, max_value=25))
+@example(NEAR_TIE, 180)
 @settings(max_examples=60, deadline=None)
 def test_block_matches_per_angle_svd(M, quarter):
-    # the cross-product eigensolve, with the SVD at ill-conditioned angles,
-    # against one SVD per angle; m = 4 * quarter puts pi/2 on the grid.
-    # Points are compared on the branches whose singular value is at least
-    # 1e-3 scale from the others (and, at odd n, from B's null value 0):
-    # closer, the singular vectors are ill conditioned for any solver, and
-    # two SVD routes differ by up to 3.5e-11 scale at a gap of 2e-6 scale
-    # (A_j = 1 + 10^-u near pi/2)
-    n, k = M.n, M.n // 2
+    # the cross-product eigensolve, with the SVD at ill-conditioned and
+    # near-tied angles, against one SVD per angle; m = 4 * quarter puts
+    # pi/2 on the grid.  Split angles are left out: eig_all keeps each
+    # eigenvector inside one block, which a tied singular value's SVD need not
     theta = 2.0 * np.pi * np.arange(4 * quarter) / (4 * quarter)
     lam, points = curve._sample_block(M, theta)
     want_lam, want_points = _svd_reference(M, theta)
     scale = max(1.0, float(np.max(np.abs(want_lam))))
     assert np.max(np.abs(lam - want_lam)) <= 1e-12 * scale
-    sigma = (want_lam[:, :k] - want_lam[:, :n - k - 1:-1]) / 2.0
-    step = -np.diff(sigma, axis=1, prepend=np.inf, append=0.0 if n % 2 else -np.inf)
-    gap = np.minimum(step[:, :-1], step[:, 1:])
-    wide = np.ones((len(theta), n), dtype=bool)
-    wide[:, :k] = wide[:, :n - k - 1:-1] = gap >= 1e-3 * scale
-    # eig_all's split angles keep each eigenvector inside one block, which
-    # a tied singular value's SVD need not
-    wide[np.any(pencil(M, theta)[1] == 0.0, axis=1)] = False
-    assert np.all(np.abs(points - want_points)[wide] <= 1e-12 * scale)
+    whole = ~np.any(pencil(M, theta)[1] == 0.0, axis=1)
+    assert np.max(np.abs(points - want_points)[whole], initial=0.0) <= 1e-12 * scale
+
+
+def _scaled_bidiagonals(M, theta):
+    """B^T of every angle, unscaled and divided by the power of two at or
+    below its largest entry."""
+    n, k = M.n, M.n // 2
+    e = pencil(M, theta)[1]
+    j = np.arange(n - 1)
+    Bt = np.zeros((len(theta), k, n - k))
+    Bt[:, j // 2, (j + 1) // 2] = e
+    scale = np.ldexp(1.0, np.frexp(e.max(axis=1))[1] - 1)
+    return Bt, Bt / scale[:, None, None]
 
 
 def test_guard_sends_angles_near_pi_half_to_the_svd(monkeypatch):
     # n = 20 with A_1 = 1: e_1 = |cos theta| makes B^T nearly singular near
     # pi/2, so those angles, and only those, are solved by the SVD of the
-    # same scaled B^T, bit for bit
+    # same scaled B^T, which gives the unscaled SVD's bits
     M = params_to_matrix(ReciprocalParams(A=(1.0,) + tuple(np.linspace(2.0, 9.0, 18))))
-    n, k = M.n, M.n // 2
+    k = M.n // 2
     theta = 2.0 * np.pi * np.arange(181) / 720
-    d0, e, _ = pencil(M, theta)
-    scale = e.max(axis=1)
-    j = np.arange(n - 1)
-    Bt = np.zeros((len(theta), k, n - k))
-    Bt[:, j // 2, (j + 1) // 2] = e / scale[:, None]
+    d0 = pencil(M, theta)[0]
+    Bt, scaled = _scaled_bidiagonals(M, theta)
     svd = np.linalg.svd
-    sigma = svd(Bt, compute_uv=False)
+    sigma = svd(scaled, compute_uv=False)
     ill = np.flatnonzero(sigma[:, -1] <= curve.COND_GUARD * sigma[:, 0])
     assert ill.tolist() == list(range(171, 181))
+    assert np.all(sigma[:, :-1] - sigma[:, 1:] > curve.TIE_GUARD * sigma[:, :1])
     calls = []
     monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(a.copy()) or svd(a, **kw))
     lam, points = curve._sample_block(M, theta)
     assert len(calls) == 1
-    np.testing.assert_array_equal(calls[0], Bt[ill])
+    np.testing.assert_array_equal(calls[0], scaled[ill])
     # row 180 is the split angle pi/2, which eig_all solves afterwards
     for t in ill[:-1]:
-        sigma = svd(Bt[t], full_matrices=False)[1]
-        np.testing.assert_array_equal(lam[t, :k], d0[t] + sigma * scale[t])
+        np.testing.assert_array_equal(lam[t, :k], d0[t] + svd(Bt[t], full_matrices=False)[1])
     # every angle through the SVD gives the guarded rows' points bit for bit
     monkeypatch.setattr(curve, "COND_GUARD", 1.0)
     all_lam, all_points = curve._sample_block(M, theta)
@@ -760,25 +768,35 @@ def test_guard_sends_angles_near_pi_half_to_the_svd(monkeypatch):
     assert np.max(np.abs(points - all_points)) <= 1e-12 * float(np.max(np.abs(lam)))
 
 
-@pytest.mark.parametrize("n", [21, 22])
-def test_cross_product_runs_up_to_k_max(monkeypatch, n):
-    # k = 10 (n = 21) solves the cross products; k = 11 takes the SVD at
-    # every angle, the same bits as one SVD of the unscaled B^T
+def test_tie_guard_sends_near_ties_to_the_svd(monkeypatch):
+    # NEAR_TIE's angle 109 pi / 360 is well conditioned but tied, so the one
+    # SVD call takes it beside the ill-conditioned angles near pi/2
+    theta = 2.0 * np.pi * np.arange(181) / 720
+    scaled = _scaled_bidiagonals(NEAR_TIE, theta)[1]
+    sigma = np.linalg.svd(scaled, compute_uv=False)
+    ill = sigma[:, -1] <= curve.COND_GUARD * sigma[:, 0]
+    tied = (sigma[:, :-1] - sigma[:, 1:] <= curve.TIE_GUARD * sigma[:, :1]).any(axis=1)
+    assert tied[109] and not ill[109]
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(a.copy()) or svd(a, **kw))
+    curve._sample_block(NEAR_TIE, theta)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(calls[0], scaled[ill | tied])
+
+
+@pytest.mark.parametrize("n", [21, 22, 41])
+def test_cross_product_runs_at_every_size(monkeypatch, n):
+    # one eigh of the k x k cross products per block at any k, here 10, 11
+    # and 20
     M = build_reciprocal(np.linspace(1.5, 4.0, n - 1) * 1j)
     shapes = []
     eigh = np.linalg.eigh
     with monkeypatch.context() as mp:
         mp.setattr(np.linalg, "eigh", lambda a, *args: shapes.append(a.shape) or eigh(a, *args))
-        samples = sample_curve(M, m=40)
-    assert [shape[1:] for shape in shapes] == ([(10, 10)] if n == 21 else [])
+        sample_curve(M, m=40)
+    assert [shape[1:] for shape in shapes] == [(n // 2, n // 2)]
     _assert_matches_reference(M, 40)
-    if n == 22:
-        Bt = np.zeros((20, 11, 11))
-        j = np.arange(n - 1)
-        Bt[:, j // 2, (j + 1) // 2] = pencil(M, samples.theta[:20])[1]
-        sigma = np.linalg.svd(Bt, full_matrices=False)[1]
-        d0 = np.real(np.exp(1j * samples.theta[:20]) * M.a)
-        np.testing.assert_array_equal(samples.lam[:20, :11], d0[:, None] + sigma)
 
 
 @pytest.mark.parametrize("M", [
