@@ -13,9 +13,8 @@ from .classify import (Classification, EllipseComponent, NotToeplitzCase,
                        contains_ellipse6, ellipse_centers_z, three_ellipses6,
                        toeplitz_components)
 from .curve import (CurveSample, CurveSamples, DegenerateBranch, FitResult,
-                    branch_points, fit_ellipse_axis_aligned, sample_curve,
-                    symmetry_residual)
-from .eigsolve import Spectrum, eig_all
+                    Spectrum, branch_points, eig_all, fit_ellipse_axis_aligned,
+                    sample_curve, symmetry_residual)
 from .manifold import (M6Solution, NotRealizable, UVSolveResult, realize,
                        residuals_m6, solve_m6, solve_uv)
 from .nrpoly import (BivariatePoly, DegenerateInput, UniPoly, cubic_roots,

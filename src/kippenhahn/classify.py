@@ -7,7 +7,8 @@ criteria below decide when such factors exist, in closed form for
 n = 3, 4, 5.  At n = 6 one test per root x_t of the slope cubic gives both
 the single- and the three-ellipse verdict: it evaluates the
 tau-coefficients of P6(x_t tau + z, tau) directly, closed forms in six
-sums of the A_j, and reads no table.
+sums of the A_j, and reads no table.  Those forms (``_tau_coeffs``,
+``_center_z``) live in rtables beside the sums (``p6_sums``).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .nrpoly import cubic_roots
-from .rtables import p6_sums
+from .rtables import _center_z, _q11, _tau_coeffs, p6_sums
 from .trimat import ReciprocalParams, _real
 
 DEFAULT_TOL = 1e-9
@@ -189,28 +190,6 @@ def classify5(p: ReciprocalParams, tol: float = DEFAULT_TOL) -> Classification:
         components=(outer, inner),
         origin_component=True,
         diagnostics=diag)
-
-
-def _q11(x):
-    """The z-slope of tau^2 in P6(x tau + z, tau): 1.034, -0.574, 1.290 at the roots."""
-    return ((6 * x - 10) * x + 3) / 2
-
-
-def _tau_coeffs(sums, x, z):
-    """Coefficients of tau^3, tau^2, tau^1 and tau^0 in P6(x tau + z, tau)
-    at numbers x and z, in their arithmetic (exact on Fractions)."""
-    S, T, E2, s1, s2, s3 = sums
-    return ((((8 * x - 20) * x + 12) * x - 1) / 8,
-            _q11(x) * z - S / 2 * x * x + T / 4 * x - s1 / 8,
-            ((6 * x - 5) / 2 * z + T / 4 - S * x) * z + E2 / 4 * x - s2 / 8,
-            ((z - S / 2) * z + E2 / 4) * z - s3 / 8)
-
-
-def _center_z(sums, x):
-    """The zero of the tau^2 coefficient of P6(x tau + z, tau), the one
-    linear in z (tau^3 has s(x) / 8 alone), for any numeric type."""
-    S, T, _, s1, _, _ = sums
-    return (S / 2 * x * x - T / 4 * x + s1 / 8) / _q11(x)
 
 
 def _unit_scaled(A):

@@ -14,7 +14,8 @@ each angle's bidiagonal scaled by a power of two to a largest entry in
 two singular values, would cost accuracy take the SVD instead.  A block
 holds as many angles as fit in BLOCK_ENTRIES entries of those
 bidiagonals, which at n <= 20 is a whole curve.  The dense
-eigensolver runs only at angles where the pencil splits into blocks.
+eigensolver, eig_all, runs only at angles where the pencil splits into
+blocks.
 trimat.pencil reduces the pencil for a whole block of angles in one call,
 and an angle's reduction does not depend on the block it is in, so
 neither do the samples.  Branches are fitted by the closed-form
@@ -30,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigsolve import eig_all
-from .trimat import TridiagonalMatrix, pencil, realified_pencil
+from .trimat import SymTridiagonal, TridiagonalMatrix, pencil, realified_pencil
 # unused here since _sample_block takes the phase ratios from pencil;
 # kept importable because the benchmark's tracer patches curve.phase_diagonal
 from .trimat import phase_diagonal  # noqa: F401
@@ -49,6 +49,14 @@ BLOCK_ENTRIES = 2 ** 16
 # against 1.8e-12 without TIE_GUARD
 COND_GUARD = 1e-2
 TIE_GUARD = 1e-3
+
+
+@dataclass(frozen=True)
+class Spectrum:
+    """Ascending eigenvalues paired with orthonormal eigenvectors."""
+
+    values: np.ndarray
+    vectors: np.ndarray  # column k pairs with values[k]
 
 
 class DegenerateBranch(ValueError):
@@ -218,7 +226,7 @@ def _sample_block(M: TridiagonalMatrix, theta: np.ndarray):
     if n % 2:
         lam[:, k], points[:, k] = d0, M.a
     for t in np.flatnonzero(np.any(e == 0.0, axis=1)):
-        spectrum = eig_all(realified_pencil(M, float(theta[t])), vectors=True)
+        spectrum = eig_all(realified_pencil(M, float(theta[t])))
         # decoupled blocks can tie exactly; a stable order keeps ties in
         # eig_all's order
         order = np.argsort(-spectrum.values, kind="stable")
@@ -227,6 +235,31 @@ def _sample_block(M: TridiagonalMatrix, theta: np.ndarray):
         points[t] = (M.a * np.einsum("jk,jk->k", w, w)
                      + ((w[:-1] * w[1:]).T @ g[t]).view(complex)[:, 0])
     return lam, points
+
+
+def _blocks(e):
+    """Index ranges [i0, i1) of irreducible blocks split at e_j == 0."""
+    out = []
+    start = 0
+    for j, ej in enumerate(e):
+        if ej == 0.0:
+            out.append((start, j + 1))
+            start = j + 1
+    out.append((start, len(e) + 1))
+    return out
+
+
+def eig_all(T: SymTridiagonal) -> Spectrum:
+    """All eigenvalues of T ascending, with their eigenvectors: each block
+    split at an exact zero of e is solved densely by numpy.linalg.eigh, so
+    every eigenvector lies inside one block."""
+    dense = T.dense()
+    vals = np.empty(T.n)
+    vecs = np.zeros((T.n, T.n))
+    for i0, i1 in _blocks(T.e):
+        vals[i0:i1], vecs[i0:i1, i0:i1] = np.linalg.eigh(dense[i0:i1, i0:i1])
+    order = np.argsort(vals, kind="stable")
+    return Spectrum(values=vals[order], vectors=vecs[:, order])
 
 
 def _singular_triplets(e: np.ndarray):

@@ -4,9 +4,12 @@ Two reduced resultants, R1 and R2, govern whether the degree-3 generating
 polynomial acquires a linear factor at a root of the slope cubic.  Their
 coefficients in x and the three-ellipse conditions are ten polynomials in
 (A_1, ..., A_5) that read A only through the six sums ``p6_sums`` of the
-generating polynomial P6.  The three three-ellipse conditions are the one
-hand-written set, integer forms in the six sums (``_ell3_forms``); R1's and
-R2's six coefficients follow from them (``_r_from_ell3``).  These are the
+generating polynomial P6.  So do the forms the n = 6 classifier reads:
+``_tau_coeffs``, the tau-coefficients of P6(x tau + z, tau), and
+``_center_z``, the one constant z a factor zeta - (x tau + z) can have.
+The three three-ellipse conditions are the one hand-written set, integer
+forms in the six sums (``_ell3_forms``); R1's and R2's six coefficients
+follow from them (``_r_from_ell3``).  These are the
 source: ``resultant_quadratics`` and ``ell3_residuals`` evaluate them at
 the integers L A_j (L the lcm of the denominators of the A_j) and divide
 once, exact for any input; the corrected tables (``R1_X*``, ``R2_X*``,
@@ -52,6 +55,28 @@ def p6_sums(A):
             3 * A1 + 2 * A2 + 2 * A3 + 2 * A4 + 3 * A5,
             A1 * (A3 + A4 + A5) + A2 * (A4 + A5) + A3 * A5,
             A1 + A3 + A5, A1 * A3 + (A1 + A3) * A5, A1 * A3 * A5)
+
+
+def _q11(x):
+    """The z-slope of tau^2 in P6(x tau + z, tau): 1.034, -0.574, 1.290 at the roots."""
+    return ((6 * x - 10) * x + 3) / 2
+
+
+def _tau_coeffs(sums, x, z):
+    """Coefficients of tau^3, tau^2, tau^1 and tau^0 in P6(x tau + z, tau)
+    at numbers x and z, in their arithmetic (exact on Fractions)."""
+    S, T, E2, s1, s2, s3 = sums
+    return ((((8 * x - 20) * x + 12) * x - 1) / 8,
+            _q11(x) * z - S / 2 * x * x + T / 4 * x - s1 / 8,
+            ((6 * x - 5) / 2 * z + T / 4 - S * x) * z + E2 / 4 * x - s2 / 8,
+            ((z - S / 2) * z + E2 / 4) * z - s3 / 8)
+
+
+def _center_z(sums, x):
+    """The zero of the tau^2 coefficient of P6(x tau + z, tau), the one
+    linear in z (tau^3 has s(x) / 8 alone), for any numeric type."""
+    S, T, _, s1, _, _ = sums
+    return (S / 2 * x * x - T / 4 * x + s1 / 8) / _q11(x)
 
 
 def _ell3_forms(S, T, E2, s1, s2, s3):

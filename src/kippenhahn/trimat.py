@@ -243,8 +243,9 @@ def pencil(M: TridiagonalMatrix, theta):
 
     d0 = Re(e^{i theta} a); e_j = |h_j| for the Hermitian superdiagonal
     h_j = (e^{i theta} b_j + conj(e^{i theta} c_j)) / 2, snapped to 0 at or
-    below 8e-16 max(1, |b_j| + |c_j|) (zero in exact arithmetic at a
-    degenerate angle, so the eigensolver sees decoupled blocks); and
+    below 8e-16 (|b_j| + |c_j|) (zero in exact arithmetic at a
+    degenerate angle, so the eigensolver sees decoupled blocks; relative
+    to the entries, so 2^k M splits at the same angles as M); and
     r_j = conj(h_j) / |h_j| (1 where h_j = 0), the ratios d_{j+1} / d_j of
     the unit diagonal D that makes D* Re(e^{i theta} M) D real.  For an
     array theta, d0 has its shape and e, r one more axis of n - 1.  h is
@@ -259,7 +260,7 @@ def pencil(M: TridiagonalMatrix, theta):
     hr = (cos * p.real - sin * p.imag) / 2.0  # Re h
     hi = (cos * q.imag + sin * q.real) / 2.0  # Im h
     mod = np.hypot(hr, hi)
-    e = np.where(mod <= 8e-16 * np.maximum(1.0, np.abs(b) + np.abs(c)), 0.0, mod)
+    e = np.where(mod <= 8e-16 * (np.abs(b) + np.abs(c)), 0.0, mod)
     r = np.ones(mod.shape, dtype=complex)
     np.divide(hr, mod, out=r.real, where=mod > 0)
     np.divide(-hi, mod, out=r.imag, where=mod > 0)

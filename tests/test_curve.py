@@ -251,7 +251,7 @@ def _tangent_points(M, theta, T):
     """Descending eigenvalues of the pencil T at theta, and a dense <M v, v>
     for each eigenvector."""
     dense = M.dense()
-    spectrum = eig_all(T, vectors=True)
+    spectrum = eig_all(T)
     D = phase_diagonal(M, theta)
     order = np.argsort(-spectrum.values, kind="stable")
     vs = [D * spectrum.vectors[:, k] for k in order]
@@ -387,6 +387,43 @@ def test_samples_do_not_depend_on_the_block_budget(case, m):
     assert len(split) == (2 if kind == "split" and m % 4 == 0 else 0)
     for t in split:
         assert realified_pencil(M, float(want.theta[t])).e == tuple(e[t])
+
+
+@given(matrices(max_n=20), st.sampled_from([-200, -60, 100]), st.sampled_from([16, 131, 720]))
+@settings(max_examples=40, deadline=None)
+def test_samples_scale_with_the_matrix(case, k, m):
+    # the split rule is relative to |b_j| + |c_j| and every other step is
+    # exact under a power-of-two scale, so 2^k M samples to 2^k times the
+    # samples of M bit for bit, split angles included
+    M, _ = case
+    s = math.ldexp(1.0, k)
+    scaled = TridiagonalMatrix(n=M.n, a=s * M.a, b=tuple(s * v for v in M.b),
+                               c=tuple(s * v for v in M.c))
+    want, got = sample_curve(M, m=m), sample_curve(scaled, m=m)
+    np.testing.assert_array_equal(got.lam, s * want.lam)
+    np.testing.assert_array_equal(got.points, s * want.points)
+    np.testing.assert_array_equal(got.gap, s * want.gap)
+
+
+def test_split_angle_solve_goes_through_module_globals(monkeypatch):
+    # sample_curve reaches eig_all and realified_pencil through curve's
+    # globals, so a wrapper patched onto the module sees every split angle:
+    # at n = 20, A_1 = 1, m = 720 that is pi/2 alone (3 pi/2 is its half-turn)
+    calls = {"eig_all": 0, "realified_pencil": 0}
+
+    def counting(name):
+        inner = getattr(curve, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(curve, name, counting(name))
+    A = (1.0,) + tuple(np.linspace(2.0, 9.0, 18))
+    sample_curve(params_to_matrix(ReciprocalParams(A=A)), m=720)
+    assert calls == {"eig_all": 1, "realified_pencil": 1}
 
 
 @pytest.mark.parametrize("m", [63, 64, 65, 200])

@@ -39,13 +39,13 @@ def test_random_matches_charpoly_oracle():
 
 
 def test_eigpair_scalar():
-    spec = eig_all(SymTridiagonal(d=(5,), e=()), vectors=True)
+    spec = eig_all(SymTridiagonal(d=(5,), e=()))
     assert spec.values.tolist() == [5.0]
     assert np.allclose(spec.vectors[:, 0], [1.0])
 
 
 def test_eigpair_two_by_two():
-    spec = eig_all(SymTridiagonal(d=(0, 0), e=(1,)), vectors=True)
+    spec = eig_all(SymTridiagonal(d=(0, 0), e=(1,)))
     assert abs(spec.values[1] - 1.0) < 1e-14
     assert np.allclose(np.abs(spec.vectors[:, 1]), [1 / math.sqrt(2)] * 2, atol=1e-12)
 
@@ -55,7 +55,7 @@ def test_eigpair_residuals_random():
     T = SymTridiagonal(d=tuple(rng.uniform(-1, 1, 6)), e=tuple(rng.uniform(0.2, 2, 5)))
     dense = T.dense()
     norm = np.abs(dense).sum(axis=1).max()
-    spec = eig_all(T, vectors=True)
+    spec = eig_all(T)
     for lam, vec in zip(spec.values, spec.vectors.T):
         assert np.linalg.norm(dense @ vec - lam * vec) <= 1e-9 * max(1.0, norm)
         assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
@@ -91,7 +91,7 @@ def test_simple_eigenvalues_positive_gap():
 
 def test_block_splitting_at_zero_offdiagonal():
     T = SymTridiagonal(d=(0.5, -0.5, 1.0, 2.0), e=(1.0, 0.0, 3.0))
-    spec = eig_all(T, vectors=True)
+    spec = eig_all(T)
     dense = T.dense()
     assert np.allclose(np.sort(np.linalg.eigvalsh(dense)), spec.values, atol=1e-12)
     for k in range(4):

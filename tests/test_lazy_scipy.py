@@ -39,7 +39,7 @@ def test_curve_path_loads_no_scipy(tmp_path):
         "# A_1 = 1 splits the pencil at pi/2, so eig_all solves two blocks\n"
         "M = params_to_matrix(ReciprocalParams(A=(1.0, 2.0, 3.0)))\n"
         "T = realified_pencil(M, np.pi / 2)\n"
-        "assert T.e[0] == 0.0 and eig_all(T, vectors=True).vectors.shape == (4, 4)\n"
+        "assert T.e[0] == 0.0 and eig_all(T).vectors.shape == (4, 4)\n"
         "assert sample_curve(M, m=720).gap.min() <= 1e-12\n"
         "assert cli.main(['curve', '--b', '1.5,2,2.5', '--m', '721', '--fit',\n"
         f"                 '--out', {str(tmp_path / 'c')!r}]) == 0\n"
