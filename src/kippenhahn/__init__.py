@@ -6,15 +6,17 @@ arithmetic, closed-form ellipticity classifiers for sizes 3 to 6, curve
 sampling through symmetric tridiagonal eigensolves, and constructive
 solvers for the parameter manifolds on which the curves decompose into
 ellipses.
+
+The curve names (and the submodule curve, which imports NumPy) bind on first
+use, so classify, the solvers and the exact layer load without NumPy.
 """
+
+import importlib
 
 from .classify import (Classification, EllipseComponent, NotToeplitzCase,
                        WrongSize, classify, classify3, classify4, classify5,
                        contains_ellipse6, ellipse_centers_z, three_ellipses6,
                        toeplitz_components)
-from .curve import (CurveSample, CurveSamples, DegenerateBranch, FitResult,
-                    Spectrum, branch_points, eig_all, fit_ellipse_axis_aligned,
-                    sample_curve, symmetry_residual)
 from .manifold import (M6Solution, NotRealizable, UVSolveResult, realize,
                        residuals_m6, solve_m6, solve_uv)
 from .nrpoly import (BivariatePoly, DegenerateInput, UniPoly, cubic_roots,
@@ -42,3 +44,21 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+_CURVE_NAMES = frozenset((
+    "CurveSample", "CurveSamples", "DegenerateBranch", "FitResult", "Spectrum",
+    "branch_points", "eig_all", "fit_ellipse_axis_aligned", "sample_curve",
+    "symmetry_residual"))
+
+
+def __getattr__(name):
+    # PEP 562: called only for names the namespace lacks.  Importing the
+    # submodule binds "curve"; each curve name is bound on its first lookup
+    if name == "curve" or name in _CURVE_NAMES:
+        curve = importlib.import_module(".curve", __name__)
+        return curve if name == "curve" else globals().setdefault(name, getattr(curve, name))
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), "curve", *_CURVE_NAMES})

@@ -5,7 +5,10 @@ Subcommands: classify | curve | solve | poly | verify.  Matrix input comes
 as a superdiagonal string (--b), as A_j parameters (--A), or as the
 all-equal value --A0 with --n.  stdout carries the report, stderr carries
 diagnostics; exit codes: 0 success, 1 unexpected verification failure,
-2 invalid input, 3 unwritable output.
+2 invalid input, 3 unwritable output.  A call that names its subcommand is
+parsed by that subcommand's parser alone, so a usage error prints the
+subcommand's usage.  Only curve imports NumPy (with the curve module), so
+classify, solve, poly and verify run without it.
 """
 
 from __future__ import annotations
@@ -21,9 +24,6 @@ from decimal import Context
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
-from . import curve as crv
 from . import manifold, nrpoly, trimat, verify
 from .classify import DEFAULT_TOL, Classification
 from .classify import classify as classify_params
@@ -217,6 +217,8 @@ def _svg_ellipse_path(semi_u, semi_v, m=256):
 def _write_svg(path, samples, fits=None):
     # drawn in units of s = max |u|, |v|, so a curve at any scale prints
     # short numbers; the CSV carries the coordinates themselves
+    import numpy as np
+
     s = float(max(np.max(np.abs(samples.points.real)),
                   np.max(np.abs(samples.points.imag)))) or 1.0
     pts = samples.points / s
@@ -249,6 +251,8 @@ def _write_svg(path, samples, fits=None):
 
 
 def cmd_curve(args) -> int:
+    from . import curve as crv
+
     cfg = _config_from_args(args)
     M = cfg.matrix()
     samples = crv.sample_curve(M, m=cfg.m)
@@ -281,6 +285,8 @@ def cmd_curve(args) -> int:
 def cmd_solve(args) -> int:
     if args.root is not None and not args.uv:
         raise ValueError("--root applies only to --uv")
+    if args.fix is None and not args.uv:
+        raise ValueError("solve needs --fix NAME=VALUE NAME=VALUE or --uv")
     if args.uv:
         root = args.root or 3
         x_t = nrpoly.cubic_roots()[root - 1]
@@ -297,7 +303,7 @@ def cmd_solve(args) -> int:
         print(f"  all-equal point on the locus: u = v = {res.all_equal_point[0]:.9g}")
         return 0
     fixed = {}
-    for item in args.fix or []:
+    for item in args.fix:
         name, _, val = item.partition("=")
         name = name.strip()
         if name in fixed:
@@ -407,6 +413,7 @@ def build_parser():
     sp.add_argument("--trials", type=int, default=verify.DEFAULT_TRIALS,
                     help="random trials per check")
     sp.set_defaults(run=cmd_verify)
+    ap.commands = sub.choices  # subcommand name -> its parser, for main
     return ap
 
 
@@ -416,7 +423,13 @@ def _format_warning(message, category, filename, lineno, line=None) -> str:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ap = build_parser()
+    # a named subcommand's parser reads the rest of argv into the namespace
+    # the top-level pass would give; without one, the top level reports
+    sp = ap.commands.get(argv[0]) if argv else None
+    args = (sp.parse_args(argv[1:], argparse.Namespace(command=argv[0])) if sp
+            else ap.parse_args(argv))
     saved, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         return args.run(args)

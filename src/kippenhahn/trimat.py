@@ -6,7 +6,8 @@ b_j * c_j = 1 for every j; that class is closed under the A_j parameters
 A_j = (|b_j|^2 + |c_j|^2) / 2, which are a complete unitary invariant for
 everything computed downstream.  pencil is the one reduction of
 Re(e^{i theta} M) to a real d0 I + tridiag(e); realified_pencil and
-phase_diagonal read it.
+phase_diagonal read it.  NumPy is imported by the array builders (dense,
+pencil, phase_diagonal) on first call, so the parameter layer loads without it.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 RECIPROCAL_TOL = 1e-12
 # slack in comparing A_j with the floor 1, with 1, and (relative) with each other
@@ -115,6 +114,8 @@ class TridiagonalMatrix:
 
     def dense(self) -> np.ndarray:
         """Dense complex ndarray; n is small everywhere in this package."""
+        import numpy as np
+
         M = np.zeros((self.n, self.n), dtype=complex)
         np.fill_diagonal(M, self.a)
         for j in range(self.n - 1):
@@ -197,6 +198,8 @@ class SymTridiagonal:
         return len(self.d)
 
     def dense(self) -> np.ndarray:
+        import numpy as np
+
         T = np.diag(np.asarray(self.d, dtype=float))
         for j, ej in enumerate(self.e):
             T[j, j + 1] = T[j + 1, j] = ej
@@ -252,6 +255,8 @@ def pencil(M: TridiagonalMatrix, theta):
     formed from real products with p = b + c and q = b - c, each correctly
     rounded, so no angle's entries depend on the batch it is in.
     """
+    import numpy as np
+
     w = np.exp(1j * np.asarray(theta, dtype=float))
     d0 = np.real(w * M.a)
     b, c = np.asarray(M.b), np.asarray(M.c)
@@ -273,6 +278,8 @@ def phase_diagonal(M: TridiagonalMatrix, theta) -> np.ndarray:
     Eigenvectors of the realified pencil map back through v = D w.  theta
     may be an array of angles; the result then has shape theta.shape + (n,).
     """
+    import numpy as np
+
     r = pencil(M, theta)[2]
     first = np.ones(r.shape[:-1] + (1,), dtype=complex)
     return np.concatenate([first, np.cumprod(r, axis=-1)], axis=-1)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 
 import kippenhahn
 from kippenhahn import ReciprocalParams, classify, generating_poly
-from kippenhahn.cli import main
+from kippenhahn.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -565,8 +566,6 @@ def test_missing_config_file_is_an_input_error(tmp_path, capsys):
 
 
 def test_parser_is_built_once_and_reused_without_carry_over(tmp_path, capsys):
-    from kippenhahn.cli import build_parser
-
     stem = str(tmp_path / "c")
     sequence = [
         ("classify", "--A", "2,3,4,5,6"),
@@ -649,3 +648,76 @@ def test_decimals_stay_floats():
     values = _parse_numlist("1.1, 3/2, 2, 1e3, 2j")
     assert values == [1.1, Fraction(3, 2), 2.0, 1000.0, 2j]
     assert [type(v) for v in values] == [float, Fraction, float, float, complex]
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--fix", "A1=20", "A5=40"),
+    ("solve", "--fix", "A2=3/2", "A4=4", "--format", "json"),
+    ("solve", "--uv"),
+    ("solve", "--uv", "--root", "1", "--format", "json"),
+    ("classify", "--A", "2,3,4,5,6", "--tol", "1e-9", "--format", "json"),
+    ("classify", "--A0", "3/2", "--n", "4"),
+    ("curve", "--b", "1.5,2,2.5", "--m", "8", "--fit", "--out", "{out}"),
+    ("poly", "--A", "3/2,5/4", "--format", "json"),
+    ("verify", "--check", "r-coefficients", "determinant", "--n", "5", "--trials", "2"),
+])
+def test_named_subcommand_is_parsed_once_into_the_top_level_namespace(
+        monkeypatch, capsys, tmp_path, argv):
+    # oracle: the namespace and output of the top-level parser's two passes
+    argv = [tok.format(out=tmp_path / "c") for tok in argv]
+    want = build_parser().parse_args(argv)
+    assert want.run(want) == 0
+    want_out = capsys.readouterr().out
+    parses = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def recording(parser, *args, **kwargs):
+        parses.append((parser.prog, parse_known_args(parser, *args, **kwargs)))
+        return parses[-1][1]
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recording)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want_out
+    [(prog, (args, extra))] = parses
+    assert prog == f"kippenhahn {argv[0]}" and extra == []
+    assert args == want
+
+
+@pytest.mark.parametrize("argv,message", [
+    ((), "the following arguments are required: command"),
+    (("nosuch",), "argument command: invalid choice: 'nosuch'"),
+])
+def test_no_subcommand_is_a_top_level_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: kippenhahn [-h]")
+    assert f"\nkippenhahn: error: {message}" in err
+
+
+def test_top_level_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "{classify,curve,solve,poly,verify}" in capsys.readouterr().out
+
+
+def test_usage_error_prints_the_subcommand_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--bogus"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: kippenhahn solve [-h]")
+    assert err.endswith("\nkippenhahn solve: error: unrecognized arguments: --bogus\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    ((), "solve needs --fix NAME=VALUE NAME=VALUE or --uv"),
+    (("--format", "json"), "solve needs --fix NAME=VALUE NAME=VALUE or --uv"),
+    (("--fix",), "fix exactly two of A1, A2, A4, A5"),
+])
+def test_bare_solve_names_both_modes(capsys, argv, message):
+    code, out, err = run(capsys, "solve", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"

@@ -685,7 +685,11 @@ def test_gap_is_the_smallest_eigenvalue_difference(case, half, odd):
 
 def _svd_reference(M, theta):
     """Descending eigenvalues and a dense <M v, v> for each eigenvector, from
-    one np.linalg.svd of the unscaled bidiagonal B^T per angle."""
+    one np.linalg.svd of the bidiagonal B^T per angle.  B^T is divided by the
+    power of two just above its largest entry first: exact, and it keeps
+    LAPACK from rescaling a matrix whose norm is above about 1e138 or below
+    1e-138 by a factor that is not a power of two, which moved the points of
+    2^600 M by 1.7e-12 of scale."""
     n, k = M.n, M.n // 2
     dense = M.dense()
     d0, e, _ = pencil(M, theta)
@@ -695,7 +699,9 @@ def _svd_reference(M, theta):
         Bt = np.zeros((k, n - k))
         for j in range(n - 1):
             Bt[j // 2, (j + 1) // 2] = e[t, j]
-        V, sigma, Ut = np.linalg.svd(Bt)
+        s = np.ldexp(1.0, np.frexp(Bt.max())[1])
+        V, sigma, Ut = np.linalg.svd(Bt / s)
+        sigma *= s
         # (u, v) / sqrt 2 in the (even, odd) slots for d0 + sigma, (u, -v) /
         # sqrt 2 for d0 - sigma, and for odd n B's left null vector in the
         # even slots for d0
@@ -712,25 +718,29 @@ def _svd_reference(M, theta):
     return lam, points
 
 
+def _scaled(M, s):
+    return TridiagonalMatrix(n=M.n, a=0.0, b=tuple(s * v for v in M.b),
+                             c=tuple(s * v for v in M.c))
+
+
 @st.composite
 def near_split_matrices(draw):
     """Reciprocal matrices with A_j = 1, 1 + 10^-u or U[1, 10], n = 2-20,
-    as they are, scaled by 2^600, or with b_1 scaled by 2^600 or 2^-600.
+    as they are, scaled by 2^600 or 2^-600, or with b_1 scaled by 2^600 or
+    2^-600.
 
-    pencil snaps e_j to zero below 8e-16 max(1, |b_j| + |c_j|), so a matrix
-    scaled by 2^-600 is split at every angle; scaling b_1 alone (c_1 = 1 /
-    b_1 follows) puts e_1 near 2^599 beside entries near 1, whose squares
-    underflow once the row is scaled."""
+    pencil snaps e_j to zero at or below 8e-16 (|b_j| + |c_j|), relative to
+    the entries, so a scaled matrix splits at the same angles as the unscaled
+    one; scaling b_1 alone (c_1 = 1 / b_1 follows) puts e_1 near 2^599 beside
+    entries near 1, whose squares underflow once the row is scaled."""
     n = draw(st.integers(min_value=2, max_value=20))
     one = st.one_of(st.just(1.0),
                     st.floats(min_value=0.0, max_value=12.0).map(lambda u: 1.0 + 10.0 ** -u),
                     st.floats(min_value=1.0, max_value=10.0))
     M = params_to_matrix(ReciprocalParams(A=tuple(draw(one) for _ in range(n - 1))))
-    stretch = draw(st.sampled_from(["none", "matrix", "b_1 up", "b_1 down"]))
-    if stretch == "matrix":
-        s = 2.0 ** 600
-        return TridiagonalMatrix(n=n, a=0.0, b=tuple(s * v for v in M.b),
-                                 c=tuple(s * v for v in M.c))
+    stretch = draw(st.sampled_from(["none", "matrix up", "matrix down", "b_1 up", "b_1 down"]))
+    if stretch.startswith("matrix"):
+        return _scaled(M, 2.0 ** (600 if stretch == "matrix up" else -600))
     if stretch != "none":
         return build_reciprocal([M.b[0] * 2.0 ** (600 if stretch == "b_1 up" else -600),
                                  *M.b[1:]])
@@ -746,8 +756,15 @@ NEAR_TIE = params_to_matrix(ReciprocalParams(A=(
     4.967473604707223, 1.0)))
 
 
+# at 2^600 M, an SVD of the unscaled B^T moved the reference points by
+# 1.7e-12 scale at theta = 9 pi / 20 (see _svd_reference)
+SCALED_UP = _scaled(params_to_matrix(ReciprocalParams(
+    A=(1.9,) + (1.0,) * 7 + (1.8535862671327357, 1.0))), 2.0 ** 600)
+
+
 @given(near_split_matrices(), st.integers(min_value=2, max_value=25))
 @example(NEAR_TIE, 180)
+@example(SCALED_UP, 10)
 @settings(max_examples=60, deadline=None)
 def test_block_matches_per_angle_svd(M, quarter):
     # the cross-product eigensolve, with the SVD at ill-conditioned and
@@ -757,7 +774,7 @@ def test_block_matches_per_angle_svd(M, quarter):
     theta = 2.0 * np.pi * np.arange(4 * quarter) / (4 * quarter)
     lam, points = curve._sample_block(M, theta)
     want_lam, want_points = _svd_reference(M, theta)
-    scale = max(1.0, float(np.max(np.abs(want_lam))))
+    scale = float(np.max(np.abs(want_lam)))
     assert np.max(np.abs(lam - want_lam)) <= 1e-12 * scale
     whole = ~np.any(pencil(M, theta)[1] == 0.0, axis=1)
     assert np.max(np.abs(points - want_points)[whole], initial=0.0) <= 1e-12 * scale
