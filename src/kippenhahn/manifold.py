@@ -22,14 +22,15 @@ import warnings
 from dataclasses import dataclass
 
 from . import rtables
-from .nrpoly import _rounded, cubic_roots
+from .nrpoly import cubic_roots
 from .trimat import InvalidParam, ReciprocalParams, TridiagonalMatrix, _real, params_to_matrix
 
 PARAM_NAMES = ("A1", "A2", "A3", "A4", "A5")
 
 # slack below the A_j >= 1 floor that still counts as realizable
 REALIZABLE_SLACK = 1e-9
-# fixed values closer than this count as an equal pair
+# fixed values a, b with |a - b| <= EQUAL_PAIR_TOL max(|a|, |b|) count as an
+# equal pair: relative, as the variety is homogeneous
 EQUAL_PAIR_TOL = 1e-12
 
 # The four plane directions d(x), coordinate by coordinate, each coordinate
@@ -73,11 +74,30 @@ class M6Solution:
         return max(abs(qa) / s / s, abs(qb) / s / s, abs(cu) / s / s / s)
 
 
+def _past_range(A):
+    return ValueError(f"a residual at A = {tuple(A)} is past the float range")
+
+
 def _finite(values, A):
     """values, residuals at A; ValueError where one is past the float range."""
     if not all(map(math.isfinite, values)):
-        raise ValueError(f"a residual at A = {tuple(A)} is past the float range")
+        raise _past_range(A)
     return values
+
+
+def _rounded_rows(rows, L, points):
+    """Float residuals at each point from its integer row over L
+    (``rtables._ell3_numerators``), each value divided once, which rounds
+    it correctly; ValueError where one is past the float range."""
+    L2 = L * L
+    L3 = 8 * L2 * L
+    out = []
+    for (qa, qb, cubic, qd), A in zip(rtables._ell3_numerators(rows), points):
+        try:
+            out.append((qa / L2, qb / L2, cubic / L3, qd / L2))
+        except OverflowError:
+            raise _past_range(A) from None
+    return out
 
 
 def residuals_m6(A, exact: bool = False):
@@ -91,11 +111,8 @@ def residuals_m6(A, exact: bool = False):
     """
     if exact:
         return rtables.ell3_residuals(A)
-    return _finite(tuple([_rounded(n, d) for n, d in rtables._ell3_ratios(A)]), A)
-
-
-def _solution(A, branch):
-    return M6Solution(A=A, residuals=residuals_m6(A), branch=branch)
+    X, L = rtables._scaled(A)
+    return _rounded_rows([X], L, [A])[0]
 
 
 def solve_m6(fixed: dict):
@@ -103,10 +120,11 @@ def solve_m6(fixed: dict):
 
     fixed maps two names among A1, A2, A4, A5 to finite reals a and b, read
     by trimat._real (str, bytes, bool, complex, Decimal: InvalidParam).  For
-    a != b each of the twelve planes gives one point, so exactly twelve
-    solutions come back, sorted; for a == b the only one is the all-equal point.
-    Solutions with any A_j < 1 are returned but flagged not realizable;
-    fixed values and residuals past the float range raise ValueError.
+    a != b (beyond EQUAL_PAIR_TOL relative to the larger) each of the twelve
+    planes gives one point, so exactly twelve solutions come back, sorted;
+    for a == b the only one is the all-equal point.  Solutions with any
+    A_j < 1 are returned but flagged not realizable; fixed values, plane
+    points and residuals past the float range raise ValueError.
     """
     names = sorted(fixed)
     for nm in names:
@@ -126,20 +144,40 @@ def solve_m6(fixed: dict):
         except OverflowError:
             raise ValueError(f"fixed {nm} is past the float range") from None
     (i, a), (j, b) = zip(map(PARAM_NAMES.index, names), values)
-    if abs(a - b) <= EQUAL_PAIR_TOL:
+    if abs(a - b) <= EQUAL_PAIR_TOL * max(abs(a), abs(b)):
         if set(names) in ({"A1", "A5"}, {"A2", "A4"}):
             warnings.warn("fixed pair imposes a symmetry hyperplane; only the "
                           "all-equal ray lies on the three-ellipse variety there",
                           stacklevel=2)
-        return [_solution((a,) * 5, "all-equal point")]
-    solutions = []
-    for label, d in _PLANES:
-        # A = s 1 + t d with A_i = a and A_j = b
+        A = (a,) * 5
+        return [M6Solution(A=A, residuals=residuals_m6(A), branch="all-equal point")]
+    # A = s 1 + t d with A_i = a and A_j = b on each plane
+    free = [k for k in range(5) if k != i and k != j]
+    points = []
+    for _, d in _PLANES:
         t = (a - b) / (d[i] - d[j])
         s = a - t * d[i]
         A = [s + t * dk for dk in d]
         A[i], A[j] = a, b
-        solutions.append(_solution(tuple(A), label))
+        points.append(tuple(A))
+    coords = [A[k] for A in points for k in free]
+    if not all(map(math.isfinite, coords)):
+        bad = next(n for n, x in enumerate(coords) if not math.isfinite(x)) // 3
+        raise ValueError(f"the point on {_PLANES[bad][0]} is past the float range")
+    # the pair and every free coordinate read once as an integer ratio n / q;
+    # float denominators are powers of two, so the largest, L, is a multiple
+    # of each, the one denominator of all sixty, and n L / q is a shift
+    ratios = [x.as_integer_ratio() for x in (a, b, *coords)]
+    bits = max(q for _, q in ratios).bit_length()
+    X = [n << (bits - q.bit_length()) for n, q in ratios]
+    rows = []
+    for m in range(2, len(X), 3):
+        row = X[m:m + 3]
+        row.insert(i, X[0])
+        row.insert(j, X[1])
+        rows.append(row)
+    solutions = [M6Solution(A=A, residuals=r, branch=label) for A, r, (label, _)
+                 in zip(points, _rounded_rows(rows, 1 << (bits - 1), points), _PLANES)]
     return sorted(solutions, key=lambda sol: sol.A)
 
 

@@ -85,9 +85,8 @@ def _ell3_forms(S, T, E2, s1, s2, s3):
     SS, ST, TT, Ss1, Ts1, s1s1 = S * S, S * T, T * T, S * s1, T * s1, s1 * s1
     return (7 * E2 + 15 * SS - 14 * ST + 6 * Ss1 + 3 * TT - 3 * Ts1 + s1s1,
             3 * SS - 3 * ST + 2 * Ss1 + TT - 3 * Ts1 + 2 * s1s1 + 7 * s2,
-            -36 * SS * T + 200 * SS * s1 + 34 * S * TT - 208 * ST * s1
-            + 102 * S * s1s1 - 2 * S * s2 - 7 * TT * T + 46 * TT * s1
-            - 39 * T * s1s1 + T * s2 + 8 * s1s1 * s1 - s1 * s2 + 393 * s3)
+            S * (200 * Ss1 - 36 * ST + 34 * TT - 208 * Ts1 + 102 * s1s1 - 2 * s2)
+            + T * (46 * Ts1 - 7 * TT - 39 * s1s1 + s2) + s1 * (8 * s1s1 - s2) + 393 * s3)
 
 
 def _r_from_ell3(sums, qa, qb, cubic):
@@ -380,19 +379,19 @@ R2_PIPELINE_SCALE = Fraction(512)
 
 # ------------------------------------------------- exact values at A
 
-def _scaled_sums(A):
-    """(L, p6_sums(X)) for the integers X_j = L A_j, L the lcm of the
-    denominators of the A_j, each taken exactly (nrpoly._cleared)."""
+def _scaled(A):
+    """(X, L): the integers X_j = L A_j, L the lcm of the denominators of
+    the A_j, each taken exactly (nrpoly._cleared)."""
     if len(A) != 5:
         raise ValueError(f"expected 5 parameters A_1..A_5, got {len(A)}")
-    X, L = _cleared(A)
-    return L, p6_sums(X)
+    return _cleared(A)
 
 
 def _resultant_ratios(A):
     """``resultant_quadratics`` as (numerator, denominator) integer pairs:
     ``_r_from_ell3`` at the six sums of L A, over L^2 (R1) and 8 L^3 (R2)."""
-    L, sums = _scaled_sums(A)
+    X, L = _scaled(A)
+    sums = p6_sums(X)
     n12, n11, n10, n22, n21, n20 = _r_from_ell3(sums, *_ell3_forms(*sums))
     L2, L3 = L * L, 8 * L * L * L
     return (((n12, L2), (n11, L2), (n10, L2)),
@@ -425,17 +424,21 @@ def eval_resultants_at(A, x):
     return tuple([_rounded(n, d) for n, d in values])
 
 
-def _ell3_ratios(A):
-    """``ell3_residuals`` as (numerator, denominator) integer pairs:
-    ``_ell3_forms`` at the six sums of L A, over L^2, L^2 and 8 L^3, and
-    qa - qb over L^2."""
-    L, sums = _scaled_sums(A)
-    qa, qb, cubic = _ell3_forms(*sums)
-    L2 = L * L
-    return (qa, L2), (qb, L2), (cubic, 8 * L2 * L), (qa - qb, L2)
+def _ell3_numerators(rows):
+    """The one evaluation of the three-ellipse conditions: for integer rows
+    X = L A over one denominator L, each row's (qa, qb, cubic, qa - qb) from
+    ``_ell3_forms``, the ``ell3_residuals`` at A over L^2, L^2, 8 L^3, L^2."""
+    out = []
+    for X in rows:
+        qa, qb, cubic = _ell3_forms(*p6_sums(X))
+        out.append((qa, qb, cubic, qa - qb))
+    return out
 
 
 def ell3_residuals(A):
     """The three three-ellipse conditions plus their difference, as exact
-    Fractions (``_ell3_ratios``)."""
-    return tuple([Fraction(n, d) for n, d in _ell3_ratios(A)])
+    Fractions (``_ell3_numerators`` at the one row L A)."""
+    X, L = _scaled(A)
+    qa, qb, cubic, qd = _ell3_numerators([X])[0]
+    L2 = L * L
+    return Fraction(qa, L2), Fraction(qb, L2), Fraction(cubic, 8 * L2 * L), Fraction(qd, L2)

@@ -415,6 +415,13 @@ def test_out_of_float_range_is_an_input_error(capsys, argv):
     assert err.startswith("error:") and "float range" in err
 
 
+def test_solve_plane_point_past_the_float_range_is_an_input_error(capsys):
+    # both fixed values are finite; the first plane's point is not
+    code, out, err = run(capsys, "solve", "--fix", "A1=1e308", "A5=-1e308")
+    assert code == 2 and out == ""
+    assert err == "error: the point on plane d1 at x1 = 0.0990311321 is past the float range\n"
+
+
 def test_solve_residuals_near_1e103_print_their_scaled_norm(capsys):
     # the residuals are finite while sum |A_j| cubed is past the float range
     code, out, _ = run(capsys, "solve", "--fix", "A1=1e103", "A5=3e103")

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 from itertools import combinations
 
@@ -173,6 +174,41 @@ def test_solve_m6_homogeneity_half_scale():
     target = (10.0, TRUE_A2 / 2, TRUE_A3 / 2, TRUE_A4 / 2, 20.0)
     best = min(sols, key=lambda s: max(abs(a - b) for a, b in zip(s.A, target)))
     assert max(abs(a - b) for a, b in zip(best.A, target)) <= 5e-4 * 40
+    # every float step of the solver commutes with a power-of-two scale, and
+    # the residuals are exact: at 2^k A scales bit for bit, the quadratic
+    # residuals by 4^k and the cubic by 8^k (nothing under- or overflows here)
+    base = solve_m6(REF_FIXED)
+    for k in (-50, -45, -1, 60):
+        sols = solve_m6({"A1": math.ldexp(20.0, k), "A5": math.ldexp(40.0, k)})
+        assert len(sols) == 12, k
+        for s, b in zip(sols, base):
+            assert s.branch == b.branch
+            assert [a.hex() for a in s.A] == [math.ldexp(a, k).hex() for a in b.A]
+            assert [r.hex() for r in s.residuals] == [
+                math.ldexp(r, e * k).hex() for r, e in zip(b.residuals, (2, 2, 3, 2))]
+
+
+def test_solve_m6_equal_pair_tolerance_is_relative():
+    # 1e-300 and 3e-300 differ threefold: twelve points and no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert len(solve_m6({"A1": 1e-300, "A5": 3e-300})) == 12
+    # 1e6 and 1e6 (1 + 2^-45) differ by 3e-8, 3e-14 of either: the ray point
+    with pytest.warns(UserWarning, match="symmetry hyperplane"):
+        sols = solve_m6({"A1": 1e6, "A5": 1e6 * (1 + 2.0**-45)})
+    assert [s.A for s in sols] == [(1e6,) * 5]
+
+
+def test_solve_m6_plane_point_past_the_float_range_names_its_plane():
+    # finite fixed values: a - b overflows, and with it every plane's t
+    with pytest.raises(ValueError) as info:
+        solve_m6({"A1": 1e308, "A5": -1e308})
+    assert str(info.value) == "the point on plane d1 at x1 = 0.0990311321 is past the float range"
+    # t = (a - b) / (d_2 - d_4) overflows where d_2 - d_4 is small (0.14 on
+    # plane d1 at x2), not on plane d1 at x1 before it (1.16)
+    with pytest.raises(ValueError) as info:
+        solve_m6({"A2": 1e308, "A4": -1e307})
+    assert str(info.value) == "the point on plane d1 at x2 = 0.777479066 is past the float range"
 
 
 def test_solve_m6_symmetric_pair_warns_and_gives_ray():
@@ -341,6 +377,30 @@ def test_solve_m6_twelve_solutions_on_random_pairs(names, a, b):
         if s.realizable:
             p = ReciprocalParams(A=tuple(max(x, 1.0) for x in s.A))
             assert classify(p).kind == "all_components_elliptic"
+
+
+# fixed values of every size the kernel scales to one L: log-uniform from
+# 2^-40 to 2^40, and exact p/q
+_FIXED_VALUES = st.one_of(
+    st.floats(min_value=-40.0, max_value=40.0).map(lambda e: 2.0 ** e),
+    st.fractions(min_value=F(1, 10**6), max_value=10**6, max_denominator=10**6))
+
+
+@given(st.sampled_from(list(combinations(("A1", "A2", "A4", "A5"), 2))),
+       _FIXED_VALUES, _FIXED_VALUES)
+@example(("A1", "A5"), 20.0, 40.0)
+@example(("A2", "A4"), F(3, 2), F(7, 3))
+@settings(max_examples=100, deadline=None)
+def test_solve_m6_residuals_are_the_one_point_residuals_bit_for_bit(names, a, b):
+    # all twelve points over one power-of-two L give each point's own
+    # residuals: those of residuals_m6, the exact Fractions rounded once
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a == b: the symmetry-hyperplane warning
+        sols = solve_m6(dict(zip(names, (a, b))))
+    for s in sols:
+        got = [r.hex() for r in s.residuals]
+        assert got == [r.hex() for r in residuals_m6(s.A)]
+        assert got == [float(f).hex() for f in rtables.ell3_residuals(s.A)]
 
 
 # exact certificates over Q(x) = Q[x] / (8x^3 - 20x^2 + 12x - 1), written with
