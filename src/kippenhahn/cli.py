@@ -344,10 +344,11 @@ def cmd_poly(args) -> int:
         for j in range(P.deg_tau + 1):
             c = P.coeff(i, j)
             if c:
-                cs = _coeff_text(c)
-                terms.append(f"{cs}*tau^{j}" if j else cs)
+                # after the first term the sign is the operator: "- c", not "+ -c"
+                text = _coeff_text(abs(c) if terms else c) + (f"*tau^{j}" if j else "")
+                terms.append(((" - " if c < 0 else " + ") if terms else "") + text)
         if terms:
-            print(f"  zeta^{i}: " + " + ".join(terms))
+            print(f"  zeta^{i}: " + "".join(terms))
     return 0
 
 

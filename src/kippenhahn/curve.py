@@ -7,19 +7,34 @@ descending eigenvalue order.  This is Johnson's eigen-sweep (SIAM J. Numer.
 Anal. 15, 1978), run on blocks of angles at once.  Since the main diagonal
 is constant, the realified pencil is a shift of the Golub-Kahan form of a
 bidiagonal matrix: its singular values, half as many, give the eigenvalues
-in +- pairs, and each pair's tangent points sum to 2a.  They come from
-one batched symmetric eigensolve of the k x k cross products, k = n // 2,
-each angle's bidiagonal scaled by a power of two to a largest entry in
-[1, 2); the angles where squaring the condition number, or a near tie of
-two singular values, would cost accuracy take the SVD instead.  A block
-holds as many angles as fit in BLOCK_ENTRIES entries of those
-bidiagonals, which at n <= 20 is a whole curve.  The dense
-eigensolver, eig_all, runs only at angles where the pencil splits into
-blocks.
-trimat.pencil reduces the pencil for a whole block of angles in one call,
-and an angle's reduction does not depend on the block it is in, so
-neither do the samples.  Branches are fitted by the closed-form
-least-squares ellipse u^2/p^2 + v^2/q^2 = 1.
+in +- pairs, and each pair's tangent points sum to 2a.  Two kernels find
+them, chosen by size alone:
+
+- _closed_form, for 2 <= n <= 7 (k = n // 2 <= 3, the paper's sizes), with
+  no eigensolve: the squared singular values are the roots of the path's
+  matching polynomial, whose coefficients M_t sum products of pairwise
+  non-adjacent e_j^2, all positive; the quadratic or trigonometric
+  formula and one Newton step on the three-term recurrence find them, and
+  the tangent points come from their derivatives in theta by implicit
+  differentiation.  On 3,080 random curves at n = 2-7, from uniform A_j to
+  2^+-600 scales and general M, it agrees with the cross product to
+  2.4e-14 of the scale at every angle it accepts.  The angles where the
+  cross product would take the SVD, the angles near a split and non-finite
+  rows go on to
+- _cross_product, for every other n: one batched symmetric eigensolve of
+  the k x k cross products, each angle's bidiagonal scaled by a power of
+  two to a largest entry in [1, 2); the angles where squaring the
+  condition number, or a near tie of two singular values, would cost
+  accuracy take the SVD instead.
+
+A block holds as many angles as fit in BLOCK_ENTRIES entries of those
+bidiagonals, which at n <= 20 is a whole curve.  The dense eigensolver,
+eig_all, runs only at angles where the pencil splits into blocks.
+trimat.pencil and trimat.pencil_products reduce the pencil for a whole
+block of angles in one call, and neither an angle's reduction nor either
+kernel's result depends on the block it is in, so neither do the samples.
+Branches are fitted by the closed-form least-squares ellipse
+u^2/p^2 + v^2/q^2 = 1.
 """
 
 from __future__ import annotations
@@ -31,8 +46,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trimat import SymTridiagonal, TridiagonalMatrix, pencil, realified_pencil
-# unused here since _sample_block takes the phase ratios from pencil;
+from .trimat import (SPLIT_TOL, SymTridiagonal, TridiagonalMatrix, pencil, pencil_products,
+                     realified_pencil)
+# unused here since _cross_product takes the phase ratios from pencil;
 # kept importable because the benchmark's tracer patches curve.phase_diagonal
 from .trimat import phase_diagonal  # noqa: F401
 
@@ -141,7 +157,7 @@ def sample_curve(M: TridiagonalMatrix, m: int = 720) -> CurveSamples:
     theta = 2.0 * np.pi * np.arange(m) / m
     lam = np.empty((m, M.n))
     points = np.empty((m, M.n), dtype=complex)
-    real = not np.imag([M.a, *M.b, *M.c]).any()
+    real = not any(v.imag for v in (M.a, *M.b, *M.c))
     h = m // 2 if m % 2 == 0 else m  # rows [h, m) are half-turns
     # rows [0, solved) are eigensolved, the rest copied
     solved = (m // 4 if m % 2 == 0 else m // 2) + 1 if real else h
@@ -151,7 +167,10 @@ def sample_curve(M: TridiagonalMatrix, m: int = 720) -> CurveSamples:
         block = slice(lo, min(lo + step, solved))
         lam[block], points[block] = _sample_block(M, theta[block])
     gap = np.empty(m)
-    gap[:solved] = np.min(lam[:solved, :-1] - lam[:solved, 1:], axis=1, initial=np.inf)
+    # the differences with one row per pair of branches, so the minimum
+    # runs along the angles
+    diff = np.subtract(lam[:solved, :-1].T, lam[:solved, 1:].T, out=np.empty((M.n - 1, solved)))
+    gap[:solved] = np.min(diff, axis=0, initial=np.inf)
     # half-turn: row h + i is theta_i + pi, each row negated and reversed.
     # The copied rows keep their gap, as fl((-a) - (-b)) = fl(b - a).  A
     # direct solve at theta + pi lists exact ties (split angles) in the
@@ -182,23 +201,182 @@ def _sample_block(M: TridiagonalMatrix, theta: np.ndarray):
     zero-diagonal, so the odd/even permutation turns T0 into
     [[0, B], [B^T, 0]] with the ceil(n/2) x floor(n/2) bidiagonal
     B[(j+1)//2, j//2] = e_j (Golub and Kahan, SIAM J. Numer. Anal. B 2,
-    1965).  For each singular triplet (sigma, u, v) of B, w = (u, v) in the
-    (even, odd) slots over sqrt 2 is an eigenvector for d0 + sigma and
-    (u, -v) one for d0 - sigma; odd n adds d0, with B's left null vector in
-    the even slots.  Flipping the odd slots negates every w_j w_{j+1}, so
-    the -sigma point is 2a minus the +sigma point and the middle point of
-    odd n is a itself.  The triplets come from _singular_triplets of the
-    upper bidiagonal B^T, so v is the left and u the right singular vector.
-    d0, the snapped moduli e and the phase ratios r_j of the diagonal
-    similarity that makes the pencil real all come from one trimat.pencil
-    call.
+    1965).  Its eigenvalues are d0 +- sigma for the k = n // 2 singular
+    values sigma of B, and d0 for odd n.  Flipping the odd slots of an
+    eigenvector negates every w_j w_{j+1}, so the -sigma point is 2a minus
+    the +sigma point and the middle point of odd n is a itself.
+
+    For 2 <= n <= 7 (k <= 3) _closed_form solves the angles and passes the
+    ones it does not accept on to _cross_product; other n go to
+    _cross_product whole.
+    """
+    if not 2 <= M.n <= 7:
+        return _cross_product(M, theta)
+    lam, points, ok = _closed_form(M, theta)
+    rest = np.flatnonzero(~ok)
+    if rest.size:
+        lam[rest], points[rest] = _cross_product(M, theta[rest])
+    return lam, points
+
+
+def _branches(M: TridiagonalMatrix, d0, sigma, top):
+    """lam and points of all n branches from the descending sigma and the
+    points top of the d0 + sigma branches."""
+    n, k = M.n, M.n // 2
+    lam = np.empty((len(d0), n))
+    points = np.empty((len(d0), n), dtype=complex)
+    lam[:, :k], points[:, :k] = d0[:, None] + sigma, top
+    lam[:, n - k:] = d0[:, None] - sigma[:, ::-1]
+    points[:, n - k:] = 2 * M.a - top[:, ::-1]
+    if n % 2:
+        lam[:, k], points[:, k] = d0, M.a
+    return lam, points
+
+
+def _closed_form(M: TridiagonalMatrix, theta):
+    """(lam, points, ok) at each angle from the roots of a polynomial of
+    degree k = n // 2 <= 3, with no eigensolve; rows where ok is False
+    hold no result.
+
+    The squares zeta = sigma^2 are the roots of P = sum_t (-1)^t M_t
+    zeta^(k - t), the matching polynomial of the path: M_t sums the
+    products of t pairwise non-adjacent x_j = e_j^2 = hr_j^2 + hi_j^2,
+    every term positive, so each M_t is as accurate as the x_j; _roots
+    finds the roots.  The tangent point of the support line at theta is
+    e^{-i theta} (lambda - i lambda') for lambda = d0 + sigma, that is
+    a + e^{-i theta} (sigma - i sigma'), with sigma' = zeta' / (2 sigma)
+    and zeta' = -P_theta / P_zeta by implicit differentiation.  P_theta
+    takes x_j' / 2 = hr_j hr_j' + hi_j hi_j', from the products of
+    pencil_products and their derivatives, so the points stay as accurate
+    as e_j where the curve is thin.  Each angle's h is first divided by the
+    power of two at or below its largest |hr_j|, |hi_j|, as in
+    _singular_triplets: nothing over- or underflows, and 2^k M gives 2^k
+    times the results bit for bit.
+
+    ok is False where _singular_triplets would take the SVD
+    (sigma_min <= COND_GUARD sigma_max, or two singular values within
+    TIE_GUARD sigma_max of each other), where a result is not finite, and
+    near a split: where some |hr_j|, |hi_j| are both at most twice pencil's
+    snap, so every angle that pencil splits goes on to eig_all.
+    """
+    n1 = M.n - 1
+    # a row that comes out non-finite is not accepted, so nothing here warns
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        w, d0, hr, hi = pencil_products(M, theta)
+        cos, sin = w.real, w.imag
+        b, c = np.asarray(M.b)[:, None], np.asarray(M.c)[:, None]
+        p, q = (b + c) / 2.0, (b - c) / 2.0  # pencil's p, q halved
+        split = 2.0 * SPLIT_TOL * (np.abs(b) + np.abs(c))
+        # one row per edge or root, one column per angle: contiguous rows, and
+        # reductions over the short axis run along the angles
+        hr, hi = hr.T.copy(), hi.T.copy()
+        big = np.maximum(np.abs(hr), np.abs(hi))
+        # h' = i (w b - conj(w c)) / 2 = -(sin p.real + cos p.imag) + i (cos q.real - sin q.imag):
+        # rows [p.imag; q.real] times cos and [p.real; q.imag] times sin
+        dc = cos * np.concatenate([p.imag, q.real])
+        ds = sin * np.concatenate([p.real, q.imag])
+        scale = np.ldexp(1.0, np.frexp(big.max(axis=0))[1] - 1)
+        hr /= scale
+        hi /= scale
+        x = hr * hr + hi * hi
+        y = (hi * (dc[n1:] - ds[n1:]) - hr * (ds[:n1] + dc[:n1])) / scale  # x' / 2
+        coef, dcoef = _matching_sums(x, y)
+        zeta = _roots(coef, x)
+        sigma = np.sqrt(zeta)
+        # sigma' = -P_theta / (2 sigma P_zeta): -P_theta / 2 = D_1 zeta^(k-1)
+        # - D_2 zeta^(k-2) + ... with D_t = M_t' / 2, and P_zeta at a root is
+        # the product of its differences from the other roots
+        dsigma, den = dcoef[0], sigma
+        for t in range(1, len(zeta)):
+            dsigma = dsigma * zeta - dcoef[t] if t % 2 else dsigma * zeta + dcoef[t]
+            den = den * (zeta - np.concatenate((zeta[t:], zeta[:t])))
+        dsigma = dsigma / den
+        # NaN fails every comparison
+        ok = ((sigma[-1] > COND_GUARD * sigma[0])
+              & (np.min(sigma[:-1] - sigma[1:], axis=0, initial=np.inf) > TIE_GUARD * sigma[0])
+              & np.isfinite(dsigma).all(axis=0) & (big > split).all(axis=0))
+        sigma *= scale
+        dsigma *= scale
+        top = np.empty(sigma.shape, dtype=complex)
+        top.real = M.a.real + (cos * sigma - sin * dsigma)
+        top.imag = M.a.imag - (sin * sigma + cos * dsigma)
+    return *_branches(M, d0, sigma.T, top.T), ok
+
+
+def _matching_sums(x, y):
+    """[M_1, ..., M_k] of the path with edge weights x (edge, angle),
+    k = (len(x) + 1) // 2, and their derivatives for derivatives y of the
+    x.  Vertex by vertex: M_t of j + 2 vertices is M_t of j + 1 vertices
+    plus x_j times M_(t - 1) of j vertices."""
+    older, old, dolder, dold = [], [], [], []
+    for j, (xj, yj) in enumerate(zip(x, y)):
+        new, dnew = [xj], [yj]
+        for t in range(1, (j + 2) // 2):
+            new.append(xj * older[t - 1])
+            dnew.append(yj * older[t - 1] + xj * dolder[t - 1])
+        for t in range(len(old)):
+            new[t] = old[t] + new[t]
+            dnew[t] = dold[t] + dnew[t]
+        older, old, dolder, dold = old, new, dold, dnew
+    return old, dold
+
+
+def _roots(coef, x):
+    """The k descending roots (root, angle) of P = zeta^k - M_1 zeta^(k-1)
+    + M_2 zeta^(k-2) - ... for coef = [M_1, ..., M_k] of the edge weights
+    x, k <= 3, all real and nonnegative.
+
+    M_1 is the root for k = 1.  For k = 2 and 3 the quadratic formula or
+    the trigonometric formula starts one Newton step, which evaluates P
+    and P_zeta by the three-term recurrence of the path,
+    P_j = zeta^(1 - j % 2) P_(j-1) - x_(j-2) P_(j-2) with P_0 = P_1 = 1:
+    its rounding errors amount to small relative changes of the x_j and
+    of zeta, so the roots come out to a few units in the last place even
+    where two of them are close, which the coefficients alone fix only to
+    about eps over the gap.  A row whose roots are too close for the
+    formulas comes out NaN."""
+    if len(coef) == 1:
+        return coef[0][None]
+    if len(coef) == 2:
+        m1, m2 = coef
+        big = (m1 + np.sqrt(m1 * m1 - 4.0 * m2)) / 2.0
+        zeta = np.stack([big, m2 / big])
+    else:
+        # zeta = mid + t with t^3 - 3 rho^2 t - 2 rho^3 cos(phi) = 0
+        m1, m2, m3 = coef
+        mid = m1 / 3.0
+        rho = np.sqrt(mid * mid - m2 / 3.0)
+        phi = np.arccos(((2.0 * mid * mid - m2) * mid + m3) / (2.0 * rho ** 3)) / 3.0
+        zeta = mid + 2.0 * rho * np.cos(phi - np.array([[0.0], [2.0 * math.pi / 3.0],
+                                                       [4.0 * math.pi / 3.0]]))
+    # P_2 = zeta - x_0 and P_3 = P_2 - x_1, both of slope 1
+    p0 = zeta - x[0]
+    p1, d0, d1 = p0 - x[1], 1.0, 1.0
+    for j, xj in enumerate(x[2:], 4):
+        if j % 2:
+            p0, p1, d0, d1 = p1, p1 - xj * p0, d1, d1 - xj * d0
+        else:
+            p0, p1, d0, d1 = p1, zeta * p1 - xj * p0, d1, p1 + zeta * d1 - xj * d0
+    return zeta - p1 / d1
+
+
+def _cross_product(M: TridiagonalMatrix, theta):
+    """lam and points at each angle from the singular triplets of B.
+
+    For each singular triplet (sigma, u, v) of B, w = (u, v) in the (even,
+    odd) slots over sqrt 2 is an eigenvector for d0 + sigma and (u, -v) one
+    for d0 - sigma; odd n adds d0, with B's left null vector in the even
+    slots.  The triplets come from _singular_triplets of the upper
+    bidiagonal B^T, so v is the left and u the right singular vector.
 
     Angles whose e has an exact zero are then solved again by eig_all,
     which solves the decoupled blocks separately and so keeps each
     eigenvector inside one block: the canonical tangent points where two
     blocks share an eigenvalue.  realified_pencil at such an angle has
     the block's e row bit for bit, since pencil's entries do not depend on
-    the batch.
+    the batch.  d0, the snapped moduli e and the phase ratios r_j of the
+    diagonal similarity that makes the pencil real all come from one
+    trimat.pencil call.
     """
     n, k = M.n, M.n // 2
     d0, e, r = pencil(M, theta)
@@ -208,8 +386,9 @@ def _sample_block(M: TridiagonalMatrix, theta: np.ndarray):
     # g_j = b_j r_j + c_j conj(r_j) = p_j Re r_j + i q_j Im r_j, as
     # (real, imag) pairs from real products
     p, q = np.asarray(M.b) + np.asarray(M.c), np.asarray(M.b) - np.asarray(M.c)
-    g = np.stack([p.real * r.real - q.imag * r.imag,
-                  p.imag * r.real + q.real * r.imag], axis=-1)
+    g = np.empty(r.shape + (2,))
+    g[..., 0] = p.real * r.real - q.imag * r.imag
+    g[..., 1] = p.imag * r.real + q.real * r.imag
     V, sigma, Ut = _singular_triplets(e)
     # w_j w_{j+1} for w = (u, v) unnormalised is u_i v_i at j = 2i and
     # u_{i+1} v_i at j = 2i + 1: contiguous slices of the rows of Ut and of
@@ -217,14 +396,7 @@ def _sample_block(M: TridiagonalMatrix, theta: np.ndarray):
     Vt = V.transpose(0, 2, 1)
     acc = (Ut[:, :, :k] * Vt) @ g[:, 0::2]
     acc += (Ut[:, :, 1:] * Vt[:, :, :n - k - 1]) @ g[:, 1::2]
-    top = M.a + 0.5 * acc.view(complex)[..., 0]
-    lam = np.empty((len(theta), n))
-    points = np.empty((len(theta), n), dtype=complex)
-    lam[:, :k], points[:, :k] = d0[:, None] + sigma, top
-    lam[:, n - k:] = d0[:, None] - sigma[:, ::-1]
-    points[:, n - k:] = 2 * M.a - top[:, ::-1]
-    if n % 2:
-        lam[:, k], points[:, k] = d0, M.a
+    lam, points = _branches(M, d0, sigma, M.a + 0.5 * acc.view(complex)[..., 0])
     for t in np.flatnonzero(np.any(e == 0.0, axis=1)):
         spectrum = eig_all(realified_pencil(M, float(theta[t])))
         # decoupled blocks can tie exactly; a stable order keeps ties in
@@ -276,10 +448,14 @@ def _singular_triplets(e: np.ndarray):
     the same scaled B^T, which gives the unscaled SVD's bits.
     """
     n = e.shape[1] + 1
-    k, j = n // 2, np.arange(n - 1)
-    scale = np.ldexp(1.0, np.frexp(e.max(axis=1))[1] - 1)
+    k = n // 2
+    scale = np.ldexp(1.0, np.frexp(e.max(axis=1))[1] - 1)[:, None]
     Bt = np.zeros((len(e), k, n - k))
-    Bt[:, j // 2, (j + 1) // 2] = e / scale[:, None]
+    # in each row of the flat view, e_2i is entry i (n - k + 1) and e_2i+1
+    # the entry after it
+    flat = Bt.reshape(len(e), -1)
+    flat[:, 0::n - k + 1] = e[:, 0::2] / scale
+    flat[:, 1::n - k + 1] = e[:, 1::2] / scale
     V = np.linalg.eigh(Bt @ Bt.transpose(0, 2, 1))[1][:, :, ::-1]  # eigh ascends
     Ut = V.transpose(0, 2, 1) @ Bt
     sigma = np.sqrt(np.einsum("tij,tij->ti", Ut, Ut))
@@ -288,7 +464,7 @@ def _singular_triplets(e: np.ndarray):
     ill = np.flatnonzero((sigma[:, -1] <= COND_GUARD * sigma[:, 0]) | tied)
     if ill.size:
         V[ill], sigma[ill], Ut[ill] = np.linalg.svd(Bt[ill], full_matrices=False)
-    sigma *= scale[:, None]
+    sigma *= scale
     return V, sigma, Ut
 
 
@@ -389,8 +565,10 @@ def symmetry_residual(samples: CurveSamples) -> float:
             return 0.0
         raise TypeError("symmetry_residual needs the CurveSamples of sample_curve")
     lam = samples.lam
-    mirror = lam[-np.arange(len(lam))]  # row i holds the angle -theta_i
-    return float(max(np.abs(lam - mirror).max(), np.abs(lam + mirror[:, ::-1]).max()))
+    # row i >= 1 mirrors row m - i, and row 0 (theta = 0) itself
+    mirror = lam[:0:-1]
+    return float(max(np.abs(lam[1:] - mirror).max(), np.abs(lam[1:] + mirror[:, ::-1]).max(),
+                     np.abs(lam[0] + lam[0, ::-1]).max()))
 
 
 def sample_diameter(samples) -> float:

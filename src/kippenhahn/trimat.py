@@ -5,9 +5,10 @@ and the super-/subdiagonal entry vectors.  "Reciprocal" means a = 0 and
 b_j * c_j = 1 for every j; that class is closed under the A_j parameters
 A_j = (|b_j|^2 + |c_j|^2) / 2, which are a complete unitary invariant for
 everything computed downstream.  pencil is the one reduction of
-Re(e^{i theta} M) to a real d0 I + tridiag(e); realified_pencil and
-phase_diagonal read it.  NumPy is imported by the array builders (dense,
-pencil, phase_diagonal) on first call, so the parameter layer loads without it.
+Re(e^{i theta} M) to a real d0 I + tridiag(e), from the real products of
+pencil_products; realified_pencil and phase_diagonal read it.  NumPy is
+imported by the array builders (dense, pencil_products, pencil,
+phase_diagonal) on first call, so the parameter layer loads without it.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 RECIPROCAL_TOL = 1e-12
+# pencil snaps e_j to 0 at or below SPLIT_TOL (|b_j| + |c_j|)
+SPLIT_TOL = 8e-16
 # slack in comparing A_j with the floor 1, with 1, and (relative) with each other
 PARAM_TOL = 1e-12
 FLOAT_MAX = sys.float_info.max
@@ -241,31 +244,41 @@ def params_to_matrix(p: ReciprocalParams) -> TridiagonalMatrix:
     return build_reciprocal(b)
 
 
-def pencil(M: TridiagonalMatrix, theta):
-    """The reduction of Re(e^{i theta} M) to d0 I + tridiag(e), as (d0, e, r).
-
-    d0 = Re(e^{i theta} a); e_j = |h_j| for the Hermitian superdiagonal
-    h_j = (e^{i theta} b_j + conj(e^{i theta} c_j)) / 2, snapped to 0 at or
-    below 8e-16 (|b_j| + |c_j|) (zero in exact arithmetic at a
-    degenerate angle, so the eigensolver sees decoupled blocks; relative
-    to the entries, so 2^k M splits at the same angles as M); and
-    r_j = conj(h_j) / |h_j| (1 where h_j = 0), the ratios d_{j+1} / d_j of
-    the unit diagonal D that makes D* Re(e^{i theta} M) D real.  For an
-    array theta, d0 has its shape and e, r one more axis of n - 1.  h is
+def pencil_products(M: TridiagonalMatrix, theta):
+    """(w, d0, hr, hi) for the angles theta: w = e^{i theta}, d0 = Re(w a),
+    and the real and imaginary parts of the Hermitian superdiagonal
+    h_j = (w b_j + conj(w c_j)) / 2 of Re(e^{i theta} M).  For an array
+    theta, w and d0 have its shape and hr, hi one more axis of n - 1.  h is
     formed from real products with p = b + c and q = b - c, each correctly
     rounded, so no angle's entries depend on the batch it is in.
     """
     import numpy as np
 
     w = np.exp(1j * np.asarray(theta, dtype=float))
-    d0 = np.real(w * M.a)
     b, c = np.asarray(M.b), np.asarray(M.c)
     p, q = b + c, b - c
     cos, sin = w.real[..., None], w.imag[..., None]
-    hr = (cos * p.real - sin * p.imag) / 2.0  # Re h
-    hi = (cos * q.imag + sin * q.real) / 2.0  # Im h
+    hr = (cos * p.real - sin * p.imag) / 2.0
+    hi = (cos * q.imag + sin * q.real) / 2.0
+    return w, np.real(w * M.a), hr, hi
+
+
+def pencil(M: TridiagonalMatrix, theta):
+    """The reduction of Re(e^{i theta} M) to d0 I + tridiag(e), as (d0, e, r).
+
+    d0 and h = hr + i hi are those of pencil_products; e_j = |h_j|, snapped
+    to 0 at or below SPLIT_TOL (|b_j| + |c_j|) (zero in exact arithmetic at
+    a degenerate angle, so the eigensolver sees decoupled blocks; relative
+    to the entries, so 2^k M splits at the same angles as M); and
+    r_j = conj(h_j) / |h_j| (1 where h_j = 0), the ratios d_{j+1} / d_j of
+    the unit diagonal D that makes D* Re(e^{i theta} M) D real.  For an
+    array theta, d0 has its shape and e, r one more axis of n - 1.
+    """
+    import numpy as np
+
+    _, d0, hr, hi = pencil_products(M, theta)
     mod = np.hypot(hr, hi)
-    e = np.where(mod <= 8e-16 * (np.abs(b) + np.abs(c)), 0.0, mod)
+    e = np.where(mod <= SPLIT_TOL * (np.abs(M.b) + np.abs(M.c)), 0.0, mod)
     r = np.ones(mod.shape, dtype=complex)
     np.divide(hr, mod, out=r.real, where=mod > 0)
     np.divide(-hi, mod, out=r.imag, where=mod > 0)

@@ -482,10 +482,30 @@ def test_poly_text_prints_coefficients_past_float_range(capsys):
     assert len(rows) == P.deg_zeta + 1
     for i, row in zip(range(P.deg_zeta, -1, -1), rows):
         assert len(row) < 200
-        for term in row.split(" + "):
+        for term in _signed_terms(row):
             text, _, power = term.partition("*tau^")
             exact = P.coeff(i, int(power or 0))
             assert abs(Fraction(text) - exact) <= abs(exact) * Fraction(1, 10 ** 16)
+
+
+def _signed_terms(row):
+    """The terms of a printed row, each with its sign: "a - b*tau^1" gives
+    "a" and "-b*tau^1"."""
+    return row.replace(" - ", " + -").split(" + ")
+
+
+@pytest.mark.parametrize("argv,row", [
+    (("--A0", "3/2", "--n", "3"), "zeta^0: -3/2 - 1*tau^1"),
+    (("--A", "2,3,4"), "zeta^1: -9/2 - 3/2*tau^1"),
+    (("--A", "2,3,4"), "zeta^0: 2 + 3/2*tau^1 + 1/4*tau^2"),
+    (("--A", "2,3,4,5,6"), "zeta^0: -6 - 11/2*tau^1 - 3/2*tau^2 - 1/8*tau^3"),
+])
+def test_poly_text_prints_negative_terms_with_a_minus(capsys, argv, row):
+    # a negative tau-term reads "- c*tau^j", never "+ -c*tau^j"
+    code, out, _ = run(capsys, "poly", *argv)
+    assert code == 0
+    assert f"  {row}\n" in out
+    assert "+ -" not in out
 
 
 @pytest.mark.parametrize("argv,message", [

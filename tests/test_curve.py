@@ -14,7 +14,7 @@ from kippenhahn import (CurveSample, CurveSamples, DegenerateBranch,
                         realified_pencil, sample_curve, symmetry_residual)
 from kippenhahn import curve
 from kippenhahn.curve import sample_diameter
-from kippenhahn.trimat import (SymTridiagonal, TridiagonalMatrix, pencil,
+from kippenhahn.trimat import (SPLIT_TOL, SymTridiagonal, TridiagonalMatrix, pencil,
                               phase_diagonal)
 
 
@@ -870,3 +870,117 @@ def test_symmetry_residual_needs_curve_samples():
     with pytest.raises(TypeError):
         symmetry_residual(samples.points.ravel())
     assert symmetry_residual(np.array([], dtype=complex)) == 0.0
+
+
+@st.composite
+def small_matrices(draw):
+    """n = 2-7, the sizes the closed form solves: reciprocal (real or not),
+    general (a != 0, arbitrary b_j c_j) or near-split (A_j = 1 or
+    1 + 10^-u), as they are, scaled by 2^600 or 2^-600, or with b_1 alone
+    scaled by 2^600 or 2^-600."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    kind = draw(st.sampled_from(["reciprocal", "general", "near split"]))
+    real = draw(st.booleans())
+
+    def unit():
+        if real:
+            return draw(st.sampled_from([1.0, -1.0]))
+        p = draw(phases)
+        return complex(math.cos(p), math.sin(p))
+
+    def modulus(lo):
+        return draw(st.floats(min_value=lo, max_value=4.0))
+
+    if kind == "near split":
+        one = st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=12.0)
+                        .map(lambda u: 1.0 + 10.0 ** -u))
+        M = params_to_matrix(ReciprocalParams(A=tuple(draw(one) for _ in range(n - 1))))
+    elif kind == "reciprocal":
+        M = build_reciprocal([modulus(1.0) * unit() for _ in range(n - 1)])
+    else:
+        a = complex(draw(st.floats(min_value=-2, max_value=2)),
+                    0.0 if real else draw(st.floats(min_value=-2, max_value=2)))
+        M = TridiagonalMatrix(n=n, a=a, b=tuple(modulus(0.25) * unit() for _ in range(n - 1)),
+                              c=tuple(modulus(0.25) * unit() for _ in range(n - 1)))
+    stretch = draw(st.sampled_from(["none", "matrix up", "matrix down", "b_1 up", "b_1 down"]))
+    s = 2.0 ** (600 if stretch.endswith("up") else -600)
+    if stretch.startswith("matrix"):
+        return TridiagonalMatrix(n=n, a=s * M.a, b=tuple(s * v for v in M.b),
+                                 c=tuple(s * v for v in M.c))
+    if stretch != "none":
+        return TridiagonalMatrix(n=n, a=M.a, b=(s * M.b[0],) + M.b[1:], c=M.c)
+    return M
+
+
+# the largest deviation of the closed form from the cross product on 3,080
+# random curves at n = 2-7: two singular values 3.6e-3 sigma_max apart at
+# theta = 266 pi / 169, where a Newton step on the coefficients of P left
+# the points 4.7e-13 scale away
+PROBE_WORST = TridiagonalMatrix(n=7, a=0.0, b=tuple(2.0 ** 600 * v for v in (
+    7.426615471253432e-181, 2.409919865102884e-181, 2.412134268979644e-181,
+    2.409919865102884e-181, 5.825342184935929e-181, 5.527848804744806e-181)),
+    c=tuple(2.0 ** 600 * v for v in (
+        7.820135267131722e-182, 2.409919865102884e-181, 2.407707494108204e-181,
+        2.409919865102884e-181, 9.969738380752959e-182, 1.0506281849157082e-181)))
+
+
+@given(small_matrices(), st.integers(min_value=8, max_value=240))
+@example(build_reciprocal([1.0000001]), 720)  # a thin ellipse, semi-minor 1e-7
+@example(params_to_matrix(ReciprocalParams(A=(1.0,) * 6)), 720)  # every e_j = 0 at pi/2
+@example(build_reciprocal([1.5 * 2.0 ** 600]), 720)
+@example(PROBE_WORST, 169)
+@settings(max_examples=80, deadline=None)
+def test_closed_form_matches_cross_product(M, m):
+    # the two kernels on the same angles: at every angle the closed form
+    # accepts, the same eigenvalues and tangent points to 1e-12 of scale
+    theta = 2.0 * np.pi * np.arange(m) / m
+    lam, points, ok = curve._closed_form(M, theta)
+    want_lam, want_points = curve._cross_product(M, theta)
+    scale = float(np.max(np.abs(want_lam)))
+    assert np.max(np.abs(lam - want_lam)[ok], initial=0.0) <= 1e-12 * scale
+    assert np.max(np.abs(points - want_points)[ok], initial=0.0) <= 1e-12 * scale
+    # every angle that pencil splits goes on to eig_all, and every angle
+    # clear of the guards by a factor of two is accepted
+    d0, e, _ = pencil(M, theta)
+    assert not np.any(ok & np.any(e == 0.0, axis=1))
+    k = M.n // 2
+    sigma = want_lam[:, :k] - d0[:, None]
+    clear = ((sigma[:, -1] > 2 * curve.COND_GUARD * sigma[:, 0])
+             & (np.min(sigma[:, :-1] - sigma[:, 1:], axis=1, initial=np.inf)
+                > 2 * curve.TIE_GUARD * sigma[:, 0])
+             & np.all(e > 4 * SPLIT_TOL * (np.abs(M.b) + np.abs(M.c)), axis=1))
+    assert np.all(ok[clear])
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_closed_form_solves_every_angle_up_to_n_7(monkeypatch, n):
+    # generic curves at n <= 7 need no eigensolve at all; n = 8 takes one
+    # eigh of the cross products per block (one block per curve here)
+    calls = []
+    for name in ("eigh", "svd"):
+        inner = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *args, _name=name, _inner=inner, **kw:
+                            calls.append(_name) or _inner(*args, **kw))
+    for M in (params_to_matrix(ReciprocalParams(A=tuple(np.linspace(1.5, 4.0, n - 1)))),
+              build_reciprocal(np.linspace(1.5, 4.0, n - 1) * 1j)):
+        sample_curve(M, m=720)
+    assert calls == ([] if n <= 7 else ["eigh", "eigh"])
+
+
+def test_closed_form_leaves_ill_conditioned_angles_to_the_cross_product(monkeypatch):
+    # n = 6 with A_1 = 1: B^T is nearly singular near pi/2 and splits there,
+    # so exactly those angles, where the cross product's own guard fails,
+    # reach _cross_product, in one call
+    M = params_to_matrix(ReciprocalParams(A=(1.0, 3.0, 4.0, 5.0, 6.0)))
+    seen = []
+    cross = curve._cross_product
+    monkeypatch.setattr(curve, "_cross_product",
+                        lambda M, theta: seen.append(theta) or cross(M, theta))
+    samples = sample_curve(M, m=720)
+    solved = samples.theta[:181]
+    sigma = np.linalg.svd(_scaled_bidiagonals(M, solved)[1], compute_uv=False)
+    ill = np.flatnonzero(sigma[:, -1] <= curve.COND_GUARD * sigma[:, 0])
+    assert ill.tolist() == list(range(ill[0], 181)) and len(ill) < 10  # a run up to pi/2
+    assert len(seen) == 1
+    np.testing.assert_array_equal(seen[0], solved[ill])
+    _assert_matches_reference(M, 720)
