@@ -1,40 +1,39 @@
 """Numerical sampling of Kippenhahn curves and axis-aligned ellipse fitting.
 
-For every angle theta the eigenvectors of Re(e^{i theta} M) produce curve
-points as quadratic-form values <M v, v>; the eigenvalue itself is the
-support value of the tangent line at that angle.  Branches are labeled in
-descending eigenvalue order.  This is Johnson's eigen-sweep (SIAM J. Numer.
-Anal. 15, 1978), run on blocks of angles at once.  Since the main diagonal
-is constant, the realified pencil is a shift of the Golub-Kahan form of a
+For every angle theta the eigenvalues lambda of Re(e^{i theta} M) are the
+support values of the tangent lines u cos theta - v sin theta = lambda,
+and the curve is their envelope: the tangent point of each line is
+e^{-i theta} (lambda - i lambda'), which is also the quadratic-form value
+<M v, v> of the eigenvector v.  Branches are labeled in descending
+eigenvalue order.  This is Johnson's eigen-sweep (SIAM J. Numer. Anal. 15,
+1978), run on blocks of angles at once.  Since the main diagonal is
+constant, the realified pencil is a shift of the Golub-Kahan form of a
 bidiagonal matrix: its singular values, half as many, give the eigenvalues
-in +- pairs, and each pair's tangent points sum to 2a.  Two kernels find
-them, chosen by size alone:
+in +- pairs, and each pair's tangent points sum to 2a.
 
-- _closed_form, for 2 <= n <= 7 (k = n // 2 <= 3, the paper's sizes), with
-  no eigensolve: the squared singular values are the roots of the path's
-  matching polynomial, whose coefficients M_t sum products of pairwise
-  non-adjacent e_j^2, all positive; the quadratic or trigonometric
-  formula and one Newton step on the three-term recurrence find them, and
-  the tangent points come from their derivatives in theta by implicit
-  differentiation.  On 3,080 random curves at n = 2-7, from uniform A_j to
-  2^+-600 scales and general M, it agrees with the cross product to
-  2.4e-14 of the scale at every angle it accepts.  The angles where the
-  cross product would take the SVD, the angles near a split and non-finite
-  rows go on to
-- _cross_product, for every other n: one batched symmetric eigensolve of
-  the k x k cross products, each angle's bidiagonal scaled by a power of
-  two to a largest entry in [1, 2); the angles where squaring the
-  condition number, or a near tie of two singular values, would cost
-  accuracy take the SVD instead.
+One kernel, _envelope, solves every n >= 2 with no eigenvectors.  The
+squared singular values are the roots of the path's matching polynomial,
+whose coefficients sum products of pairwise non-adjacent e_j^2, all
+positive.  The quadratic or trigonometric formula starts them for
+k = n // 2 <= 3, one batched eigvalsh of the k x k tridiagonal cross
+products for larger k, and one Newton step on the path's three-term
+recurrence refines them.  A second pass of the recurrence at the refined
+roots gives lambda' by implicit differentiation, and so the tangent points.
+On 1,440 random curves at n = 2-40 (A_j uniform, 1 + 10^-u or 1, graded,
+non-real and general M), at every angle it accepts, it agrees with the SVD
+to 6e-14 of the scale on reciprocal real M and to 5.6e-13 on general M,
+where the SVD's own error near ties dominates; it accepts 99.3-99.9 % of
+the angles at n <= 20.  The angles with sigma_min <= COND_GUARD sigma_max or a near tie,
+the angles near a split and non-finite rows go to _by_svd: one batched SVD
+of the bidiagonals, each scaled by a power of two to a largest entry in
+[1, 2), and eig_all at the angles where the pencil splits into blocks.
 
 A block holds as many angles as fit in BLOCK_ENTRIES entries of those
-bidiagonals, which at n <= 20 is a whole curve.  The dense eigensolver,
-eig_all, runs only at angles where the pencil splits into blocks.
-trimat.pencil and trimat.pencil_products reduce the pencil for a whole
-block of angles in one call, and neither an angle's reduction nor either
-kernel's result depends on the block it is in, so neither do the samples.
-Branches are fitted by the closed-form least-squares ellipse
-u^2/p^2 + v^2/q^2 = 1.
+bidiagonals, which at n <= 20 is a whole curve.  trimat.pencil and
+trimat.pencil_products reduce the pencil for a whole block of angles in
+one call, and neither an angle's reduction nor either route's result
+depends on the block it is in, so neither do the samples.  Branches are
+fitted by the closed-form least-squares ellipse u^2/p^2 + v^2/q^2 = 1.
 """
 
 from __future__ import annotations
@@ -48,22 +47,23 @@ import numpy as np
 
 from .trimat import (SPLIT_TOL, SymTridiagonal, TridiagonalMatrix, pencil, pencil_products,
                      realified_pencil)
-# unused here since _cross_product takes the phase ratios from pencil;
+# unused here since _by_svd takes the phase ratios from pencil;
 # kept importable because the benchmark's tracer patches curve.phase_diagonal
 from .trimat import phase_diagonal  # noqa: F401
 
 # entries of the k x (n - k) bidiagonals B^T in one block, k = n // 2:
 # bounds peak memory in n and m alike
 BLOCK_ENTRIES = 2 ** 16
-# the eigenvectors of the cross product B^T B move by about
-# eps sigma_max^2 / (sigma_i^2 - sigma_j^2), (sigma_max / (sigma_i + sigma_j))^2
-# times as far as the SVD's of the bidiagonal, so the angles with
-# sigma_min <= COND_GUARD sigma_max, or with two singular values within
-# TIE_GUARD sigma_max of each other, take the SVD of B^T.  On 3,000 random
-# reciprocal curves (n = 2-20, A_j in [1, 10], 1 + 10^-u or 1) the two
-# routes agree to 2.2e-13 scale at every angle that does not split,
-# against 1.8e-12 without TIE_GUARD
-COND_GUARD = 1e-2
+# eigvalsh places the smallest root zeta = sigma_min^2 within 4 eps sigma_max^2
+# (1,382 random curves at n = 8-40): a relative error below 9e-8 where
+# sigma_min > COND_GUARD sigma_max, which one Newton step squares to about
+# 1e-14.  On 1,523 random curves with angles crowding pi/2, the accepted
+# points stay within 1.6e-13 of the SVD's down to sigma_min = 1e-7 sigma_max
+# and miss them by 4e-12 at 2e-8.  The formula starts at k <= 3 take their
+# small roots from products of the larger ones and need no guard, but share
+# it.  Near ties (TIE_GUARD) the formulas lose accuracy and the SVD's own
+# points err most.
+COND_GUARD = 1e-4
 TIE_GUARD = 1e-3
 
 
@@ -206,16 +206,15 @@ def _sample_block(M: TridiagonalMatrix, theta: np.ndarray):
     eigenvector negates every w_j w_{j+1}, so the -sigma point is 2a minus
     the +sigma point and the middle point of odd n is a itself.
 
-    For 2 <= n <= 7 (k <= 3) _closed_form solves the angles and passes the
-    ones it does not accept on to _cross_product; other n go to
-    _cross_product whole.
+    _envelope solves the angles and passes the ones it does not accept on
+    to _by_svd.
     """
-    if not 2 <= M.n <= 7:
-        return _cross_product(M, theta)
-    lam, points, ok = _closed_form(M, theta)
+    if M.n == 1:  # nothing to pair: the eigenvalue is d0 and the point a
+        return pencil_products(M, theta)[1][:, None], np.full((len(theta), 1), M.a, dtype=complex)
+    lam, points, ok = _envelope(M, theta)
     rest = np.flatnonzero(~ok)
     if rest.size:
-        lam[rest], points[rest] = _cross_product(M, theta[rest])
+        lam[rest], points[rest] = _by_svd(M, theta[rest])
     return lam, points
 
 
@@ -233,31 +232,31 @@ def _branches(M: TridiagonalMatrix, d0, sigma, top):
     return lam, points
 
 
-def _closed_form(M: TridiagonalMatrix, theta):
-    """(lam, points, ok) at each angle from the roots of a polynomial of
-    degree k = n // 2 <= 3, with no eigensolve; rows where ok is False
-    hold no result.
+def _envelope(M: TridiagonalMatrix, theta):
+    """(lam, points, ok) at each angle from the singular values sigma of B
+    and their derivatives in theta, with no singular vectors; rows where ok
+    is False hold no result.  n >= 2.
 
-    The squares zeta = sigma^2 are the roots of P = sum_t (-1)^t M_t
-    zeta^(k - t), the matching polynomial of the path: M_t sums the
-    products of t pairwise non-adjacent x_j = e_j^2 = hr_j^2 + hi_j^2,
-    every term positive, so each M_t is as accurate as the x_j; _roots
-    finds the roots.  The tangent point of the support line at theta is
-    e^{-i theta} (lambda - i lambda') for lambda = d0 + sigma, that is
-    a + e^{-i theta} (sigma - i sigma'), with sigma' = zeta' / (2 sigma)
-    and zeta' = -P_theta / P_zeta by implicit differentiation.  P_theta
-    takes x_j' / 2 = hr_j hr_j' + hi_j hi_j', from the products of
+    The squares zeta = sigma^2 are the roots of P, the matching polynomial
+    of the path with edge weights x_j = e_j^2 = hr_j^2 + hi_j^2: _roots
+    finds them, and one Newton step on the three-term recurrence of the
+    path (_recurrence) refines them.  The tangent point of the support line
+    at theta is e^{-i theta} (lambda - i lambda') for lambda = d0 + sigma,
+    that is a + e^{-i theta} (sigma - i sigma'), with sigma' =
+    -P_theta / (2 sigma P_zeta) by implicit differentiation, both
+    derivatives from a second pass of the recurrence at the refined root.
+    P_theta takes x_j' / 2 = hr_j hr_j' + hi_j hi_j', from the products of
     pencil_products and their derivatives, so the points stay as accurate
     as e_j where the curve is thin.  Each angle's h is first divided by the
     power of two at or below its largest |hr_j|, |hi_j|, as in
     _singular_triplets: nothing over- or underflows, and 2^k M gives 2^k
     times the results bit for bit.
 
-    ok is False where _singular_triplets would take the SVD
-    (sigma_min <= COND_GUARD sigma_max, or two singular values within
-    TIE_GUARD sigma_max of each other), where a result is not finite, and
-    near a split: where some |hr_j|, |hi_j| are both at most twice pencil's
-    snap, so every angle that pencil splits goes on to eig_all.
+    ok is False where sigma_min <= COND_GUARD sigma_max, where two singular
+    values are within TIE_GUARD sigma_max of each other or out of order,
+    where a result is not finite, and near a split: where some |hr_j|,
+    |hi_j| are both at most twice pencil's snap, so every angle that pencil
+    splits goes on to eig_all.
     """
     n1 = M.n - 1
     # a row that comes out non-finite is not accepted, so nothing here warns
@@ -280,17 +279,13 @@ def _closed_form(M: TridiagonalMatrix, theta):
         hi /= scale
         x = hr * hr + hi * hi
         y = (hi * (dc[n1:] - ds[n1:]) - hr * (ds[:n1] + dc[:n1])) / scale  # x' / 2
-        coef, dcoef = _matching_sums(x, y)
-        zeta = _roots(coef, x)
+        zeta = _roots(x)
+        if len(zeta) > 1:  # M_1 is the root for k = 1
+            P, P_zeta = _recurrence(zeta, x)
+            zeta -= P / P_zeta
+        _, P_zeta, half_P_theta = _recurrence(zeta, x, y)
         sigma = np.sqrt(zeta)
-        # sigma' = -P_theta / (2 sigma P_zeta): -P_theta / 2 = D_1 zeta^(k-1)
-        # - D_2 zeta^(k-2) + ... with D_t = M_t' / 2, and P_zeta at a root is
-        # the product of its differences from the other roots
-        dsigma, den = dcoef[0], sigma
-        for t in range(1, len(zeta)):
-            dsigma = dsigma * zeta - dcoef[t] if t % 2 else dsigma * zeta + dcoef[t]
-            den = den * (zeta - np.concatenate((zeta[t:], zeta[:t])))
-        dsigma = dsigma / den
+        dsigma = -half_P_theta / (sigma * P_zeta)
         # NaN fails every comparison
         ok = ((sigma[-1] > COND_GUARD * sigma[0])
               & (np.min(sigma[:-1] - sigma[1:], axis=0, initial=np.inf) > TIE_GUARD * sigma[0])
@@ -303,65 +298,104 @@ def _closed_form(M: TridiagonalMatrix, theta):
     return *_branches(M, d0, sigma.T, top.T), ok
 
 
-def _matching_sums(x, y):
+def _roots(x):
+    """Starting values for the k descending roots (root, angle) of the
+    matching polynomial P = zeta^k - M_1 zeta^(k-1) + M_2 zeta^(k-2) - ...
+    of the path with edge weights x (edge, angle), k = (len(x) + 1) // 2,
+    all real and nonnegative.
+
+    M_t sums the products of t pairwise non-adjacent x_j, every term
+    positive, so each M_t is as accurate as the x_j.  M_1 is the root for
+    k = 1, and the quadratic or the trigonometric formula gives them for
+    k = 2 and 3.  A larger k takes one batched eigvalsh of the k x k
+    tridiagonal cross products B^T B, with diagonal x_2i + x_2i+1 and
+    off-diagonal sqrt(x_2i+1 x_2i+2).  Each root is off by about eps
+    sigma_max^2, so a small one is only as good as the condition number
+    squared allows until the Newton step; a row whose roots are too close
+    for the formulas comes out NaN."""
+    k = (len(x) + 1) // 2
+    if k > 3:
+        if not np.isfinite(x).all():  # eigvalsh raises on them; such rows are rejected
+            x = np.where(np.isfinite(x), x, 0.0)
+        diag = x[0::2].copy()
+        diag[:len(x) // 2] += x[1::2]
+        T = np.zeros((x.shape[1], k, k))
+        # the diagonal and the subdiagonal, all that eigvalsh reads
+        flat = T.reshape(len(T), -1)
+        flat[:, 0::k + 1] = diag.T
+        flat[:, k::k + 1] = np.sqrt(x[1::2][:k - 1] * x[2::2]).T
+        return np.linalg.eigvalsh(T).T[::-1]  # eigvalsh ascends
+    coef = _matching_sums(x)
+    if k == 1:
+        return coef[0][None]
+    if k == 2:
+        return np.stack(_quadratic(*coef))
+    # the largest root is mid + 2 rho cos(phi) for t = zeta - mid in
+    # t^3 - 3 rho^2 t - 2 rho^3 cos(3 phi) = 0; the other two have the
+    # product prod = M_3 / big and the sum (M_2 - prod) / big
+    m1, m2, m3 = coef
+    mid = m1 / 3.0
+    rho = np.sqrt(mid * mid - m2 / 3.0)
+    big = mid + 2.0 * rho * np.cos(np.arccos(((2.0 * mid * mid - m2) * mid + m3)
+                                             / (2.0 * rho ** 3)) / 3.0)
+    prod = m3 / big
+    return np.stack([big, *_quadratic((m2 - prod) / big, prod)])
+
+
+def _quadratic(total, prod):
+    """The roots of zeta^2 - total zeta + prod, the larger first; the smaller
+    as prod over the larger, as accurate as prod."""
+    big = (total + np.sqrt(total * total - 4.0 * prod)) / 2.0
+    return big, prod / big
+
+
+def _matching_sums(x):
     """[M_1, ..., M_k] of the path with edge weights x (edge, angle),
-    k = (len(x) + 1) // 2, and their derivatives for derivatives y of the
-    x.  Vertex by vertex: M_t of j + 2 vertices is M_t of j + 1 vertices
-    plus x_j times M_(t - 1) of j vertices."""
-    older, old, dolder, dold = [], [], [], []
-    for j, (xj, yj) in enumerate(zip(x, y)):
-        new, dnew = [xj], [yj]
-        for t in range(1, (j + 2) // 2):
-            new.append(xj * older[t - 1])
-            dnew.append(yj * older[t - 1] + xj * dolder[t - 1])
+    k = (len(x) + 1) // 2.  Vertex by vertex: M_t of j + 2 vertices is M_t
+    of j + 1 vertices plus x_j times M_(t - 1) of j vertices."""
+    older, old = [], []
+    for j, xj in enumerate(x):
+        new = [xj] + [xj * older[t - 1] for t in range(1, (j + 2) // 2)]
         for t in range(len(old)):
             new[t] = old[t] + new[t]
-            dnew[t] = dold[t] + dnew[t]
-        older, old, dolder, dold = old, new, dold, dnew
-    return old, dold
+        older, old = old, new
+    return old
 
 
-def _roots(coef, x):
-    """The k descending roots (root, angle) of P = zeta^k - M_1 zeta^(k-1)
-    + M_2 zeta^(k-2) - ... for coef = [M_1, ..., M_k] of the edge weights
-    x, k <= 3, all real and nonnegative.
-
-    M_1 is the root for k = 1.  For k = 2 and 3 the quadratic formula or
-    the trigonometric formula starts one Newton step, which evaluates P
-    and P_zeta by the three-term recurrence of the path,
-    P_j = zeta^(1 - j % 2) P_(j-1) - x_(j-2) P_(j-2) with P_0 = P_1 = 1:
-    its rounding errors amount to small relative changes of the x_j and
-    of zeta, so the roots come out to a few units in the last place even
-    where two of them are close, which the coefficients alone fix only to
-    about eps over the gap.  A row whose roots are too close for the
-    formulas comes out NaN."""
-    if len(coef) == 1:
-        return coef[0][None]
-    if len(coef) == 2:
-        m1, m2 = coef
-        big = (m1 + np.sqrt(m1 * m1 - 4.0 * m2)) / 2.0
-        zeta = np.stack([big, m2 / big])
-    else:
-        # zeta = mid + t with t^3 - 3 rho^2 t - 2 rho^3 cos(phi) = 0
-        m1, m2, m3 = coef
-        mid = m1 / 3.0
-        rho = np.sqrt(mid * mid - m2 / 3.0)
-        phi = np.arccos(((2.0 * mid * mid - m2) * mid + m3) / (2.0 * rho ** 3)) / 3.0
-        zeta = mid + 2.0 * rho * np.cos(phi - np.array([[0.0], [2.0 * math.pi / 3.0],
-                                                       [4.0 * math.pi / 3.0]]))
-    # P_2 = zeta - x_0 and P_3 = P_2 - x_1, both of slope 1
-    p0 = zeta - x[0]
-    p1, d0, d1 = p0 - x[1], 1.0, 1.0
-    for j, xj in enumerate(x[2:], 4):
+def _recurrence(zeta, x, y=None):
+    """(P, P_zeta) at zeta (root, angle) for the edge weights x, and with
+    y = x' / 2 also P_theta / 2, stacked on a new first axis, by the
+    three-term recurrence of the path, P_j = zeta^(1 - j % 2) P_(j-1) -
+    x_(j-2) P_(j-2) with P_0 = P_1 = 1, and its derivatives.  Its rounding
+    errors amount to small relative changes of the x_j and of zeta, so a
+    Newton step gives the roots to a few units in the last place even where
+    two of them are close, which the coefficients alone fix only to about
+    eps over the gap."""
+    # s0, s1 = S_(j-2), S_(j-1) for S_j = (P_j, P_zeta_j[, P_theta_j / 2]),
+    # from S_1 = (1, 0[, 0]) and S_2 = (zeta - x_0, 1[, -y_0])
+    s0 = np.zeros((2 if y is None else 3,) + zeta.shape)
+    s0[0] = 1.0
+    s1 = np.empty_like(s0)
+    np.subtract(zeta, x[0], out=s1[0])
+    s1[1] = 1.0
+    if y is not None:
+        s1[2] = -y[0]
+    for j in range(3, len(x) + 2):
+        new = x[j - 2] * s0
         if j % 2:
-            p0, p1, d0, d1 = p1, p1 - xj * p0, d1, d1 - xj * d0
+            np.subtract(s1, new, out=new)
         else:
-            p0, p1, d0, d1 = p1, zeta * p1 - xj * p0, d1, p1 + zeta * d1 - xj * d0
-    return zeta - p1 / d1
+            np.subtract(zeta * s1, new, out=new)
+            new[1] += s1[0]
+        if y is not None:
+            new[2] -= y[j - 2] * s0[0]
+        s0, s1 = s1, new
+    return s1
 
 
-def _cross_product(M: TridiagonalMatrix, theta):
-    """lam and points at each angle from the singular triplets of B.
+def _by_svd(M: TridiagonalMatrix, theta):
+    """lam and points at each angle from the singular triplets of B, for
+    the angles _envelope does not accept.
 
     For each singular triplet (sigma, u, v) of B, w = (u, v) in the (even,
     odd) slots over sqrt 2 is an eigenvector for d0 + sigma and (u, -v) one
@@ -376,12 +410,10 @@ def _cross_product(M: TridiagonalMatrix, theta):
     the block's e row bit for bit, since pencil's entries do not depend on
     the batch.  d0, the snapped moduli e and the phase ratios r_j of the
     diagonal similarity that makes the pencil real all come from one
-    trimat.pencil call.
+    trimat.pencil call.  n >= 2.
     """
     n, k = M.n, M.n // 2
     d0, e, r = pencil(M, theta)
-    if n == 1:  # nothing to pair: the eigenvalue is d0 and the point a
-        return d0[:, None], np.full((len(theta), 1), M.a, dtype=complex)
     # <M v, v> for v = D w is a * sum w_j^2 + sum_j g_j w_j w_{j+1} with
     # g_j = b_j r_j + c_j conj(r_j) = p_j Re r_j + i q_j Im r_j, as
     # (real, imag) pairs from real products
@@ -435,17 +467,14 @@ def eig_all(T: SymTridiagonal) -> Spectrum:
 
 
 def _singular_triplets(e: np.ndarray):
-    """(V, sigma, U^T) with B^T = V diag(sigma) U^T, sigma descending, as
-    np.linalg.svd gives them, for the k x (n - k) upper bidiagonal
-    B^T[j // 2, (j + 1) // 2] = e_j of each row of e, k = n // 2.
+    """(V, sigma, U^T) with B^T = V diag(sigma) U^T, sigma descending, for
+    the k x (n - k) upper bidiagonal B^T[j // 2, (j + 1) // 2] = e_j of each
+    row of e, k = n // 2, from one batched np.linalg.svd.
 
-    Each row of e is divided by the power of two at or below its largest
-    entry, which is exact and leaves no square to over- or underflow, and
-    one batched eigh of the k x k cross products B^T B gives V: the rows of
-    V^T B^T then have norm sigma and direction u^T.  The angles with
-    sigma_min <= COND_GUARD sigma_max, or with two norms within TIE_GUARD
-    sigma_max of each other or out of order, are solved again by the SVD of
-    the same scaled B^T, which gives the unscaled SVD's bits.
+    Each row of e is first divided by the power of two at or below its
+    largest entry, which is exact and keeps LAPACK from rescaling a matrix
+    near the ends of the float range by a factor that is not a power of
+    two, so the result has the unscaled SVD's bits.
     """
     n = e.shape[1] + 1
     k = n // 2
@@ -456,16 +485,8 @@ def _singular_triplets(e: np.ndarray):
     flat = Bt.reshape(len(e), -1)
     flat[:, 0::n - k + 1] = e[:, 0::2] / scale
     flat[:, 1::n - k + 1] = e[:, 1::2] / scale
-    V = np.linalg.eigh(Bt @ Bt.transpose(0, 2, 1))[1][:, :, ::-1]  # eigh ascends
-    Ut = V.transpose(0, 2, 1) @ Bt
-    sigma = np.sqrt(np.einsum("tij,tij->ti", Ut, Ut))
-    np.divide(Ut, sigma[..., None], out=Ut, where=sigma[..., None] > 0.0)
-    tied = (sigma[:, :-1] - sigma[:, 1:] <= TIE_GUARD * sigma[:, :1]).any(axis=1)
-    ill = np.flatnonzero((sigma[:, -1] <= COND_GUARD * sigma[:, 0]) | tied)
-    if ill.size:
-        V[ill], sigma[ill], Ut[ill] = np.linalg.svd(Bt[ill], full_matrices=False)
-    sigma *= scale
-    return V, sigma, Ut
+    V, sigma, Ut = np.linalg.svd(Bt, full_matrices=False)
+    return V, sigma * scale, Ut
 
 
 def branch_points(samples: CurveSamples, k: int) -> np.ndarray:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kippenhahn import (CurveSample, CurveSamples, DegenerateBranch,
@@ -397,6 +397,11 @@ def test_samples_scale_with_the_matrix(case, k, m):
     # samples of M bit for bit, split angles included
     M, _ = case
     s = math.ldexp(1.0, k)
+    # a subnormal phase gives an entry a subnormal imaginary part, which
+    # 2^-200 can round or flush to zero: the scaled matrix is then a
+    # different one, and may even be real where M is not
+    assume(all((s * part) / s == part
+               for v in (M.a, *M.b, *M.c) for part in (complex(v).real, complex(v).imag)))
     scaled = TridiagonalMatrix(n=M.n, a=s * M.a, b=tuple(s * v for v in M.b),
                                c=tuple(s * v for v in M.c))
     want, got = sample_curve(M, m=m), sample_curve(scaled, m=m)
@@ -792,26 +797,36 @@ def _scaled_bidiagonals(M, theta):
     return Bt, Bt / scale[:, None, None]
 
 
+def _near_pi_half(M):
+    """Angles pi/2 - 10^-u for u = 0.25, 0.75, ..., 8.75, then pi/2 itself,
+    and the indices of the ones where the SVD of the scaled B^T has
+    sigma_min <= COND_GUARD sigma_max: a run up to pi/2, where A_1 = 1
+    splits the pencil."""
+    theta = np.append(np.pi / 2 - 10.0 ** -np.arange(0.25, 9.0, 0.5), np.pi / 2)
+    sigma = np.linalg.svd(_scaled_bidiagonals(M, theta)[1], compute_uv=False)
+    ill = np.flatnonzero(sigma[:, -1] <= curve.COND_GUARD * sigma[:, 0])
+    assert 0 < ill[0] and ill.tolist() == list(range(ill[0], len(theta)))
+    assert np.all(sigma[:, :-1] - sigma[:, 1:] > curve.TIE_GUARD * sigma[:, :1])
+    return theta, ill
+
+
 def test_guard_sends_angles_near_pi_half_to_the_svd(monkeypatch):
     # n = 20 with A_1 = 1: e_1 = |cos theta| makes B^T nearly singular near
-    # pi/2, so those angles, and only those, are solved by the SVD of the
-    # same scaled B^T, which gives the unscaled SVD's bits
+    # pi/2, so the angles under the condition guard, and only those, are
+    # solved by one SVD of the same scaled B^T, which gives the unscaled
+    # SVD's bits
     M = params_to_matrix(ReciprocalParams(A=(1.0,) + tuple(np.linspace(2.0, 9.0, 18))))
     k = M.n // 2
-    theta = 2.0 * np.pi * np.arange(181) / 720
+    theta, ill = _near_pi_half(M)
     d0 = pencil(M, theta)[0]
     Bt, scaled = _scaled_bidiagonals(M, theta)
     svd = np.linalg.svd
-    sigma = svd(scaled, compute_uv=False)
-    ill = np.flatnonzero(sigma[:, -1] <= curve.COND_GUARD * sigma[:, 0])
-    assert ill.tolist() == list(range(171, 181))
-    assert np.all(sigma[:, :-1] - sigma[:, 1:] > curve.TIE_GUARD * sigma[:, :1])
     calls = []
     monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(a.copy()) or svd(a, **kw))
     lam, points = curve._sample_block(M, theta)
     assert len(calls) == 1
     np.testing.assert_array_equal(calls[0], scaled[ill])
-    # row 180 is the split angle pi/2, which eig_all solves afterwards
+    # the last row is the split angle pi/2, which eig_all solves afterwards
     for t in ill[:-1]:
         np.testing.assert_array_equal(lam[t, :k], d0[t] + svd(Bt[t], full_matrices=False)[1])
     # every angle through the SVD gives the guarded rows' points bit for bit
@@ -839,17 +854,30 @@ def test_tie_guard_sends_near_ties_to_the_svd(monkeypatch):
     np.testing.assert_array_equal(calls[0], scaled[ill | tied])
 
 
+def _record_linalg(monkeypatch):
+    """Wrap np.linalg.eigh, eigvalsh and svd; returns the list of (name,
+    shape of the first argument) of their calls."""
+    calls = []
+    for name in ("eigh", "eigvalsh", "svd"):
+        inner = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, *args, _name=name, _inner=inner, **kw:
+                            calls.append((_name, a.shape)) or _inner(a, *args, **kw))
+    return calls
+
+
 @pytest.mark.parametrize("n", [21, 22, 41])
 def test_cross_product_runs_at_every_size(monkeypatch, n):
-    # one eigh of the k x k cross products per block at any k, here 10, 11
-    # and 20
+    # one eigvalsh of the k x k cross products per block at any k, here 10,
+    # 11 and 20 (three blocks at n = 41), and neither eigh nor the SVD on a
+    # generic curve
     M = build_reciprocal(np.linspace(1.5, 4.0, n - 1) * 1j)
-    shapes = []
-    eigh = np.linalg.eigh
+    k = n // 2
     with monkeypatch.context() as mp:
-        mp.setattr(np.linalg, "eigh", lambda a, *args: shapes.append(a.shape) or eigh(a, *args))
-        sample_curve(M, m=40)
-    assert [shape[1:] for shape in shapes] == [(n // 2, n // 2)]
+        blocks = _record_blocks(mp)
+        calls = _record_linalg(mp)
+        sample_curve(M, m=720)
+    assert len(blocks) == (3 if n == 41 else 1)
+    assert calls == [("eigvalsh", (len(t), k, k)) for t in blocks]
     _assert_matches_reference(M, 40)
 
 
@@ -873,12 +901,11 @@ def test_symmetry_residual_needs_curve_samples():
 
 
 @st.composite
-def small_matrices(draw):
-    """n = 2-7, the sizes the closed form solves: reciprocal (real or not),
-    general (a != 0, arbitrary b_j c_j) or near-split (A_j = 1 or
-    1 + 10^-u), as they are, scaled by 2^600 or 2^-600, or with b_1 alone
-    scaled by 2^600 or 2^-600."""
-    n = draw(st.integers(min_value=2, max_value=7))
+def envelope_matrices(draw):
+    """n = 2-40: reciprocal (real or not), general (a != 0, arbitrary b_j
+    c_j) or near-split (A_j = 1 or 1 + 10^-u), as they are, scaled by 2^600
+    or 2^-600, or with b_1 alone scaled by 2^600 or 2^-600."""
+    n = draw(st.integers(min_value=2, max_value=40))
     kind = draw(st.sampled_from(["reciprocal", "general", "near split"]))
     real = draw(st.booleans())
 
@@ -912,10 +939,10 @@ def small_matrices(draw):
     return M
 
 
-# the largest deviation of the closed form from the cross product on 3,080
-# random curves at n = 2-7: two singular values 3.6e-3 sigma_max apart at
-# theta = 266 pi / 169, where a Newton step on the coefficients of P left
-# the points 4.7e-13 scale away
+# two singular values 3.6e-3 sigma_max apart at theta = 266 pi / 169, where
+# a Newton step on the coefficients of P, rather than on the recurrence,
+# left the points 4.7e-13 scale away: the worst of 3,080 random curves at
+# n = 2-7
 PROBE_WORST = TridiagonalMatrix(n=7, a=0.0, b=tuple(2.0 ** 600 * v for v in (
     7.426615471253432e-181, 2.409919865102884e-181, 2.412134268979644e-181,
     2.409919865102884e-181, 5.825342184935929e-181, 5.527848804744806e-181)),
@@ -923,19 +950,29 @@ PROBE_WORST = TridiagonalMatrix(n=7, a=0.0, b=tuple(2.0 ** 600 * v for v in (
         7.820135267131722e-182, 2.409919865102884e-181, 2.407707494108204e-181,
         2.409919865102884e-181, 9.969738380752959e-182, 1.0506281849157082e-181)))
 
+# graded and non-real: 74 of its 720 angles fail a guard
+GRADED = build_reciprocal([1.5, 2.5j] * 9 + [1.5])
 
-@given(small_matrices(), st.integers(min_value=8, max_value=240))
+
+@given(envelope_matrices(), st.integers(min_value=8, max_value=240))
 @example(build_reciprocal([1.0000001]), 720)  # a thin ellipse, semi-minor 1e-7
 @example(params_to_matrix(ReciprocalParams(A=(1.0,) * 6)), 720)  # every e_j = 0 at pi/2
 @example(build_reciprocal([1.5 * 2.0 ** 600]), 720)
 @example(PROBE_WORST, 169)
+@example(NEAR_TIE, 720)
+@example(SCALED_UP, 40)
+@example(GRADED, 720)
+@example(params_to_matrix(ReciprocalParams(A=(1.0,) + tuple(np.linspace(2.0, 9.0, 18)))), 720)
+# n = 40, A_j = 1 but four: sigma' at the root before the Newton step, or
+# no Newton step at all, misses the SVD by 3e-12 scale
+@example(build_reciprocal([1.0] * 13 + [1.5] + [1.0] * 13 + [2.0, 1.0] * 2 + [2.0] + [1.0] * 7), 720)
 @settings(max_examples=80, deadline=None)
-def test_closed_form_matches_cross_product(M, m):
-    # the two kernels on the same angles: at every angle the closed form
-    # accepts, the same eigenvalues and tangent points to 1e-12 of scale
+def test_closed_form_matches_svd_reference(M, m):
+    # at every angle the kernel accepts, the eigenvalues and tangent points
+    # of one SVD per angle to 1e-12 of scale
     theta = 2.0 * np.pi * np.arange(m) / m
-    lam, points, ok = curve._closed_form(M, theta)
-    want_lam, want_points = curve._cross_product(M, theta)
+    lam, points, ok = curve._envelope(M, theta)
+    want_lam, want_points = _svd_reference(M, theta)
     scale = float(np.max(np.abs(want_lam)))
     assert np.max(np.abs(lam - want_lam)[ok], initial=0.0) <= 1e-12 * scale
     assert np.max(np.abs(points - want_points)[ok], initial=0.0) <= 1e-12 * scale
@@ -954,33 +991,29 @@ def test_closed_form_matches_cross_product(M, m):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_closed_form_solves_every_angle_up_to_n_7(monkeypatch, n):
-    # generic curves at n <= 7 need no eigensolve at all; n = 8 takes one
-    # eigh of the cross products per block (one block per curve here)
-    calls = []
-    for name in ("eigh", "svd"):
-        inner = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name, lambda *args, _name=name, _inner=inner, **kw:
-                            calls.append(_name) or _inner(*args, **kw))
+    # generic curves at n <= 7 need no LAPACK call at all; n = 8 takes one
+    # eigvalsh of the cross products per block (one block per curve here),
+    # and no n takes eigh or the SVD
+    calls = _record_linalg(monkeypatch)
     for M in (params_to_matrix(ReciprocalParams(A=tuple(np.linspace(1.5, 4.0, n - 1)))),
               build_reciprocal(np.linspace(1.5, 4.0, n - 1) * 1j)):
         sample_curve(M, m=720)
-    assert calls == ([] if n <= 7 else ["eigh", "eigh"])
+    assert [name for name, _ in calls] == ([] if n <= 7 else ["eigvalsh", "eigvalsh"])
 
 
-def test_closed_form_leaves_ill_conditioned_angles_to_the_cross_product(monkeypatch):
+def test_closed_form_leaves_ill_conditioned_angles_to_the_svd(monkeypatch):
     # n = 6 with A_1 = 1: B^T is nearly singular near pi/2 and splits there,
-    # so exactly those angles, where the cross product's own guard fails,
-    # reach _cross_product, in one call
+    # so exactly the angles under the condition guard reach _by_svd, in one
+    # call, and match one SVD per angle
     M = params_to_matrix(ReciprocalParams(A=(1.0, 3.0, 4.0, 5.0, 6.0)))
+    theta, ill = _near_pi_half(M)
     seen = []
-    cross = curve._cross_product
-    monkeypatch.setattr(curve, "_cross_product",
-                        lambda M, theta: seen.append(theta) or cross(M, theta))
-    samples = sample_curve(M, m=720)
-    solved = samples.theta[:181]
-    sigma = np.linalg.svd(_scaled_bidiagonals(M, solved)[1], compute_uv=False)
-    ill = np.flatnonzero(sigma[:, -1] <= curve.COND_GUARD * sigma[:, 0])
-    assert ill.tolist() == list(range(ill[0], 181)) and len(ill) < 10  # a run up to pi/2
+    by_svd = curve._by_svd
+    monkeypatch.setattr(curve, "_by_svd", lambda M, theta: seen.append(theta) or by_svd(M, theta))
+    lam, points = curve._sample_block(M, theta)
     assert len(seen) == 1
-    np.testing.assert_array_equal(seen[0], solved[ill])
-    _assert_matches_reference(M, 720)
+    np.testing.assert_array_equal(seen[0], theta[ill])
+    want_lam, want_points = _svd_reference(M, theta[:-1])  # pi/2 splits
+    scale = float(np.max(np.abs(want_lam)))
+    assert np.max(np.abs(lam[:-1] - want_lam)) <= 1e-12 * scale
+    assert np.max(np.abs(points[:-1] - want_points)) <= 1e-12 * scale
