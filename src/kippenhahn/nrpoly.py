@@ -6,13 +6,15 @@ floor(n/2) with coefficients that are polynomials in the A_j parameters.
 The exact layer has one number format, Python integers over one
 denominator: trimat._ratio takes a real input exactly (a float at its
 binary value) after trimat._real, the package's one accept set, has read
-it; _cleared puts a list of inputs over the lcm of their denominators, and
-a BivariatePoly holds integer tau-coefficient rows over one D.  The
-n = 6 factor test substitutes zeta = x tau + z (substitution_tau_coeffs,
-a binomial expansion), eliminates z against the tau^2-coefficient, which
-is linear in z (so the resultant is a substitution), and reduces modulo
-the slope cubic; those stages and divide_by_linear run on integer lists
-and build one Fraction per returned coefficient.  A value at float inputs
+it; _cleared puts a list of inputs over the lcm of their denominators.  A
+BivariatePoly holds integer tau-coefficient rows over one D, and a UniPoly
+its numeric coefficients as integer numerators over one denominator,
+building Fractions only when coeffs or coeff is read.  The n = 6 factor
+test substitutes zeta = x tau + z (substitution_tau_coeffs, a binomial
+expansion), eliminates z against the tau^2-coefficient, which is linear in
+z (so the resultant is a substitution), and reduces modulo the slope
+cubic; those stages and divide_by_linear read and return UniPoly in that
+form, so no Fraction is built between them.  A value at float inputs
 is the exact value at their binary values, rounded once to the nearest
 float (BivariatePoly.eval, eval_residual).  Floating-point arithmetic
 enters only at root finding and in det_pencil, the numeric determinant
@@ -53,30 +55,48 @@ def _rounded(num, den):
 
 
 class UniPoly:
-    """Dense univariate polynomial; coefficients may be exact rationals,
-    floats, or UniPoly instances in another variable (for the tower Q[x][z])."""
+    """Dense univariate polynomial with exact coefficients.
 
-    __slots__ = ("var", "coeffs")
+    A numeric coefficient is held as an integer numerator over one positive
+    denominator shared by all of them, in lowest terms; the constructor
+    takes it exactly through _cleared (a float at its binary value).  A
+    coefficient that is itself a UniPoly, in another variable (the tower
+    Q[x][z]), is held as it is.  coeffs and coeff build Fractions on read.
+    """
+
+    __slots__ = ("var", "_nums", "_den")
 
     def __init__(self, var, coeffs):
         cs = list(coeffs)
-        while cs and (cs[-1].is_zero if isinstance(cs[-1], UniPoly) else cs[-1] == 0):
+        numeric = [k for k, c in enumerate(cs) if not isinstance(c, UniPoly)]
+        # the lcm of reduced denominators leaves the numerators coprime to it
+        ints, self._den = _cleared([cs[k] for k in numeric])
+        for k, c in zip(numeric, ints):
+            cs[k] = c
+        while cs and (cs[-1].is_zero if isinstance(cs[-1], UniPoly) else not cs[-1]):
             cs.pop()
-        self.var = var
-        self.coeffs = tuple(cs)
+        self.var, self._nums = var, tuple(cs)
+
+    @property
+    def coeffs(self):
+        """The coefficients, ascending: a Fraction for each number, a
+        UniPoly as it is."""
+        d = self._den
+        return tuple(c if isinstance(c, UniPoly) else Fraction(c, d) for c in self._nums)
 
     @property
     def is_zero(self):
-        return not self.coeffs
+        return not self._nums
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1
+        return len(self._nums) - 1
 
     def coeff(self, k):
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return Fraction(0)
+        if 0 <= k < len(self._nums):
+            c = self._nums[k]
+            return c if isinstance(c, UniPoly) else Fraction(c, self._den)
+        return _ZERO
 
     def _coerce(self, other):
         if isinstance(other, UniPoly) and other.var == self.var:
@@ -86,13 +106,17 @@ class UniPoly:
 
     def __add__(self, other):
         o = self._coerce(other)
-        n = max(len(self.coeffs), len(o.coeffs))
+        if _flat(self) and _flat(o):
+            d = math.lcm(self._den, o._den)
+            return _from_ints(self.var, _int_add([c * (d // self._den) for c in self._nums],
+                                                 [c * (d // o._den) for c in o._nums]), d)
+        n = max(len(self._nums), len(o._nums))
         return UniPoly(self.var, [self.coeff(k) + o.coeff(k) for k in range(n)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return UniPoly(self.var, [-c for c in self.coeffs])
+        return _held(self.var, tuple([-c for c in self._nums]), self._den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -101,25 +125,34 @@ class UniPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if not isinstance(other, UniPoly) or other.var != self.var:
+        if isinstance(other, UniPoly) and other.var != self.var:
             return UniPoly(self.var, [c * other for c in self.coeffs])
-        if self.is_zero or other.is_zero:
-            return UniPoly(self.var, [])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
+        o = self._coerce(other)
+        if _flat(self) and _flat(o):
+            return _from_ints(self.var, _int_mul(self._nums, o._nums), self._den * o._den)
+        a, b = self.coeffs, o.coeffs
+        out = [0] * max(len(a) + len(b) - 1, 0)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = out[i + j] + x * y
         return UniPoly(self.var, out)
 
-    def __rmul__(self, other):
-        return UniPoly(self.var, [other * c for c in self.coeffs])
+    # only a scalar reaches __rmul__: a UniPoly on the left runs its own __mul__
+    __rmul__ = __mul__
 
     def __eq__(self, other):
         if isinstance(other, UniPoly):
-            return self.var == other.var and self.coeffs == other.coeffs
+            if self.var != other.var:
+                return False
+            if _flat(self) and _flat(other):
+                return self._den == other._den and self._nums == other._nums
+            return self.coeffs == other.coeffs
         return self.degree <= 0 and self.coeff(0) == other
 
     def __hash__(self):
+        # a polynomial of degree <= 0 equals its constant, so hashes as it
+        if len(self._nums) <= 1:
+            return hash(self.coeff(0))
         return hash((self.var, self.coeffs))
 
     def __call__(self, value):
@@ -131,6 +164,29 @@ class UniPoly:
 
     def __repr__(self):
         return f"UniPoly({self.var!r}, {list(self.coeffs)!r})"
+
+
+def _flat(p):
+    """True when every coefficient of p is a number, none a UniPoly."""
+    return all(type(c) is int for c in p._nums)
+
+
+def _from_ints(var, nums, den):
+    """The UniPoly sum_k nums[k] / den var^k from a list of ints, den > 0."""
+    while nums and not nums[-1]:
+        nums.pop()
+    g = math.gcd(den, *nums)
+    if g > 1:
+        nums, den = [c // g for c in nums], den // g
+    return _held(var, tuple(nums), den)
+
+
+def _held(var, nums, den):
+    """The UniPoly that holds nums over den as they are: nums a tuple with
+    no trailing zero, its integers and den in lowest terms."""
+    p = UniPoly.__new__(UniPoly)
+    p.var, p._nums, p._den = var, nums, den
+    return p
 
 
 @dataclass(frozen=True)
@@ -154,13 +210,15 @@ class BivariatePoly:
             while row and not row[-1]:
                 row.pop()
         g = math.gcd(self.D, *(c for row in rows for c in row))
-        object.__setattr__(self, "D", self.D // g)
-        object.__setattr__(self, "rows", tuple(tuple(c // g for c in row) for row in rows))
+        if g > 1:
+            object.__setattr__(self, "D", self.D // g)
+            rows = [[c // g for c in row] for row in rows]
+        object.__setattr__(self, "rows", tuple(tuple(row) for row in rows))
 
     @property
     def zeta_coeffs(self):
-        """The rows as UniPoly in tau over Fraction, index = zeta power."""
-        return tuple(UniPoly("tau", [Fraction(c, self.D) for c in row]) for row in self.rows)
+        """The rows as UniPoly in tau, index = zeta power."""
+        return tuple(_from_ints("tau", list(row), self.D) for row in self.rows)
 
     @property
     def deg_zeta(self):
@@ -248,8 +306,10 @@ def generating_poly(p: ReciprocalParams) -> BivariatePoly:
                     out[j + 1] -= L * c
             g_next.append(out)
         g_prev, g_cur = g_cur, g_next
-    two_l, sign = 2 * L, 1 if p.n % 2 == 0 else -1
-    rows = [[sign * two_l ** i * c for c in q] for i, q in enumerate(g_cur)]
+    two_l, scale, rows = 2 * L, 1 if p.n % 2 == 0 else -1, []
+    for q in g_cur:  # row i times sign (2L)^i
+        rows.append([scale * c for c in q])
+        scale *= two_l
     return BivariatePoly(two_l ** (p.n // 2), rows, origin_component=(p.n % 2 == 1), n=p.n)
 
 
@@ -286,8 +346,8 @@ def divide_by_linear(P: BivariatePoly, x, z):
     """Synthetic division of P by zeta - (x tau + z).
 
     Returns (quotient, remainder); the remainder is P(x tau + z, tau) as a
-    polynomial in tau with Fraction coefficients, exact for every input
-    that _ratio takes (floats at their binary values).
+    UniPoly in tau, exact for every input that _ratio takes (floats at
+    their binary values).
     """
     (Z, X), e = _cleared((z, x))
     rows, k = P.rows, len(P.rows) - 1
@@ -301,7 +361,7 @@ def divide_by_linear(P: BivariatePoly, x, z):
         carry = _int_add([c * epow for c in rows[i]], _int_mul([Z, X], carry))
     quo = [[c * e ** i for c in row] for i, row in enumerate(reversed(quo))]
     quotient = BivariatePoly(P.D * e ** max(k - 1, 0), quo, P.origin_component, P.n)
-    return quotient, UniPoly("tau", [Fraction(c, P.D * epow) for c in carry])
+    return quotient, _from_ints("tau", carry, P.D * epow)
 
 
 def substitution_tau_coeffs(P: BivariatePoly):
@@ -316,15 +376,20 @@ def substitution_tau_coeffs(P: BivariatePoly):
     rows, D = P.rows, P.D
     kmax = len(rows) - 1
 
-    def coeff(a, l, k):  # C(a + l, l) p_{a+l, k-l}, one Fraction
-        row, j = rows[a + l], k - l
-        if j >= len(row) or not row[j]:
-            return _ZERO
-        return Fraction(math.comb(a + l, l) * row[j], D)
-
-    return [UniPoly("z", [UniPoly("x", [coeff(a, l, k) for l in range(min(k, kmax - a) + 1)])
-                          for a in range(kmax + 1)])
-            for k in range(kmax + 2)]
+    taus = []
+    for k in range(kmax + 2):
+        z_coeffs = []
+        for a in range(kmax + 1):
+            nums, binom = [], 1  # sum_l C(a + l, l) p_{a+l, k-l} x^l over D
+            for l in range(min(k, kmax - a) + 1):
+                row = rows[a + l]
+                nums.append(binom * row[k - l] if k - l < len(row) else 0)
+                binom = binom * (a + l + 1) // (l + 1)
+            z_coeffs.append(_from_ints("x", nums, D))
+        while z_coeffs and z_coeffs[-1].is_zero:
+            z_coeffs.pop()
+        taus.append(_held("z", tuple(z_coeffs), 1))
+    return taus
 
 
 def resultant_in_z(f: UniPoly, g: UniPoly) -> UniPoly:
@@ -336,31 +401,36 @@ def resultant_in_z(f: UniPoly, g: UniPoly) -> UniPoly:
     f = z - a is g(a).  The n = 6 pipeline eliminates z only against the
     tau^2-coefficient q11 z + q10, which is linear in z.  The sum runs on
     integer coefficient lists, f's and g's each over their own common
-    denominator, and ends in one Fraction per coefficient.
+    denominator.
     """
     if f.is_zero or g.is_zero:
         raise DegenerateInput("resultant of the zero polynomial")
     if f.degree != 1:
         raise ValueError(f"resultant_in_z needs f linear in z, got degree {f.degree}")
 
-    (F0, F1), df = _integer_x_polys(f.coeffs)
-    G, dg = _integer_x_polys(g.coeffs)
+    (F0, F1), df = _integer_x_polys(f)
+    G, dg = _integer_x_polys(g)
     neg_f0 = [-c for c in F0]
     out, f1_power = G[-1], [1]
     for c in reversed(G[:-1]):  # Horner in -f0, homogenised by f1
         f1_power = _int_mul(f1_power, F1)
         out = _int_add(_int_mul(out, neg_f0), _int_mul(c, f1_power))
-    den = dg * df ** (len(G) - 1)
-    return UniPoly("x", [Fraction(c, den) for c in out])
+    return _from_ints("x", out, dg * df ** (len(G) - 1))
 
 
-def _integer_x_polys(coeffs):
-    """Integer coefficient lists of x-polynomials (or rationals) over their
-    least common denominator d, as (lists, d)."""
-    polys = [c.coeffs if isinstance(c, UniPoly) else (c,) for c in coeffs]
-    ints, d = _cleared([a for p in polys for a in p])
-    it = iter(ints)
-    return [[next(it) for _ in p] for p in polys], d
+def _integer_x_polys(p):
+    """The coefficients of p, x-polynomials or rationals, as integer lists
+    over their least common denominator d: (lists, d)."""
+    polys = []
+    for c in p._nums:
+        if not isinstance(c, UniPoly):
+            polys.append(((c,), p._den))
+        elif _flat(c):
+            polys.append((c._nums, c._den))
+        else:
+            raise TypeError(f"a coefficient in Q[x] or Q was expected, got {c!r}")
+    d = math.lcm(*(den for _, den in polys))
+    return [[a * (d // den) for a in nums] for nums, den in polys], d
 
 
 def _int_mul(a, b):
@@ -390,7 +460,9 @@ def reduce_mod_cubic(f: UniPoly) -> UniPoly:
     """
     if f.var != "x":
         raise ValueError(f"reduce_mod_cubic takes a polynomial in x, got {f.var!r}")
-    cs, d = _cleared(f.coeffs)
+    if not _flat(f):
+        raise TypeError("reduce_mod_cubic takes rational coefficients")
+    cs, d = list(f._nums), f._den
     shift = 3 * max(len(cs) - 3, 0)
     cs = [c << shift for c in cs]
     for k in range(len(cs) - 1, 2, -1):
@@ -398,7 +470,7 @@ def reduce_mod_cubic(f: UniPoly) -> UniPoly:
         cs[k - 1] += 20 * top
         cs[k - 2] -= 12 * top
         cs[k - 3] += top
-    return UniPoly("x", [Fraction(c, d << shift) for c in cs[:3]])
+    return _from_ints("x", cs[:3], d << shift)
 
 
 # The roots of 8 x^3 - 20 x^2 + 12 x - 1 ascending, the tau-slopes of the

@@ -108,6 +108,15 @@ class TridiagonalMatrix:
             entries = tuple([_entry(v, name, j) for j, v in enumerate(getattr(self, name), 1)])
             object.__setattr__(self, name, entries)
 
+    @classmethod
+    def _unchecked(cls, n, a, b, c):
+        """The matrix with entries that __post_init__ would leave as they
+        are: a complex, b and c tuples of n - 1 finite complex numbers."""
+        M = cls.__new__(cls)
+        for name, v in (("n", n), ("a", a), ("b", b), ("c", c)):
+            object.__setattr__(M, name, v)
+        return M
+
     @property
     def is_reciprocal(self) -> bool:
         if self.a != 0:
@@ -240,8 +249,10 @@ def params_to_matrix(p: ReciprocalParams) -> TridiagonalMatrix:
     b = []
     for Aj in p.A:
         Aj = float(Aj)
-        b.append(math.sqrt((Aj + 1.0) / 2) + math.sqrt(max(Aj - 1.0, 0.0) / 2))
-    return build_reciprocal(b)
+        b.append(complex(math.sqrt((Aj + 1.0) / 2) + math.sqrt(max(Aj - 1.0, 0.0) / 2)))
+    # each b_j is a finite float of about 1 or more, so b_j and 1 / b_j are
+    # finite and nonzero: build_reciprocal's checks would pass them unchanged
+    return TridiagonalMatrix._unchecked(len(b) + 1, 0j, tuple(b), tuple([1.0 / v for v in b]))
 
 
 def pencil_products(M: TridiagonalMatrix, theta):

@@ -474,6 +474,95 @@ def test_divide_by_linear_quotient(p, x, z):
     assert divisor * in_zeta(Q.zeta_coeffs) + in_zeta([R]) == in_zeta(P.zeta_coeffs)
 
 
+def _pipeline_polys(P, x, z):
+    """Every UniPoly the exact factor test builds from P (at n = 6, the
+    pipeline): the substitution's tau-coefficients, the resultants against
+    the tau^(k-1)-coefficient, their reductions and the remainder."""
+    taus = substitution_tau_coeffs(P)
+    k = P.deg_zeta
+    resultants = [resultant_in_z(taus[k - 1], g) for g in taus[:k - 1] if not g.is_zero]
+    reduced = [reduce_mod_cubic(r) for r in resultants]
+    return taus + resultants + reduced + [divide_by_linear(P, x, z)[1]]
+
+
+def test_pipeline_builds_no_fraction_until_a_coefficient_is_read():
+    P = generating_poly(ReciprocalParams(A=(F(7, 3), F(5, 2), 4, F(9, 7), F(11, 5))))
+    x, z = F(3, 2), F(7, 3)
+    built = []
+    original = F.__dict__["__new__"]
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original.__func__(cls, *args, **kwargs)
+
+    F.__new__ = staticmethod(counting)
+    try:
+        polys = _pipeline_polys(P, x, z)
+        assert built == []
+        reads = polys[-2].coeffs  # the second reduced resultant
+        assert len(built) == len(reads) > 0
+    finally:
+        F.__new__ = original
+    assert len(polys) == 5 + 2 + 2 + 1 and not polys[-1].is_zero
+
+
+def _fraction_twin(q):
+    """q rebuilt from Fraction coefficients, towers included."""
+    return UniPoly(q.var, [_fraction_twin(c) if isinstance(c, UniPoly) else F(c)
+                           for c in q.coeffs])
+
+
+def _fraction_product(a, b):
+    """Product of two ascending Fraction coefficient tuples."""
+    out = [F(0)] * max(len(a) + len(b) - 1, 0)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return out
+
+
+@given(param_vectors(n_min=4, n_max=8), rationals | eval_floats, rationals,
+       st.lists(rationals, max_size=4))
+@settings(max_examples=25, deadline=None)
+def test_pipeline_polys_agree_with_their_fraction_twins(p, x, z, other):
+    P = generating_poly(p)
+    polys = _pipeline_polys(P, x, z) + list(P.zeta_coeffs)
+    for q in polys + [c for t in polys for c in t.coeffs if isinstance(c, UniPoly)]:
+        twin = _fraction_twin(q)
+        assert q == twin and twin == q and hash(q) == hash(twin)
+        assert (q.coeffs, q.degree, q.is_zero) == (twin.coeffs, twin.degree, twin.is_zero)
+        assert (q - twin).is_zero and q + twin == 2 * twin == twin * 2
+        if not any(isinstance(c, UniPoly) for c in q.coeffs):
+            g = UniPoly(q.var, other)
+            assert all(type(c) is F for c in q.coeffs)
+            assert (q * g).coeffs == (twin * g).coeffs == tuple(
+                UniPoly(q.var, _fraction_product(twin.coeffs, g.coeffs)).coeffs)
+            assert (q + g).coeffs == (twin + g).coeffs
+
+
+def test_constant_unipoly_hashes_as_its_value():
+    three = UniPoly("x", [F(3)])
+    assert three == 3 and hash(three) == hash(3)
+    assert len({three, 3}) == 1 and {3: "three"}[three] == "three"
+    assert UniPoly("x", []) == 0 and hash(UniPoly("x", [])) == hash(0)
+    assert hash(UniPoly("x", [F(1, 2)])) == hash(F(1, 2)) == hash(0.5)
+    # a constant tower element is the constant it holds
+    tower = UniPoly("z", [UniPoly("x", [3])])
+    assert tower == 3 and hash(tower) == hash(3) and len({tower, 3}) == 1
+
+
+def test_unipoly_takes_floats_at_their_binary_values():
+    p = UniPoly("x", [0.1, 2, np.int64(3)])
+    assert p.coeffs == (F(0.1), F(2), F(3)) and all(type(c) is F for c in p.coeffs)
+    assert (p * 0.1).coeffs == (F(0.1) ** 2, 2 * F(0.1), 3 * F(0.1))
+    with pytest.raises(TypeError):
+        UniPoly("x", [1, "2"])
+    with pytest.raises(ValueError):
+        UniPoly("x", [1, math.nan])
+    with pytest.raises(AttributeError):
+        p.coeffs = ()
+
+
 @st.composite
 def pencil_points(draw):
     n = draw(st.integers(3, 40))

@@ -179,6 +179,18 @@ def test_params_matrix_roundtrip(A):
     assert max(abs(x - y) for x, y in zip(p.A, q.A)) <= 1e-12 * max(1.0, max(A))
 
 
+@given(st.lists(st.floats(min_value=1.0, max_value=FLOAT_MAX)
+                | st.fractions(min_value=1, max_value=10 ** 6), min_size=1, max_size=12))
+@settings(max_examples=25, deadline=None)
+def test_params_to_matrix_is_the_checked_reciprocal_matrix(A):
+    # params_to_matrix skips the entry checks; its entries pass them unchanged,
+    # and build_reciprocal on its b gives the same matrix bit for bit
+    M = params_to_matrix(ReciprocalParams(A=tuple(A)))
+    for other in (TridiagonalMatrix(M.n, M.a, M.b, M.c), build_reciprocal(M.b)):
+        assert repr((other.n, other.a, other.b, other.c)) == repr((M.n, M.a, M.b, M.c))
+    assert all(type(v) is complex for v in (M.a, *M.b, *M.c))
+
+
 def test_realified_pencil_reciprocal_offdiag():
     M = build_reciprocal([1.5, 2, 2.5, 1.5])
     A = a_params(M).A
